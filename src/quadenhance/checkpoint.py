@@ -13,12 +13,40 @@ Layout (all integers little-endian):
 
 Scalars round-trip bit for bit; the checksum is verified before any
 record is parsed, so truncation or corruption is reported as a checksum
-error rather than a confusing parse failure.
+error rather than a confusing parse failure.  Saving writes a temporary
+file beside the target and renames it into place, so an interrupted save
+leaves any earlier checkpoint at that path untouched.
+
+The checksum is the standard byte-at-a-time FNV-1a 64,
+``h <- (h ^ b_i) * P mod 2**64`` with ``P = 0x100000001B3``, computed in
+blocks of whole-array numpy passes instead of a loop over bytes:
+
+* Low byte.  Let ``l_i`` be the low byte of ``h`` before byte ``b_i`` and
+  ``x_i = l_i ^ b_i``.  The low byte of a product depends only on the low
+  bytes of its factors, so ``l_{i+1} = x_i * 0xB3 mod 256``.  Since 0xB3
+  is odd, bit k of ``x * 0xB3`` is bit k of ``x`` XOR bit k of
+  ``(x mod 2**k) * 0xB3``.  Hence, with the bits below k already known
+  for every i, bit k obeys ``l_{i+1,k} = l_{i,k} ^ d_{i,k}`` where
+  ``d_{i,k} = b_{i,k} ^ bit_k((x_i mod 2**k) * 0xB3)``, and the whole
+  bit plane is a prefix XOR of ``d`` (Blelloch, "Prefix Sums and Their
+  Applications", 1990).  Eight planes, lowest first, give every ``l_i``.
+  The scan runs on bytes packed eight to a little-endian u64 word: shifts
+  by 8, 16 and 32 scan inside each word, and one XOR accumulate over the
+  word parities carries between words.
+* Full state.  XOR with a byte changes only the low byte, so
+  ``h ^ b_i = h + delta_i`` with ``delta_i = x_i - l_i``.  An m-byte block
+  therefore maps ``h`` to ``h * P**m + sum_i delta_i * P**(m - i)`` (i
+  from 0) mod 2**64: a wrapping uint64 multiply-and-sum against a table
+  of powers of P built once at import.
 """
 
 from __future__ import annotations
 
+import os
+import secrets
 import struct
+from math import prod
+from pathlib import Path
 
 import numpy as np
 
@@ -34,41 +62,125 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK = 0xFFFFFFFFFFFFFFFF
 
+# bytes hashed per numpy pass: bounds the per-block temporaries (a few
+# uint8 arrays and two uint64 arrays of this length)
+_BLOCK = 1 << 16
+_U64 = np.uint64
 
-def fnv1a64(data: bytes) -> int:
+
+def _prime_powers() -> np.ndarray:
+    """``out[j] = P**(_BLOCK - j) mod 2**64``, as the outer product of
+    ``P**(256 a)`` and ``P**(b + 1)`` (two short scans), descending."""
+    low = np.multiply.accumulate(np.full(256, _FNV_PRIME, dtype=_U64))
+    high = np.multiply.accumulate(np.full(_BLOCK // 256, low[-1], dtype=_U64))
+    high = np.concatenate((np.ones(1, dtype=_U64), high[:-1]))
+    return np.multiply.outer(high[::-1], low[::-1]).ravel()
+
+
+# a block of m bytes uses the last m entries, the first of which is P**m
+_POWERS = _prime_powers()
+_PRIME_LOW = np.uint8(_FNV_PRIME & 0xFF)
+_SPREAD = _U64(0x0101010101010101)     # copies a byte into all eight lanes
+
+
+def _prefix_xor(plane: np.ndarray) -> None:
+    """Inclusive prefix XOR, in place, of a uint8 array whose length is a
+    multiple of 8."""
+    words = plane.view("<u8")
+    words ^= words << _U64(8)
+    words ^= words << _U64(16)
+    words ^= words << _U64(32)
+    # each word's top byte now holds the XOR of its eight bytes
+    carry = np.bitwise_xor.accumulate(words[:-1] >> _U64(56))
+    words[1:] ^= carry * _SPREAD
+
+
+def _low_bytes(block: np.ndarray, low0: np.uint8) -> np.ndarray:
+    """Low byte of the FNV state before each byte of ``block``."""
+    m = len(block)
+    width = (m + 8) & ~7        # m + 1 entries, padded to whole words
+    low = np.zeros(width, dtype=np.uint8)
+    t = np.empty(m, dtype=np.uint8)
+    for k in range(8):
+        bit = np.uint8(1 << k)
+        np.bitwise_xor(low[:m], block, out=t)
+        t &= np.uint8((1 << k) - 1)
+        t *= _PRIME_LOW
+        t ^= block
+        # plane[i] = bit k of l_i: the initial bit, then d_0 .. d_{m-1}
+        plane = np.zeros(width, dtype=np.uint8)
+        plane[0] = low0 & bit
+        np.bitwise_and(t, bit, out=plane[1:m + 1])
+        _prefix_xor(plane)
+        low |= plane
+    return low[:m]
+
+
+def fnv1a64(data: bytes | memoryview) -> int:
+    """FNV-1a 64 of a bytes-like object."""
     h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK
+    buf = np.frombuffer(data, dtype=np.uint8)
+    for start in range(0, len(buf), _BLOCK):
+        block = buf[start:start + _BLOCK]
+        low = _low_bytes(block, np.uint8(h & 0xFF))
+        delta = (low ^ block).astype(np.int64)
+        delta -= low
+        powers = _POWERS[_BLOCK - len(block):]
+        tail = np.multiply(delta.view(_U64), powers).sum(dtype=_U64)
+        h = (h * int(powers[0]) + int(tail)) & _MASK
     return h
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
-    """Serialize named arrays; insertion order of the dict is preserved."""
+    """Serialize named arrays; insertion order of the dict is preserved.
+
+    The file appears at ``path`` whole or not at all: it is written and
+    synced under a temporary name in the same directory, then renamed.
+    """
     chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(params))]
     for name, arr in params.items():
         tag = _TAG_FOR_KIND.get(arr.dtype.newbyteorder("="))
         if tag is None:
             raise CheckpointError(f"unsupported dtype {arr.dtype} for parameter {name!r}")
-        raw = np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]).tobytes()
         name_b = name.encode("utf-8")
+        if len(name_b) > 0xFFFF:
+            raise CheckpointError(f"parameter name {name[:40]!r}... is {len(name_b)} UTF-8 bytes; "
+                                  f"QEN1 allows at most 65535")
+        if any(n > 0xFFFFFFFF for n in arr.shape):
+            raise CheckpointError(f"parameter {name!r} has shape {arr.shape}; "
+                                  f"QEN1 extents must be below 2**32")
+        # a view where possible: the join below is the one copy of the payload
+        raw = memoryview(np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]))
         chunks.append(struct.pack("<H", len(name_b)))
         chunks.append(name_b)
         chunks.append(struct.pack("<BB", tag, arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(raw)
     body = b"".join(chunks)
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<Q", fnv1a64(body)))
+    trailer = struct.pack("<Q", fnv1a64(body))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    # exclusive create: never follows or reuses an existing file
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(body)
+            fh.write(trailer)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:
-    def __init__(self, data: bytes, path):
+    def __init__(self, data: memoryview, path):
         self.data = data
         self.pos = 0
         self.path = path
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         if self.pos + count > len(self.data):
             raise CheckpointError(
                 f"{self.path}: record extends past end of file "
@@ -87,7 +199,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 4 + 4 + 8:
         raise ChecksumError(f"{path}: file too short ({len(blob)} bytes) to be a checkpoint")
-    body, stored = blob[:-8], struct.unpack("<Q", blob[-8:])[0]
+    # slices of the view share the file's buffer: each payload is copied
+    # once, into its own array
+    body = memoryview(blob)[:-8]
+    stored = struct.unpack("<Q", blob[-8:])[0]
     actual = fnv1a64(body)
     if actual != stored:
         raise ChecksumError(
@@ -102,16 +217,24 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = rd.unpack("<H")
-        name = rd.take(name_len).decode("utf-8")
+        try:
+            name = str(rd.take(name_len), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: parameter name at offset {rd.pos - name_len} "
+                                  f"is not valid UTF-8 ({exc.reason})") from None
         tag, ndim = rd.unpack("<BB")
         if tag not in _DTYPE_TAGS:
             raise CheckpointError(f"{path}: unknown dtype tag {tag} for {name!r}")
         shape = rd.unpack(f"<{ndim}I")
         dtype = _DTYPE_TAGS[tag]
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        arr = np.frombuffer(rd.take(n_bytes), dtype=dtype).reshape(shape)
-        # plain asarray: ascontiguousarray would promote 0-d scalars to 1-d
-        out[name] = np.asarray(arr, dtype=dtype.newbyteorder("="), order="C").copy()
+        # Python ints: a product of u32 extents must not wrap
+        payload = rd.take(prod(shape) * dtype.itemsize)
+        try:
+            arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: bad shape {shape} for {name!r}: {exc}") from None
+        # np.array copies exactly once and keeps 0-d scalars 0-d
+        out[name] = np.array(arr, dtype=dtype.newbyteorder("="))
     if rd.pos != len(body):
         raise CheckpointError(f"{path}: {len(body) - rd.pos} trailing bytes after last record")
     return out

@@ -30,7 +30,7 @@ class DataError(QuadEnhanceError, ValueError):
 
 
 class CheckpointError(DataError):
-    """A checkpoint file failed validation on load."""
+    """A checkpoint failed validation on load, or cannot be written as QEN1."""
 
 
 class ChecksumError(CheckpointError):

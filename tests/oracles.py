@@ -94,3 +94,11 @@ def fused_qe_input_grad(shifts, lam_values: dict, y: np.ndarray, g: np.ndarray) 
     for r in shifts:
         adj += np.roll(lam_values[r] * g * y, r)
     return g * ly + adj + g
+
+
+def fnv1a64_bytewise(data: bytes) -> int:
+    """FNV-1a 64, one byte at a time in Python integers (the definition)."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h

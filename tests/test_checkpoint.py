@@ -1,16 +1,25 @@
 """QEN1 binary persistence: bitwise round-trips and corruption detection."""
 
+import errno
+import hashlib
+import os
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import fnv1a64_bytewise
+from quadenhance import checkpoint
 from quadenhance.checkpoint import (MAGIC, fnv1a64, load_checkpoint,
                                     load_into_model, save_checkpoint)
 from quadenhance.errors import CheckpointError, ChecksumError
 from quadenhance.models import MLP, MLPConfig
 from quadenhance.rng import Rng
+
+# the checksum works in blocks of this many bytes; lengths around it and
+# around multiples of 8 (its word size) are the interesting edges
+BLOCK = checkpoint._BLOCK
 
 
 def _params(seed=0, dtype=np.float64):
@@ -85,6 +94,97 @@ def test_fnv1a64_known_vectors():
     # standard FNV-1a test values
     assert fnv1a64(b"") == 0xCBF29CE484222325
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+
+
+_EDGE_LENGTHS = sorted({n + e for n in (8, 16, 4096, BLOCK - 8, BLOCK, BLOCK + 8, 2 * BLOCK, 3 * BLOCK)
+                        for e in (-1, 0, 1)})
+
+
+@given(st.one_of(st.integers(0, 64), st.sampled_from(_EDGE_LENGTHS), st.integers(0, 3 * BLOCK)),
+       st.sampled_from(["random", "zeros", "ones"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_fnv1a64_matches_bytewise_oracle(length, fill, seed):
+    if fill == "random":
+        data = np.random.default_rng(seed).integers(0, 256, length, dtype=np.uint8).tobytes()
+    else:
+        data = (b"\x00" if fill == "zeros" else b"\xff") * length
+    expected = fnv1a64_bytewise(data)
+    assert fnv1a64(data) == expected
+    assert fnv1a64(memoryview(data)) == expected
+
+
+def test_file_bytes_are_pinned(tmp_path):
+    # the bytes version 1 has always written for this parameter set, as
+    # produced by the byte-at-a-time checksum: the format must not drift
+    params = {
+        "W": (np.arange(12, dtype=np.float32).reshape(3, 4) - 5.5) / 3,
+        "b": np.linspace(-1.0, 1.0, 5, dtype=np.float64),
+        "λ[0]": np.asarray(np.pi, dtype=np.float64).reshape(()),
+        "empty": np.zeros((0, 3), dtype=np.float32),
+        "big-endian": np.arange(4, dtype=">f8") * 0.25,
+    }
+    path = tmp_path / "golden.qen1"
+    save_checkpoint(path, params)
+    blob = path.read_bytes()
+    assert len(blob) == 214
+    assert blob[-8:] == struct.pack("<Q", 0x5C59936F5AE44C9C)
+    assert hashlib.sha256(blob).hexdigest() == \
+        "831763493336d28b2e31cf38cb58cd0201ca76feec878c6edd8cb2f4a92bd881"
+
+
+@pytest.mark.parametrize("params, match", [
+    ({"x" * 70000: np.zeros(1)}, "xxxx.*65535"),
+    ({"huge": np.zeros((2**32, 0), dtype=np.float32)}, "'huge'.*2\\*\\*32"),
+], ids=["long-name", "wide-extent"])
+def test_unrepresentable_parameter_rejected_on_save(tmp_path, params, match):
+    with pytest.raises(CheckpointError, match=match):
+        save_checkpoint(tmp_path / "m.qen1", params)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _one_record(name: bytes, extents, payload: bytes) -> bytes:
+    return (MAGIC + struct.pack("<II", 1, 1) + struct.pack("<H", len(name)) + name
+            + struct.pack("<BB", 0, len(extents)) + struct.pack(f"<{len(extents)}I", *extents)
+            + payload)
+
+
+def test_non_utf8_name_rejected(tmp_path):
+    path = tmp_path / "m.qen1"
+    body = _one_record(b"\xff\xfe", (1,), struct.pack("<f", 1.0))
+    path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("extents, match", [
+    ((2**32 - 1,) * 4, "past end"),          # the byte count overflows int64
+    ((1000,), "past end"),
+    ((0,) + (2**32 - 1,) * 3, "bad shape"),  # 0 bytes, but too big to index
+], ids=["overflow", "past-end", "too-big-to-index"])
+def test_impossible_extents_rejected(tmp_path, extents, match):
+    path = tmp_path / "m.qen1"
+    body = _one_record(b"w", extents, struct.pack("<f", 1.0))
+    path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("call", ["fsync", "replace"])
+def test_failed_save_leaves_earlier_file_intact(tmp_path, monkeypatch, call):
+    path = tmp_path / "m.qen1"
+    save_checkpoint(path, _params(seed=1))
+    assert list(tmp_path.iterdir()) == [path]
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError(errno.EIO, "Input/output error")
+    monkeypatch.setattr(os, call, fail)
+    with pytest.raises(OSError):
+        save_checkpoint(path, _params(seed=2))
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
+    monkeypatch.undo()
+    assert load_checkpoint(path)["W"].tobytes() == _params(seed=1)["W"].tobytes()
 
 
 class TestModelRoundTrip:
