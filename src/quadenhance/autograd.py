@@ -8,13 +8,19 @@ order is fixed (bit-reproducible runs).
 Each differentiable operation here wraps the corresponding pure kernel
 from :mod:`quadenhance.tensor` and attaches its adjoint rule:
 
-    matmul(A, B):  gA = g @ B^T,  gB = A^T @ g
-    hadamard:      gA = g * B,    gB = g * A
-    add:           pass-through
-    roll(., r):    roll(g, -r)
-    reduce_sum:    broadcast of g
+    linear(x, W) = x W^T:  gx = g @ W,  gW = (x^T @ g)^T
+    hadamard:              gA = g * B,  gB = g * A
+    add:                   pass-through
+    reduce_sum:            broadcast of g
+    band_quadratic(y, λ):  (L y) * y + y with L y = Σ_r λ_r * roll(y, r),
+                           in :mod:`quadenhance.enhancer`; with gacc = g * y,
+                           gλ_r = Σ_rows gacc * roll(y, r) and
+                           gy = g + g * (L y) + Σ_r roll(gacc * λ_r, -r),
+                           the roll terms added in reverse shift order
 
-plus a handful of activation and loss primitives the layer stack needs.
+plus a handful of activation and loss primitives the layer stack needs,
+the ``Layer`` protocol every model follows, and ``on_rows``, the one
+place a single vector [n] runs as a one-row batch [1, n].
 """
 
 from __future__ import annotations
@@ -116,19 +122,16 @@ class Tape:
 # differentiable primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a: Variable, b: Variable) -> Variable:
-    out = T.matmul(a.value, b.value)
-    av, bv = a.value, b.value
+def linear(x: Variable, w: Variable) -> Variable:
+    """x @ W^T for x [batch, n] and W [d, n], as one node."""
+    xv, wv = x.value, w.value
+    # the contiguous copy of W^T keeps the kernel's row reads fast
+    out = T.matmul(xv, T.transpose(wv))
 
     def bwd(g):
-        return (T.matmul(g, T.transpose(bv)), T.matmul(T.transpose(av), g))
+        return (T.matmul(g, wv), T.transpose(T.matmul(T.transpose(xv), g)))
 
-    return a.tape.record("matmul", (a, b), out, bwd)
-
-
-def transpose(a: Variable) -> Variable:
-    out = T.transpose(a.value)
-    return a.tape.record("transpose", (a,), out, lambda g: (T.transpose(g),))
+    return x.tape.record("linear", (x, w), out, bwd)
 
 
 def hadamard(a: Variable, b: Variable) -> Variable:
@@ -148,11 +151,6 @@ def scale(a: Variable, s: float) -> Variable:
     return a.tape.record("scale", (a,), out, lambda g: (g * c,))
 
 
-def roll(a: Variable, r: int) -> Variable:
-    out = T.roll(a.value, r)
-    return a.tape.record("roll", (a,), out, lambda g: (T.roll(g, -r),))
-
-
 def add_row(a: Variable, v: Variable) -> Variable:
     """Broadcast-add a d-vector across the leading axes of a [..., d]."""
     out = T.add_row(a.value, v.value)
@@ -162,19 +160,6 @@ def add_row(a: Variable, v: Variable) -> Variable:
         return (g, np.add.reduce(g, axis=lead) if lead else g)
 
     return a.tape.record("add_row", (a, v), out, bwd)
-
-
-def mul_row(a: Variable, v: Variable) -> Variable:
-    """Broadcast elementwise product of a [..., d] with a d-vector."""
-    out = T.mul_row(a.value, v.value)
-    av, vv = a.value, v.value
-    lead = tuple(range(a.value.ndim - 1))
-
-    def bwd(g):
-        gv = g * av
-        return (g * vv, np.add.reduce(gv, axis=lead) if lead else gv)
-
-    return a.tape.record("mul_row", (a, v), out, bwd)
 
 
 def reduce_sum(a: Variable, axis: int | None = None) -> Variable:
@@ -201,6 +186,13 @@ def squeeze_row(a: Variable) -> Variable:
         raise DimensionError(f"squeeze_row expects shape [1, n], got {a.value.shape}")
     out = a.value.reshape(-1)
     return a.tape.record("squeeze_row", (a,), out, lambda g: (g.reshape(1, -1),))
+
+
+def on_rows(x: Variable, f: Callable[[Variable], Variable]) -> Variable:
+    """Run a batch map f on x [batch, n], or on a vector x [n] as one row."""
+    if x.value.ndim != 1:
+        return f(x)
+    return squeeze_row(f(promote_row(x)))
 
 
 def relu(a: Variable) -> Variable:
@@ -264,9 +256,21 @@ def cross_entropy(logits: Variable, labels: np.ndarray) -> Variable:
     return logits.tape.record("cross_entropy", (logits,), loss, bwd)
 
 
-def argmax_last(a: Variable) -> np.ndarray:
-    """Decision helper; not differentiable, returns a plain index array."""
-    return T.argmax_last(a.value)
+class Layer:
+    """The protocol every model follows.
+
+    A subclass provides ``parameters()`` (name -> array),
+    ``load_parameters(params)`` and ``apply(tape, bound, x)``; binding the
+    parameters to a tape and array-in/array-out evaluation live here.
+    """
+
+    def bind(self, tape: Tape) -> dict[str, Variable]:
+        return {k: tape.param(v, name=k) for k, v in self.parameters().items()}
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Array-in, array-out evaluation over a throwaway tape."""
+        tape = Tape()
+        return self.apply(tape, self.bind(tape), tape.const(x)).value
 
 
 # ---------------------------------------------------------------------------

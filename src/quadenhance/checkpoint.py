@@ -13,9 +13,9 @@ Layout (all integers little-endian):
 
 Scalars round-trip bit for bit; the checksum is verified before any
 record is parsed, so truncation or corruption is reported as a checksum
-error rather than a confusing parse failure.  Saving writes a temporary
-file beside the target and renames it into place, so an interrupted save
-leaves any earlier checkpoint at that path untouched.
+error rather than a confusing parse failure.  Saving goes through
+``write_atomic``, so an interrupted save leaves any earlier checkpoint at
+that path untouched.
 
 The checksum is the standard byte-at-a-time FNV-1a 64,
 ``h <- (h ^ b_i) * P mod 2**64`` with ``P = 0x100000001B3``, computed in
@@ -132,11 +132,7 @@ def fnv1a64(data: bytes | memoryview) -> int:
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
-    """Serialize named arrays; insertion order of the dict is preserved.
-
-    The file appears at ``path`` whole or not at all: it is written and
-    synced under a temporary name in the same directory, then renamed.
-    """
+    """Serialize named arrays atomically; dict insertion order is kept."""
     chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(params))]
     for name, arr in params.items():
         tag = _TAG_FOR_KIND.get(arr.dtype.newbyteorder("="))
@@ -157,15 +153,24 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(raw)
     body = b"".join(chunks)
-    trailer = struct.pack("<Q", fnv1a64(body))
+    write_atomic(path, body, struct.pack("<Q", fnv1a64(body)))
+
+
+def write_atomic(path, *chunks: bytes) -> None:
+    """Write the concatenated chunks to ``path`` whole or not at all.
+
+    The bytes are written and synced under a temporary name in the same
+    directory, then renamed over ``path``; on any failure the temporary
+    file is removed and an earlier file at ``path`` is untouched.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     # exclusive create: never follows or reuses an existing file
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(body)
-            fh.write(trailer)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

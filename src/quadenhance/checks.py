@@ -174,16 +174,6 @@ def _family_instance(family: str, inst_seed: int, dtype):
     difference-quotient oracle.
     """
     rng = Rng(inst_seed)
-    if family == "qe_layer":
-        layer, x = _gc_layer_instance(rng, dtype)
-        u = _signed_uniform(rng.split(8), layer.d, 0.5, 1.0)
-
-        def f(tape, bound):
-            dt = bound["W"].value.dtype
-            out = layer.apply(tape, bound, tape.const(x.astype(dt, copy=False)))
-            return _weighted_sum(tape, out, u)
-
-        return layer.parameters(), f
     if family == "qe_mlp":
         dims = tuple(2 + int(v) % 4 for v in rng.split(0).next_u64(4))
         cfg = MLPConfig(layer_dims=dims, activation="gelu", shifts=(1,),
@@ -204,22 +194,25 @@ def _family_instance(family: str, inst_seed: int, dtype):
             return ag.cross_entropy(logits, labels)
 
         return params, f
-    if family in ("quadranet", "swiglu"):
+    if family == "qe_layer":
+        layer, x = _gc_layer_instance(rng, dtype)
+    elif family in ("quadranet", "swiglu"):
         n = 2 + int(rng.next_u64(1)[0]) % 4
         d = 2 + int(rng.next_u64(1)[0]) % 4
         layer = (QuadraNetLayer(n, d, seed=inst_seed, bias=True, dtype=dtype)
                  if family == "quadranet" else SwiGLULayer(n, d, seed=inst_seed, dtype=dtype))
         x = _signed_uniform(rng.split(1), n).astype(dtype)
-        u = _signed_uniform(rng.split(8), d, 0.5, 1.0)
-        first = next(iter(layer.parameters()))
+    else:
+        raise ValueError(f"unknown gradcheck family {family!r}")
+    u = _signed_uniform(rng.split(8), layer.d, 0.5, 1.0)
+    first = next(iter(layer.parameters()))
 
-        def f(tape, bound):
-            dt = bound[first].value.dtype
-            out = layer.apply(tape, bound, tape.const(x.astype(dt, copy=False)))
-            return _weighted_sum(tape, out, u)
+    def f(tape, bound):
+        dt = bound[first].value.dtype
+        out = layer.apply(tape, bound, tape.const(x.astype(dt, copy=False)))
+        return _weighted_sum(tape, out, u)
 
-        return layer.parameters(), f
-    raise ValueError(f"unknown gradcheck family {family!r}")
+    return layer.parameters(), f
 
 
 def gradcheck_families(cfg: GradcheckConfig) -> list[FamilyResult]:

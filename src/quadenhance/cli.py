@@ -16,11 +16,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .checkpoint import write_atomic
 from .checks import gradcheck_families, oracle_chain_sweep
 from .config import (AblateConfig, CostConfig, GradcheckConfig, ModelSpec,
                      MonteCarloConfig, OracleEquivConfig, TrainConfig, load_json)
 from .cost import count_model
-from .errors import CheckFailure, ConfigError, DataError, NumericError, QuadEnhanceError
+from .errors import ConfigError, DataError, NumericError, QuadEnhanceError
 from .montecarlo import format_table, rows_to_csv, run_montecarlo
 from .training import ablate_run, build_model, train_run
 
@@ -66,7 +67,7 @@ def cmd_gradcheck(args) -> int:
         print(r.summary())
         lines.append(f"{r.family},{r.instances},{r.max_rel_err:.10e},"
                      f"{r.worst_param},{r.worst_instance},{r.tol:.1e},{int(r.passed)}")
-    (out / "gradcheck.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(out / "gradcheck.csv", ("\n".join(lines) + "\n").encode())
     if all(r.passed for r in results):
         print("all gradient checks passed")
         return EXIT_PASS
@@ -80,11 +81,11 @@ def cmd_oracle_equiv(args) -> int:
     res = oracle_chain_sweep(cfg)
     print(res.summary())
     out = _out_dir(args, "oracle-equiv")
-    (out / "oracle_equiv.csv").write_text(
+    write_atomic(out / "oracle_equiv.csv", (
         "instances,seed,precision,tol,max_dev_chain,max_dev_lambda,worst_seed,passed\n"
         f"{res.instances},{res.seed},{res.precision},{res.tol:.1e},"
-        f"{res.max_dev_chain:.10e},{res.max_dev_lambda:.10e},{res.worst_seed},{int(res.passed)}\n",
-        encoding="utf-8")
+        f"{res.max_dev_chain:.10e},{res.max_dev_lambda:.10e},{res.worst_seed},{int(res.passed)}\n"
+    ).encode())
     if not res.passed:
         print(f"replay the worst instance with seed {res.worst_seed}")
         return EXIT_CHECK_FAILURE
@@ -96,30 +97,26 @@ def cmd_montecarlo(args) -> int:
     rows = run_montecarlo(cfg.v_list, cfg.samples, cfg.seed)
     print(format_table(rows))
     out = _out_dir(args, "montecarlo")
-    (out / "montecarlo.csv").write_text(rows_to_csv(rows), encoding="utf-8")
+    write_atomic(out / "montecarlo.csv", rows_to_csv(rows).encode())
     return EXIT_PASS
 
 
 def cmd_cost(args) -> int:
-    if args.config is None and args.preset is None:
-        raise ConfigError("cost needs --config or --preset")
-    if args.preset is not None:
-        if args.preset not in COST_PRESETS:
-            raise ConfigError(f"unknown preset {args.preset!r} (choose from {sorted(COST_PRESETS)})")
-        spec = COST_PRESETS[args.preset]
-    else:
+    if (args.config is None) == (args.preset is None):
+        raise ConfigError("cost needs exactly one of --config and --preset")
+    preset = args.preset
+    if args.config is not None:
         cfg = CostConfig.from_dict(load_json(args.config))
-        if cfg.preset is not None:
-            if cfg.preset not in COST_PRESETS:
-                raise ConfigError(f"unknown preset {cfg.preset!r} (choose from {sorted(COST_PRESETS)})")
-            spec = COST_PRESETS[cfg.preset]
-        else:
-            spec = cfg.model
+        preset, spec = cfg.preset, cfg.model
+    if preset is not None:
+        if preset not in COST_PRESETS:
+            raise ConfigError(f"unknown preset {preset!r} (choose from {sorted(COST_PRESETS)})")
+        spec = COST_PRESETS[preset]
     model = build_model(spec, seed=0, dtype="f64")
     report = count_model(model)
     print(report.format_table())
     out = _out_dir(args, "cost")
-    (out / "cost.csv").write_text(report.to_csv(), encoding="utf-8")
+    write_atomic(out / "cost.csv", report.to_csv().encode())
     return EXIT_PASS
 
 
@@ -184,7 +181,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"data/io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (CheckFailure, NumericError) as exc:
+    except NumericError as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
     except QuadEnhanceError as exc:

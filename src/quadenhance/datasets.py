@@ -173,7 +173,7 @@ def load_csv(path, label_column, has_header: bool = True, classification: bool =
     rows, labels = [], []
     for lineno, line in enumerate(lines[start:], start=start + 1):
         cells = line.split(",")
-        if label_idx >= len(cells):
+        if not -len(cells) <= label_idx < len(cells):
             raise DataError(f"{path}:{lineno}: only {len(cells)} columns, label column is {label_idx}")
         try:
             vals = [float(c) for c in cells]
@@ -220,25 +220,27 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
     return data
 
 
-def load_idx(images_path, labels_path, valid_fraction: float = 0.0) -> Dataset:
+def load_idx(images, labels, valid_fraction: float = 0.0) -> Dataset:
     """Big-endian IDX image/label pair; pixel bytes are scaled to [0, 1]."""
-    with open(images_path, "rb") as fh:
-        magic, count, rows, cols = struct.unpack(">iiii", _read_exact(fh, 16, images_path, "header"))
+    with open(images, "rb") as fh:
+        magic, count, rows, cols = struct.unpack(">iiii", _read_exact(fh, 16, images, "header"))
         if magic != IDX_IMAGE_MAGIC:
-            raise DataError(f"{images_path}: bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}")
-        raw = _read_exact(fh, count * rows * cols, images_path, "pixel data")
+            raise DataError(f"{images}: bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}")
+        if min(count, rows, cols) < 0:
+            raise DataError(f"{images}: negative extents {count} x {rows} x {cols} in header")
+        raw = _read_exact(fh, count * rows * cols, images, "pixel data")
         feats = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols) / 255.0
-    with open(labels_path, "rb") as fh:
-        magic, lcount = struct.unpack(">ii", _read_exact(fh, 8, labels_path, "header"))
+    with open(labels, "rb") as fh:
+        magic, lcount = struct.unpack(">ii", _read_exact(fh, 8, labels, "header"))
         if magic != IDX_LABEL_MAGIC:
-            raise DataError(f"{labels_path}: bad label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}")
+            raise DataError(f"{labels}: bad label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}")
         if lcount != count:
             raise DataError(f"label count {lcount} != image count {count}")
-        labels = np.frombuffer(_read_exact(fh, lcount, labels_path, "label data"), dtype=np.uint8).astype(np.int64)
+        label_arr = np.frombuffer(_read_exact(fh, lcount, labels, "label data"), dtype=np.uint8).astype(np.int64)
     train_idx, valid_idx = _split(count, valid_fraction)
-    n_classes = int(labels.max()) + 1 if labels.size else 0
-    return Dataset(features=feats, labels=labels, train_idx=train_idx, valid_idx=valid_idx,
-                   provenance=f"idx({images_path})", n_classes=n_classes)
+    n_classes = int(label_arr.max()) + 1 if label_arr.size else 0
+    return Dataset(features=feats, labels=label_arr, train_idx=train_idx, valid_idx=valid_idx,
+                   provenance=f"idx({images})", n_classes=n_classes)
 
 
 def batch_iter(ds: Dataset, batch_size: int, shuffle_seed: int, indices: np.ndarray | None = None):

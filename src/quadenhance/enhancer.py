@@ -16,6 +16,10 @@ couple each coordinate to itself (square terms, which blow up far more
 easily than cross terms), so shifts that reduce to 0 mod d are rejected
 unless explicitly overridden.
 
+On a tape an enhanced layer is three nodes, ``linear`` (y = x W^T),
+``band_quadratic`` ((L y) * y + y) and ``add_row`` (+ b); a plain layer
+is ``linear`` and ``add_row``.
+
 ``quadratic_reference`` and ``dense_lambda_oracle`` are independent
 reference implementations used to verify the fast path; they evaluate
 the unfactored per-output bilinear forms and the materialized coupling
@@ -83,20 +87,51 @@ class BandLambda:
         return self.k * self.d
 
 
+def _band_sum(y: np.ndarray, shifts, vectors) -> np.ndarray | None:
+    """sum_i vectors[i] * roll(y, shifts[i]), accumulated in shift order."""
+    out = None
+    for r, v in zip(shifts, vectors):
+        term = T.mul_row(T.roll(y, r), v)
+        out = term if out is None else T.add(out, term)
+    return out
+
+
 def apply_lambda(lam: BandLambda, y: np.ndarray) -> np.ndarray:
     """Band coupling applied to y [..., d]: sum_r lambda_r * roll(y, r).
 
-    Pure array evaluation; the differentiable path inside QELayer.apply
-    runs the identical kernel sequence, so the two agree bitwise.  An
+    Same kernel loop as ``band_quadratic``, so the two agree bitwise.  An
     empty shift set returns zeros.
     """
     if y.shape[-1] != lam.d:
         raise DimensionError(f"last axis {y.shape[-1]} != coupling dimension {lam.d}")
-    out = None
-    for r in lam.shifts:
-        term = T.mul_row(T.roll(y, r), lam.values[r].astype(y.dtype, copy=False))
-        out = term if out is None else T.add(out, term)
-    return out if out is not None else T.zeros(y.shape, dtype=y.dtype)
+    out = _band_sum(y, lam.shifts, [lam.values[r].astype(y.dtype, copy=False) for r in lam.shifts])
+    return out if out is not None else np.zeros(y.shape, dtype=y.dtype)
+
+
+def band_quadratic(y: ag.Variable, shifts, lams) -> ag.Variable:
+    """(L y) * y + y for y [..., d] as one tape node, one d-vector in
+    ``lams`` per shift; the adjoint is written out in ``autograd``.
+
+    The backward pass adds its terms in the order the unfused
+    roll/row-product/sum tape did, so every bit matches it.
+    """
+    yv = y.value
+    vecs = [v.value for v in lams]
+    acc = _band_sum(yv, shifts, vecs)
+    out = T.add(T.hadamard(acc, yv), yv)
+    lead = tuple(range(yv.ndim - 1))
+
+    def bwd(g):
+        gacc = g * yv
+        gy = g + g * acc
+        glams = [None] * len(vecs)
+        for i in reversed(range(len(vecs))):
+            gv = gacc * T.roll(yv, shifts[i])
+            glams[i] = np.add.reduce(gv, axis=lead) if lead else gv
+            gy = gy + T.roll(gacc * vecs[i], -shifts[i])
+        return (gy, *glams)
+
+    return y.tape.record("band_quadratic", (y, *lams), out, bwd)
 
 
 def dense_lambda_oracle(lam: BandLambda) -> np.ndarray:
@@ -114,7 +149,7 @@ def dense_lambda_oracle(lam: BandLambda) -> np.ndarray:
 
 
 @dataclass
-class QELayer:
+class QELayer(ag.Layer):
     """Linear layer with an optional quadratic enhancer stage.
 
     With the enhancer off (or every coefficient zero) the layer is
@@ -168,38 +203,26 @@ class QELayer:
             for r in self.lam.shifts:
                 self.lam.values[r] = params[f"lam[{r}]"]
 
-    def bind(self, tape: ag.Tape, prefix: str = "") -> dict[str, ag.Variable]:
-        return {k: tape.param(v, name=prefix + k) for k, v in self.parameters().items()}
-
     def apply(self, tape: ag.Tape, bound: dict[str, ag.Variable], x: ag.Variable) -> ag.Variable:
         """Differentiable forward pass for x of shape [n] or [batch, n].
 
         The linear response is computed once and reused by both the
         quadratic and the residual path.
         """
-        single = x.value.ndim == 1
         if x.value.shape[-1] != self.n:
             raise DimensionError(f"input trailing dim {x.value.shape[-1]} != {self.n}")
-        x2d = ag.promote_row(x) if single else x
-        y = ag.matmul(x2d, ag.transpose(bound["W"]))
-        if self.enhancer and self.lam.shifts:
-            acc = None
-            for r in self.lam.shifts:
-                term = ag.mul_row(ag.roll(y, r), bound[f"lam[{r}]"])
-                acc = term if acc is None else ag.add(acc, term)
-            z = ag.add(ag.hadamard(acc, y), y)
-        else:
-            z = y
-        z = ag.add_row(z, bound["b"])
-        out = ag.squeeze_row(z) if single else z
+        shifts = self.lam.shifts if self.enhancer else ()
+
+        def rows(h):
+            y = ag.linear(h, bound["W"])
+            if shifts:
+                y = band_quadratic(y, shifts, [bound[f"lam[{r}]"] for r in shifts])
+            return ag.add_row(y, bound["b"])
+
+        out = ag.on_rows(x, rows)
         if not np.all(np.isfinite(out.value)):
             raise NumericError(f"non-finite output from layer {self.name!r}")
         return out
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Array-in, array-out convenience wrapper over a throwaway tape."""
-        tape = ag.Tape()
-        return self.apply(tape, self.bind(tape), tape.const(x)).value
 
 
 def qe_forward(layer: QELayer, x: np.ndarray) -> np.ndarray:

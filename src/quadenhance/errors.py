@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: check failures exit 1,
-configuration problems exit 2, data/I-O problems exit 3.
+The CLI maps these onto process exit codes: check failures (and
+non-finite values) exit 1, configuration problems exit 2, data/I-O
+problems exit 3.
 """
 
 
@@ -36,6 +37,3 @@ class CheckpointError(DataError):
 class ChecksumError(CheckpointError):
     """Stored checksum does not match the file contents."""
 
-
-class CheckFailure(QuadEnhanceError):
-    """A verification subcommand found a deviation above tolerance."""

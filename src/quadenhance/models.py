@@ -1,10 +1,10 @@
 """Layer stacks, quadratic baselines, losses, and optimizers.
 
 Everything here is built from the differentiable primitives, so one
-gradient checker covers the whole zoo.  Models expose a uniform surface:
-``parameters()`` / ``load_parameters()`` for the raw arrays,
-``bind(tape)`` + ``apply(tape, bound, x)`` for a differentiable pass, and
-``forward(x)`` for array-in/array-out evaluation.
+gradient checker covers the whole zoo.  Every model is an
+``autograd.Layer``: it defines ``parameters()`` / ``load_parameters()``
+for the raw arrays and ``apply(tape, bound, x)`` for a differentiable
+pass, and inherits ``bind(tape)`` and ``forward(x)``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class MLPConfig:
         return replace(self, enhancer=tuple(False for _ in range(self.n_layers)))
 
 
-class MLP:
+class MLP(ag.Layer):
     """Alternating (enhanced-or-plain linear, activation) stack.
 
     No activation is applied after the final layer.
@@ -100,27 +100,16 @@ class MLP:
 
     def load_parameters(self, params: dict[str, np.ndarray]) -> None:
         for i, layer in enumerate(self.layers):
-            sub = {k.split(".", 2)[2]: v for k, v in params.items()
-                   if k.startswith(f"layers.{i}.")}
-            layer.load_parameters(sub)
-
-    def bind(self, tape: ag.Tape) -> dict[str, ag.Variable]:
-        return {k: tape.param(v, name=k) for k, v in self.parameters().items()}
+            layer.load_parameters({k: params[f"layers.{i}.{k}"] for k in layer.parameters()})
 
     def apply(self, tape: ag.Tape, bound: dict[str, ag.Variable], x: ag.Variable) -> ag.Variable:
         h = x
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            sub = {k.split(".", 2)[2]: v for k, v in bound.items()
-                   if k.startswith(f"layers.{i}.")}
-            h = layer.apply(tape, sub, h)
+            h = layer.apply(tape, {k: bound[f"layers.{i}.{k}"] for k in layer.parameters()}, h)
             if i != last:
                 h = self._act(h)
         return h
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        tape = ag.Tape()
-        return self.apply(tape, self.bind(tape), tape.const(x)).value
 
 
 def _glorot(rng: Rng, d: int, n: int, dtype) -> np.ndarray:
@@ -128,7 +117,7 @@ def _glorot(rng: Rng, d: int, n: int, dtype) -> np.ndarray:
     return rng.uniform(n * d, -s, s).reshape(d, n).astype(dtype)
 
 
-class QuadraNetLayer:
+class QuadraNetLayer(ag.Layer):
     """Three-matrix quadratic baseline: z = (Wa x) * (Wb x) + Wc x [+ b]."""
 
     def __init__(self, n: int, d: int, seed: int = 0, bias: bool = False, dtype=np.float64):
@@ -150,26 +139,18 @@ class QuadraNetLayer:
         if self.b is not None:
             self.b = params["b"]
 
-    def bind(self, tape: ag.Tape) -> dict[str, ag.Variable]:
-        return {k: tape.param(v, name=k) for k, v in self.parameters().items()}
-
     def apply(self, tape, bound, x: ag.Variable) -> ag.Variable:
-        single = x.value.ndim == 1
-        h = ag.promote_row(x) if single else x
-        ha = ag.matmul(h, ag.transpose(bound["Wa"]))
-        hb = ag.matmul(h, ag.transpose(bound["Wb"]))
-        hc = ag.matmul(h, ag.transpose(bound["Wc"]))
-        z = ag.add(ag.hadamard(ha, hb), hc)
-        if self.b is not None:
-            z = ag.add_row(z, bound["b"])
-        return ag.squeeze_row(z) if single else z
+        def rows(h):
+            ha = ag.linear(h, bound["Wa"])
+            hb = ag.linear(h, bound["Wb"])
+            hc = ag.linear(h, bound["Wc"])
+            z = ag.add(ag.hadamard(ha, hb), hc)
+            return z if self.b is None else ag.add_row(z, bound["b"])
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        tape = ag.Tape()
-        return self.apply(tape, self.bind(tape), tape.const(x)).value
+        return ag.on_rows(x, rows)
 
 
-class SwiGLULayer:
+class SwiGLULayer(ag.Layer):
     """Gated baseline: z = (W1 x) * sigmoid(W1 x) * (W2 x)."""
 
     def __init__(self, n: int, d: int, seed: int = 0, dtype=np.float64):
@@ -184,20 +165,13 @@ class SwiGLULayer:
     def load_parameters(self, params) -> None:
         self.W1, self.W2 = params["W1"], params["W2"]
 
-    def bind(self, tape: ag.Tape) -> dict[str, ag.Variable]:
-        return {k: tape.param(v, name=k) for k, v in self.parameters().items()}
-
     def apply(self, tape, bound, x: ag.Variable) -> ag.Variable:
-        single = x.value.ndim == 1
-        h = ag.promote_row(x) if single else x
-        h1 = ag.matmul(h, ag.transpose(bound["W1"]))
-        h2 = ag.matmul(h, ag.transpose(bound["W2"]))
-        z = ag.hadamard(ag.hadamard(h1, ag.sigmoid(h1)), h2)
-        return ag.squeeze_row(z) if single else z
+        def rows(h):
+            h1 = ag.linear(h, bound["W1"])
+            h2 = ag.linear(h, bound["W2"])
+            return ag.hadamard(ag.hadamard(h1, ag.sigmoid(h1)), h2)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        tape = ag.Tape()
-        return self.apply(tape, self.bind(tape), tape.const(x)).value
+        return ag.on_rows(x, rows)
 
 
 def mse(pred: ag.Variable, target: np.ndarray) -> ag.Variable:
@@ -209,8 +183,6 @@ def mse(pred: ag.Variable, target: np.ndarray) -> ag.Variable:
     sq = ag.hadamard(diff, diff)
     return ag.scale(ag.reduce_sum(sq), 1.0 / max(target.size, 1))
 
-
-cross_entropy = ag.cross_entropy
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +254,3 @@ class Adam:
             out[name] = w - dt(self.lr) * m_hat / (np.sqrt(v_hat) + dt(self.eps))
         return out
 
-
-def matched_hidden_width(param_count, target: int, lo: int = 1, hi: int = 1 << 20) -> int:
-    """Largest width whose parameter count stays <= target.
-
-    ``param_count(width)`` must be nondecreasing in width.  Used to match
-    baseline capacity to an enhanced model by adjusting the hidden dim.
-    """
-    if param_count(lo) > target:
-        raise ConfigError(f"even width {lo} exceeds the target parameter count {target}")
-    while param_count(hi) <= target:
-        hi <<= 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if param_count(mid) <= target:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo

@@ -19,16 +19,6 @@ import numpy as np
 
 from .errors import DimensionError
 
-DTYPES = (np.float32, np.float64)
-
-
-def as_tensor(data, dtype=np.float64) -> np.ndarray:
-    """Coerce to a C-contiguous array of a supported float dtype."""
-    dt = np.dtype(dtype)
-    if dt.type not in DTYPES:
-        raise DimensionError(f"unsupported dtype {dt}; use float32 or float64")
-    return np.ascontiguousarray(np.asarray(data, dtype=dt))
-
 
 def _require_same_dtype(a: np.ndarray, b: np.ndarray, op: str) -> None:
     if a.dtype != b.dtype:
@@ -139,10 +129,3 @@ def argmax_last(a: np.ndarray) -> np.ndarray:
         raise DimensionError(f"argmax_last needs a non-empty last axis, got {a.shape}")
     return np.argmax(a, axis=-1)
 
-
-def zeros(shape, dtype=np.float64) -> np.ndarray:
-    return np.zeros(shape, dtype=dtype)
-
-
-def ones(shape, dtype=np.float64) -> np.ndarray:
-    return np.ones(shape, dtype=dtype)

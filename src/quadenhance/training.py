@@ -17,7 +17,8 @@ import numpy as np
 
 from . import autograd as ag
 from . import datasets as data
-from .checkpoint import save_checkpoint
+from . import tensor as T
+from .checkpoint import save_checkpoint, write_atomic
 from .config import AblateConfig, DatasetSpec, ModelSpec, TrainConfig, canonical_json
 from .errors import ConfigError, NumericError
 from .models import MLP, MLPConfig, Adam, QuadraNetLayer, SGD, SwiGLULayer, mse
@@ -73,7 +74,7 @@ def evaluate(model, ds: data.Dataset, indices: np.ndarray, dtype) -> tuple[float
     if ds.is_classification:
         labels = ds.labels[indices]
         loss = ag.cross_entropy(out, labels)
-        acc = float(np.mean(ag.argmax_last(out) == labels))
+        acc = float(np.mean(T.argmax_last(out.value) == labels))
         return float(loss.value), acc
     target = ds.labels[indices].astype(dtype)
     return float(mse(out, target).value), None
@@ -159,9 +160,9 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.csv").write_text(result.metrics_csv(), encoding="utf-8")
-        (out / "timing.log").write_text("\n".join(timing) + "\n", encoding="utf-8")
-        (out / "run_config.json").write_text(canonical_json(cfg), encoding="utf-8")
+        write_atomic(out / "metrics.csv", result.metrics_csv().encode())
+        write_atomic(out / "timing.log", ("\n".join(timing) + "\n").encode())
+        write_atomic(out / "run_config.json", canonical_json(cfg).encode())
         save_checkpoint(out / "final.qen1", model.parameters())
         save_checkpoint(out / "best.qen1", best_params if best_params is not None
                         else model.parameters())
@@ -254,7 +255,7 @@ def ablate_run(cfg: AblateConfig, out_dir: str | Path | None = None) -> AblateRe
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "grid.csv").write_text(result.grid_csv(), encoding="utf-8")
-        (out / "runs.csv").write_text(result.runs_csv(), encoding="utf-8")
-        (out / "run_config.json").write_text(canonical_json(cfg), encoding="utf-8")
+        write_atomic(out / "grid.csv", result.grid_csv().encode())
+        write_atomic(out / "runs.csv", result.runs_csv().encode())
+        write_atomic(out / "run_config.json", canonical_json(cfg).encode())
     return result

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from quadenhance import autograd as ag
 from quadenhance import tensor as T
+from quadenhance.enhancer import band_quadratic
 from quadenhance.errors import DataError, NumericError, UsageError
 from quadenhance.rng import Rng
 
@@ -25,10 +26,10 @@ class TestBackwardBasics:
 
     def test_identity_matmul(self):
         tape = ag.Tape()
-        x = tape.param(np.array([[3.0], [4.0]]))
-        out = ag.matmul(tape.const(np.eye(2)), x)
+        x = tape.param(np.array([[3.0, 4.0]]))
+        out = ag.linear(x, tape.const(np.eye(2)))
         g = _grad_of(tape, ag.reduce_sum(out), x)
-        np.testing.assert_array_equal(g, np.ones((2, 1)))
+        np.testing.assert_array_equal(g, np.ones((1, 2)))
 
     def test_hadamard_product_rule(self):
         tape = ag.Tape()
@@ -45,12 +46,14 @@ class TestBackwardBasics:
         np.testing.assert_array_equal(g, [2.0, 4.0, 6.0])
 
     def test_roll_backward_is_inverse_roll(self):
+        # with unit coupling, d/dy of (roll(y, 2) * y + y) weighted by u is
+        # u + u * roll(y, 2) + roll(u * y, -2); exact on integer data
         tape = ag.Tape()
         y = tape.param(np.arange(5.0))
         u = np.array([1.0, 10.0, 100.0, 1000.0, 10000.0])
-        out = ag.roll(y, 2)
+        out = band_quadratic(y, (2,), [tape.const(np.ones(5))])
         g = _grad_of(tape, ag.reduce_sum(ag.hadamard(out, tape.const(u))), y)
-        np.testing.assert_array_equal(g, T.roll(u, -2))
+        np.testing.assert_array_equal(g, u + u * T.roll(y.value, 2) + T.roll(u * y.value, -2))
 
     def test_accumulation_over_fanout(self):
         tape = ag.Tape()
@@ -101,6 +104,7 @@ def test_linearity_of_backward():
     """grad(a*f + b*g) == a*grad(f) + b*grad(g) for scalar a, b."""
     rng = Rng(123)
     x0 = rng.uniform(6, -1, 1)
+    m = rng.split(1).uniform(18, -1, 1).reshape(3, 6)
     alpha, beta = 0.7, -2.3
 
     def grads_for(builder):
@@ -109,7 +113,7 @@ def test_linearity_of_backward():
         return _grad_of(tape, builder(tape, x), x)
 
     f = lambda tape, x: ag.reduce_sum(ag.hadamard(x, x))
-    g = lambda tape, x: ag.reduce_sum(ag.roll(x, 2))
+    g = lambda tape, x: ag.reduce_sum(ag.on_rows(x, lambda h: ag.linear(h, tape.const(m))))
     combined = lambda tape, x: ag.add(ag.scale(f(tape, x), alpha),
                                       ag.scale(g(tape, x), beta))
     lhs = grads_for(combined)
@@ -135,14 +139,25 @@ def test_roll_adjoint_identity(d, data):
 # ---------------------------------------------------------------------------
 
 def _primitive_cases():
-    def matmul_case(rng, dt):
-        a = rng.split(1).uniform(6, -1, 1).reshape(2, 3).astype(dt)
-        b = rng.split(2).uniform(6, -1, 1).reshape(3, 2).astype(dt)
-        u = rng.split(3).uniform(4, 0.5, 1.0).reshape(2, 2)
+    def linear_case(rng, dt):
+        x = rng.split(1).uniform(6, -1, 1).reshape(2, 3).astype(dt)
+        w = rng.split(2).uniform(12, -1, 1).reshape(4, 3).astype(dt)
+        u = rng.split(3).uniform(8, 0.5, 1.0).reshape(2, 4)
         def f(tape, bound):
-            out = ag.matmul(bound["a"], bound["b"])
+            out = ag.linear(bound["x"], bound["w"])
             return ag.reduce_sum(ag.hadamard(out, tape.const(u.astype(out.value.dtype))))
-        return {"a": a, "b": b}, f
+        return {"x": x, "w": w}, f
+
+    def band_quadratic_case(rng, dt):
+        # shifts 1 and 6 collide mod 5, as the layer allows
+        shifts = (-2, 1, 6)
+        y = rng.split(1).uniform(10, -1, 1).reshape(2, 5).astype(dt)
+        lams = {f"lam{i}": rng.split(2 + i).uniform(5, -1, 1).astype(dt) for i in range(3)}
+        u = rng.split(5).uniform(10, 0.5, 1.0).reshape(2, 5)
+        def f(tape, bound):
+            out = band_quadratic(bound["y"], shifts, [bound[f"lam{i}"] for i in range(3)])
+            return ag.reduce_sum(ag.hadamard(out, tape.const(u.astype(out.value.dtype))))
+        return {"y": y, **lams}, f
 
     def unary_case(op, shift=0.0):
         def build(rng, dt):
@@ -176,22 +191,6 @@ def _primitive_cases():
             return {"a": a, "v": v}, f
         return build
 
-    def roll_case(rng, dt):
-        x = rng.split(1).uniform(5, -1, 1).astype(dt)
-        u = rng.split(2).uniform(5, 0.5, 1.0)
-        def f(tape, bound):
-            out = ag.roll(bound["x"], 2)
-            return ag.reduce_sum(ag.hadamard(out, tape.const(u.astype(out.value.dtype))))
-        return {"x": x}, f
-
-    def transpose_case(rng, dt):
-        x = rng.split(1).uniform(6, -1, 1).reshape(2, 3).astype(dt)
-        u = rng.split(2).uniform(6, 0.5, 1.0).reshape(3, 2)
-        def f(tape, bound):
-            out = ag.transpose(bound["x"])
-            return ag.reduce_sum(ag.hadamard(out, tape.const(u.astype(out.value.dtype))))
-        return {"x": x}, f
-
     def scale_case(rng, dt):
         x = rng.split(1).uniform(5, -1, 1).astype(dt)
         def f(tape, bound):
@@ -214,14 +213,12 @@ def _primitive_cases():
         return {"z": z}, f
 
     return {
-        "matmul": matmul_case,
+        "linear": linear_case,
+        "band_quadratic": band_quadratic_case,
         "hadamard": binary_case(ag.hadamard),
         "add": binary_case(ag.add),
         "scale": scale_case,
-        "roll": roll_case,
-        "transpose": transpose_case,
         "add_row": row_case(ag.add_row),
-        "mul_row": row_case(ag.mul_row),
         "reduce_sum_axis": sum_axis_case,
         # relu inputs shifted away from the kink at 0
         "relu": unary_case(ag.relu, shift=2.0),
@@ -251,7 +248,7 @@ def test_gradcheck_linear_function_near_exact():
     x = rng.split(1).uniform(3, 0.5, 1.5)
 
     def f(tape, bound):
-        out = ag.matmul(bound["W"], tape.const(x.reshape(3, 1)))
+        out = ag.linear(tape.const(x.reshape(1, 3)), bound["W"])
         return ag.reduce_sum(out)
 
     # zero truncation error for a linear map, so a larger step only
@@ -267,7 +264,7 @@ def test_gradcheck_f32_against_f64_oracle():
 
     def f(tape, bound):
         dt = bound["W"].value.dtype
-        out = ag.matmul(bound["W"], tape.const(x.reshape(2, 1).astype(dt)))
+        out = ag.linear(tape.const(x.reshape(1, 2).astype(dt)), bound["W"])
         return ag.reduce_sum(ag.hadamard(out, out))
 
     report = ag.gradcheck(f, {"W": w}, step=1e-6, tol=1e-2, fd_dtype=np.float64)

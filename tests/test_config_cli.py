@@ -89,6 +89,11 @@ class TestExitCodes:
     def test_cost_unknown_preset(self, tmp_path):
         assert main(["cost", "--preset", "nope", "--out", str(tmp_path)]) == 2
 
+    def test_cost_preset_and_config_together_is_config_error(self, tmp_path):
+        # the config need not exist: giving both is refused before any read
+        assert main(["cost", "--preset", "layer-192", "--config", str(tmp_path / "missing.json"),
+                     "--out", str(tmp_path)]) == 2
+
 
 class TestOutputDeterminism:
     def _mc(self, tmp_path, name):

@@ -1,5 +1,6 @@
 """Generators, file loaders, and batching."""
 
+import json
 import struct
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadenhance import datasets as data
+from quadenhance.cli import main
+from quadenhance.config import DatasetSpec
 from quadenhance.enhancer import qe_forward
 from quadenhance.errors import ConfigError, DataError
+from quadenhance.training import build_dataset
 
 from oracles import linear_floor_mse
 
@@ -111,6 +115,12 @@ class TestCsv:
         with pytest.raises(DataError):
             data.load_csv(p, label_column="z")
 
+    def test_label_index_out_of_range(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1,2,0\n3,4,1\n")
+        with pytest.raises(DataError, match="label column is -5"):
+            data.load_csv(p, label_column=-5, has_header=False)
+
     def test_inconsistent_width(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("1,2,0\n1,0\n", )
@@ -164,6 +174,33 @@ class TestIdx:
         img, lab = _write_idx_pair(tmp_path, magic_img=0x12345678)
         with pytest.raises(DataError, match="magic"):
             data.load_idx(img, lab)
+
+    def test_config_keys_reach_loader(self, tmp_path):
+        img, lab = _write_idx_pair(tmp_path)
+        spec = DatasetSpec.from_dict({"name": "idx", "images": str(img), "labels": str(lab)})
+        assert build_dataset(spec).features.shape == (3, 784)
+
+    @staticmethod
+    def _negative_extents_pair(tmp_path):
+        img, lab = _write_idx_pair(tmp_path)
+        # count * rows * cols == 2, so the two payload bytes are present
+        img.write_bytes(struct.pack(">iiii", data.IDX_IMAGE_MAGIC, -2, -1, 1) + b"\x00\x01")
+        return img, lab
+
+    def test_negative_extents(self, tmp_path):
+        img, lab = self._negative_extents_pair(tmp_path)
+        with pytest.raises(DataError, match="negative extents"):
+            data.load_idx(img, lab)
+
+    def test_negative_extents_exit_code_through_cli(self, tmp_path):
+        img, lab = self._negative_extents_pair(tmp_path)
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps({
+            "model": {"type": "qe_mlp", "layer_dims": [2, 2], "activation": "identity"},
+            "dataset": {"name": "idx", "images": str(img), "labels": str(lab)},
+            "optimizer": {"algo": "sgd", "lr": 0.1},
+            "epochs": 1, "batch_size": 4}))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
     def test_count_mismatch(self, tmp_path):
         img, _ = _write_idx_pair(tmp_path, count=3)

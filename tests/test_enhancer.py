@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadenhance import autograd as ag
-from quadenhance.enhancer import (BandLambda, QELayer, apply_lambda,
+from quadenhance import tensor as T
+from quadenhance.enhancer import (BandLambda, QELayer, apply_lambda, band_quadratic,
                                   dense_lambda_oracle, init_qelayer,
                                   layer_v_stack, qe_forward,
                                   quadratic_reference, rank1_reference,
@@ -166,15 +167,21 @@ class TestQEForward:
         layer = QELayer(W=rng.uniform(20, -1, 1).reshape(4, 5),
                         b=rng.split(1).uniform(4, -1, 1),
                         lam=_random_lambda(rng.split(2), 4, (-2, 1)))
-        y = rng.split(3).uniform(4, -1, 1)
-        pure = apply_lambda(layer.lam, y)
+        y = rng.split(3).uniform(12, -1, 1).reshape(3, 4)
+        pure = T.add(T.hadamard(apply_lambda(layer.lam, y), y), y)
         tape = ag.Tape()
-        yv = tape.const(y)
-        acc = None
-        for r in layer.lam.shifts:
-            term = ag.mul_row(ag.roll(yv, r), tape.const(layer.lam.values[r]))
-            acc = term if acc is None else ag.add(acc, term)
-        assert acc.value.tobytes() == pure.tobytes()
+        taped = band_quadratic(tape.const(y), layer.lam.shifts,
+                               [tape.const(layer.lam.values[r]) for r in layer.lam.shifts])
+        assert taped.value.tobytes() == pure.tobytes()
+
+    def test_layer_records_one_node_per_stage(self):
+        enhanced = init_qelayer(4, 3, (1, -1), seed=0)
+        plain = init_qelayer(4, 3, (1, -1), seed=0, enhancer=False)
+        for layer, ops in ((enhanced, ["linear", "band_quadratic", "add_row"]),
+                           (plain, ["linear", "add_row"])):
+            tape = ag.Tape()
+            layer.apply(tape, layer.bind(tape), tape.const(np.ones((2, 4))))
+            assert [node.op for node in tape.nodes if node.inputs] == ops
 
 
 class TestQELayerValidation:
@@ -319,11 +326,7 @@ class TestGradients:
 
         tape = ag.Tape()
         y = tape.param(y0)
-        acc = None
-        for r in lam.shifts:
-            term = ag.mul_row(ag.roll(y, r), tape.const(lam.values[r]))
-            acc = term if acc is None else ag.add(acc, term)
-        z = ag.add(ag.hadamard(acc, y), y)
+        z = band_quadratic(y, lam.shifts, [tape.const(lam.values[r]) for r in lam.shifts])
         loss = ag.reduce_sum(ag.hadamard(z, tape.const(g)))
         got = tape.backward(loss)[y.node_id]
 

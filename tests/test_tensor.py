@@ -143,13 +143,3 @@ class TestReductions:
     def test_argmax_batched(self):
         out = T.argmax_last(np.array([[0.0, 1.0], [2.0, -1.0]]))
         np.testing.assert_array_equal(out, [1, 0])
-
-
-def test_as_tensor_rejects_bad_dtype():
-    with pytest.raises(DimensionError):
-        T.as_tensor([1, 2], dtype=np.int32)
-
-
-def test_as_tensor_row_major():
-    a = T.as_tensor(np.asfortranarray(np.arange(6.0).reshape(2, 3)))
-    assert a.flags["C_CONTIGUOUS"]

@@ -1,5 +1,8 @@
 """Training loop behavior beyond what the CLI tests cover."""
 
+import errno
+import os
+
 import pytest
 
 from quadenhance.config import DatasetSpec, ModelSpec, TrainConfig
@@ -79,6 +82,20 @@ def test_unwritable_output_dir_is_os_error(tmp_path):
     cfg = _xor_config(epochs=2)
     with pytest.raises(OSError):
         train_run(cfg, out_dir=blocker / "sub")
+
+
+def test_failed_output_write_keeps_earlier_outputs(tmp_path, monkeypatch):
+    train_run(_xor_config(epochs=2), out_dir=tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fail(*args):
+        raise OSError(errno.EIO, "Input/output error")
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        train_run(_xor_config(epochs=3, seed=5), out_dir=tmp_path)
+    monkeypatch.undo()
+    # no temporary file is left and every earlier output is intact
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_build_model_kinds():
