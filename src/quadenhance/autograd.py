@@ -8,7 +8,7 @@ order is fixed (bit-reproducible runs).
 Each differentiable operation here wraps the corresponding pure kernel
 from :mod:`quadenhance.tensor` and attaches its adjoint rule:
 
-    linear(x, W) = x W^T:  gx = g @ W,  gW = (x^T @ g)^T
+    linear(x, W) = x W^T:  gx = g @ W (None for a constant x),  gW = (x^T @ g)^T
     hadamard:              gA = g * B,  gB = g * A
     add:                   pass-through
     reduce_sum:            broadcast of g
@@ -124,12 +124,15 @@ class Tape:
 
 def linear(x: Variable, w: Variable) -> Variable:
     """x @ W^T for x [batch, n] and W [d, n], as one node."""
-    xv, wv = x.value, w.value
+    xv, wv, need_gx = x.value, w.value, x.requires_grad
     # the contiguous copy of W^T keeps the kernel's row reads fast
     out = T.matmul(xv, T.transpose(wv))
 
     def bwd(g):
-        return (T.matmul(g, wv), T.transpose(T.matmul(T.transpose(xv), g)))
+        # a constant input (layer 0's batch) needs no gradient, so skip its GEMM;
+        # the closure holds no Variable, which would tie the tape into a cycle
+        gx = T.matmul(g, wv) if need_gx else None
+        return (gx, T.transpose(T.matmul(T.transpose(xv), g)))
 
     return x.tape.record("linear", (x, w), out, bwd)
 

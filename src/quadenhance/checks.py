@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .config import GradcheckConfig, OracleEquivConfig
+from . import tensor as T
+from .config import FAMILIES, GradcheckConfig, OracleEquivConfig
 from .enhancer import (BandLambda, QELayer, apply_lambda, dense_lambda_oracle,
                        layer_v_stack, qe_forward, quadratic_reference,
                        rank1_reference, rank1_v_stack)
@@ -87,7 +88,7 @@ class SweepResult:
 
 def oracle_chain_sweep(cfg: OracleEquivConfig) -> SweepResult:
     """Three-way equivalence over random instances, plus band-vs-dense."""
-    dtype = np.float64 if cfg.precision == "f64" else np.float32
+    dtype = T.PRECISIONS[cfg.precision]
     max_chain = 0.0
     max_lam = 0.0
     worst = cfg.seed
@@ -166,7 +167,7 @@ def _gc_layer_instance(rng: Rng, dtype) -> tuple[QELayer, np.ndarray]:
     return QELayer(W=w, b=b, lam=lam), x
 
 
-def _family_instance(family: str, inst_seed: int, dtype):
+def _family_instance(family: str, inst_seed: int, precision: str):
     """Build (params, scalar function) for one gradcheck instance.
 
     The closures cast their captured constants to the bound dtype so the
@@ -174,10 +175,11 @@ def _family_instance(family: str, inst_seed: int, dtype):
     difference-quotient oracle.
     """
     rng = Rng(inst_seed)
+    dtype = T.PRECISIONS[precision]
     if family == "qe_mlp":
         dims = tuple(2 + int(v) % 4 for v in rng.split(0).next_u64(4))
         cfg = MLPConfig(layer_dims=dims, activation="gelu", shifts=(1,),
-                        seed=inst_seed, dtype="f64" if dtype == np.float64 else "f32")
+                        seed=inst_seed, dtype=precision)
         model = MLP(cfg)
         params = model.parameters()
         # non-zero couplings exercise every quadratic path
@@ -223,17 +225,15 @@ def gradcheck_families(cfg: GradcheckConfig) -> list[FamilyResult]:
     against the float64 evaluation of the identical function (float32
     parameters lift to float64 exactly).
     """
-    dtype = np.float64 if cfg.precision == "f64" else np.float32
     base = Rng(cfg.seed)
-    fam_order = ("qe_layer", "qe_mlp", "quadranet", "swiglu")
     results = []
     for family in cfg.families:
         worst = 0.0
         worst_param = ""
         worst_inst = -1
         for i in range(cfg.instances):
-            inst_seed = int(base.split(fam_order.index(family) * 1_000_003 + i).seed)
-            params, f = _family_instance(family, inst_seed, dtype)
+            inst_seed = int(base.split(FAMILIES.index(family) * 1_000_003 + i).seed)
+            params, f = _family_instance(family, inst_seed, cfg.precision)
             report = ag.gradcheck(f, params, step=cfg.step, tol=cfg.tol,
                                   fd_dtype=np.float64)
             if report.max_rel_err > worst:

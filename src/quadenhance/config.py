@@ -1,103 +1,146 @@
 """Run configurations: JSON in, dataclasses out, unknown keys rejected.
 
 Every run is reproducible from (config, code version), so parsing is
-strict: a key the schema does not know is a configuration error, never
-silently ignored.
+strict: an unknown key or a value of the wrong type is a configuration
+error, never silently ignored.  One parser reads each schema (key, type,
+default) from a declaration that exists anyway:
+
+* the config classes below: their dataclass fields;
+* ``DatasetSpec``: the parameters of the builder ``name`` picks from
+  ``datasets.BUILDERS``;
+* ``ModelSpec``: the parameters of the class ``type`` picks from
+  ``models.MODELS``, less ``seed`` and ``dtype``, which the run sets.
+
+An int key takes a JSON integer, a float key any finite number, a bool
+key true/false, a str key a string, a tuple key a list; a union takes any
+member type, and null only if it lists None.  Value ranges are checked in
+``__post_init__``, so a config built in code is checked too.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Any
+import sys
+from dataclasses import asdict, dataclass, field, replace
+from types import NoneType
+from typing import Any, get_args, get_origin, get_type_hints
 
+from .datasets import BUILDERS
 from .errors import ConfigError
+from .models import MODELS
+from .tensor import PRECISIONS
 
-_REQUIRED = object()
+FAMILIES = ("qe_layer", "qe_mlp", "quadranet", "swiglu")
 
-
-class _Keys:
-    """Pop-and-verify view over one config dict level."""
-
-    def __init__(self, d: dict, where: str):
-        if not isinstance(d, dict):
-            raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
-        self._d = dict(d)
-        self._where = where
-
-    def take(self, key: str, default: Any = _REQUIRED) -> Any:
-        if key in self._d:
-            return self._d.pop(key)
-        if default is _REQUIRED:
-            raise ConfigError(f"{self._where}: missing required key {key!r}")
-        return default
-
-    def done(self) -> None:
-        if self._d:
-            raise ConfigError(f"{self._where}: unknown keys {sorted(self._d)}")
+_REQUIRED = inspect.Parameter.empty
+_RUN_SET = ("seed", "dtype")          # model parameters the run sets, not the config
+_FLOAT_MAX = sys.float_info.max       # excludes NaN and infinities, which JSON lacks
 
 
-def _int_list(v, where: str) -> tuple[int, ...]:
-    if not isinstance(v, (list, tuple)):
-        raise ConfigError(f"{where}: expected a list of integers")
-    return tuple(int(x) for x in v)
+@functools.cache
+def _schema(target, skip: tuple[str, ...] = ()) -> dict[str, tuple[Any, Any]]:
+    """key -> (type, default) from the signature of a class or function."""
+    hints = get_type_hints(target.__init__ if isinstance(target, type) else target)
+    return {name: (hints[name], p.default)
+            for name, p in inspect.signature(target).parameters.items() if name not in skip}
+
+
+def _object(d, where: str) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
+    return d
+
+
+def _fields(schema: dict, d: dict, where: str) -> dict:
+    """The keys ``d`` gives, each value checked against its declared type."""
+    unknown = set(_object(d, where)) - set(schema)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, (_, default) in schema.items():
+        if default is _REQUIRED and key not in d:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+    return {key: _value(schema[key][0], v, f"{where}.{key}") for key, v in d.items()}
+
+
+def _value(tp, v, where: str):
+    if type(v) is tp and tp is not float:       # int, bool and str take exactly that JSON type
+        return v
+    origin = get_origin(tp)
+    if origin is tuple:
+        if isinstance(v, list):
+            return tuple(_value(get_args(tp)[0], x, f"{where}[{i}]") for i, x in enumerate(v))
+    elif origin is not None:                    # a union
+        members = [m for m in get_args(tp) if m is not NoneType]
+        if v is None and len(members) < len(get_args(tp)):
+            return None
+        for m in members:
+            try:
+                return _value(m, v, where)
+            except ConfigError:
+                if len(members) == 1:
+                    raise
+    elif hasattr(tp, "from_dict"):
+        return tp.from_dict(v, where)
+    elif tp is float and type(v) in (int, float) and abs(v) <= _FLOAT_MAX:
+        return float(v)
+    name = tp.__name__ if isinstance(tp, type) else str(tp)
+    raise ConfigError(f"{where}: expected {name}, got {v!r}")
+
+
+def _parse(cls, d, where: str):
+    return cls(**_fields(_schema(cls), d, where))
+
+
+def _choice(d, where: str, tag: str, table: dict, what: str, skip: tuple[str, ...] = (),
+            fill: bool = False) -> tuple[str, dict]:
+    """(entry, options) for an object whose ``tag`` key names an entry of ``table``.
+
+    The other keys are that entry's parameters, less ``skip``; ``fill``
+    adds the defaults (other than None) of the parameters not given.
+    """
+    if tag not in _object(d, where):
+        raise ConfigError(f"{where}: missing required key {tag!r}")
+    choice = d[tag]
+    if not isinstance(choice, str) or choice not in table:
+        raise ConfigError(f"{where}: unknown {what} {choice!r} (choose from {sorted(table)})")
+    schema = _schema(table[choice], skip)
+    options = _fields(schema, {k: v for k, v in d.items() if k != tag}, where)
+    if fill:
+        defaults = {k: dv for k, (_, dv) in schema.items() if dv is not _REQUIRED and dv is not None}
+        options = {**defaults, **options}
+    return choice, options
+
+
+def _check_precision(where: str, key: str, value: str) -> None:
+    if value not in PRECISIONS:
+        raise ConfigError(f"{where}: {key} must be one of {sorted(PRECISIONS)}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
+    """A builder of ``datasets.BUILDERS`` and the keyword arguments given for it."""
+
     name: str
     options: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "dataset") -> "DatasetSpec":
-        keys = _Keys(d, where)
-        name = keys.take("name")
-        known = {
-            "xor": ("encoding",),
-            "quadratic_target": ("n", "d", "shifts", "seed", "size", "valid_fraction"),
-            "blobs": ("classes", "size", "noise", "seed", "valid_fraction"),
-            "circles": ("classes", "size", "noise", "seed", "valid_fraction"),
-            "csv": ("path", "label_column", "has_header", "classification", "valid_fraction"),
-            "idx": ("images", "labels", "valid_fraction"),
-        }
-        if name not in known:
-            raise ConfigError(f"{where}: unknown dataset {name!r} (choose from {sorted(known)})")
-        opts = {}
-        for key in known[name]:
-            val = keys.take(key, None)
-            if val is not None:
-                opts[key] = tuple(int(x) for x in val) if key == "shifts" else val
-        keys.done()
-        return cls(name=name, options=opts)
+        return cls(*_choice(d, where, "name", BUILDERS, "dataset"))
 
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A model of ``models.MODELS`` and its options; from a config, every
+    default is filled in, so ``run_config.json`` shows the whole model."""
+
     kind: str
     options: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "model") -> "ModelSpec":
-        keys = _Keys(d, where)
-        kind = keys.take("type")
-        if kind == "qe_mlp":
-            opts = {
-                "layer_dims": _int_list(keys.take("layer_dims"), where),
-                "activation": keys.take("activation", "gelu"),
-                "shifts": _int_list(keys.take("shifts", [1]), where),
-                "exempt_final": bool(keys.take("exempt_final", False)),
-            }
-            mask = keys.take("enhancer", None)
-            if mask is not None:
-                opts["enhancer"] = tuple(bool(b) for b in mask)
-        elif kind in ("quadranet", "swiglu"):
-            opts = {"n": int(keys.take("n")), "d": int(keys.take("d"))}
-            if kind == "quadranet":
-                opts["bias"] = bool(keys.take("bias", False))
-        else:
-            raise ConfigError(f"{where}: unknown model type {kind!r}")
-        keys.done()
-        return cls(kind=kind, options=opts)
+        return cls(*_choice(d, where, "type", MODELS, "model type", _RUN_SET, fill=True))
 
 
 @dataclass(frozen=True)
@@ -108,20 +151,15 @@ class OptimizerSpec:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        if self.algo not in ("sgd", "adam"):
+            raise ConfigError(f"optimizer: unknown optimizer {self.algo!r}")
+        if self.lr <= 0:
+            raise ConfigError("optimizer: lr must be positive")
+
     @classmethod
     def from_dict(cls, d: dict, where: str = "optimizer") -> "OptimizerSpec":
-        keys = _Keys(d, where)
-        algo = keys.take("algo")
-        if algo not in ("sgd", "adam"):
-            raise ConfigError(f"{where}: unknown optimizer {algo!r}")
-        spec = cls(algo=algo, lr=float(keys.take("lr")),
-                   beta1=float(keys.take("beta1", 0.9)),
-                   beta2=float(keys.take("beta2", 0.999)),
-                   eps=float(keys.take("eps", 1e-8)))
-        keys.done()
-        if spec.lr <= 0:
-            raise ConfigError(f"{where}: lr must be positive")
-        return spec
+        return _parse(cls, d, where)
 
 
 @dataclass(frozen=True)
@@ -134,97 +172,69 @@ class TrainConfig:
     seed: int = 0
     dtype: str = "f32"
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("train: epochs and batch_size must be >= 1")
+        _check_precision("train", "dtype", self.dtype)
+
     @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        keys = _Keys(d, "train")
-        cfg = cls(
-            model=ModelSpec.from_dict(keys.take("model")),
-            dataset=DatasetSpec.from_dict(keys.take("dataset")),
-            optimizer=OptimizerSpec.from_dict(keys.take("optimizer")),
-            epochs=int(keys.take("epochs")),
-            batch_size=int(keys.take("batch_size")),
-            seed=int(keys.take("seed", 0)),
-            dtype=str(keys.take("dtype", "f32")),
-        )
-        keys.done()
-        if cfg.epochs < 1 or cfg.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if cfg.dtype not in ("f32", "f64"):
-            raise ConfigError(f"dtype must be f32 or f64, got {cfg.dtype!r}")
-        return cfg
+    def from_dict(cls, d: dict, where: str = "train") -> "TrainConfig":
+        return _parse(cls, d, where)
 
 
 @dataclass(frozen=True)
 class AblateConfig:
     k_sets: tuple[tuple[int, ...], ...]
     dims: tuple[int, ...]
-    seeds: tuple[int, ...]
     optimizer: OptimizerSpec
     epochs: int
     batch_size: int
+    seeds: tuple[int, ...] = (0, 1, 2)
     dataset_size: int = 256
     target_shifts: tuple[int, ...] = (1,)
     input_dim: int | None = None          # defaults to the hidden dim
     dtype: str = "f32"
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AblateConfig":
-        keys = _Keys(d, "ablate")
-        raw_sets = keys.take("k_sets")
-        if not isinstance(raw_sets, (list, tuple)) or not raw_sets:
+    def __post_init__(self):
+        if not self.k_sets:
             raise ConfigError("ablate: k_sets must be a non-empty list of shift lists")
-        raw_input_dim = keys.take("input_dim", None)
-        cfg = cls(
-            k_sets=tuple(_int_list(s, "ablate.k_sets") for s in raw_sets),
-            dims=_int_list(keys.take("dims"), "ablate"),
-            seeds=_int_list(keys.take("seeds", [0, 1, 2]), "ablate"),
-            optimizer=OptimizerSpec.from_dict(keys.take("optimizer")),
-            epochs=int(keys.take("epochs")),
-            batch_size=int(keys.take("batch_size")),
-            dataset_size=int(keys.take("dataset_size", 256)),
-            target_shifts=_int_list(keys.take("target_shifts", [1]), "ablate"),
-            input_dim=int(raw_input_dim) if raw_input_dim is not None else None,
-            dtype=str(keys.take("dtype", "f32")),
-        )
-        keys.done()
-        if len(cfg.seeds) < 3:
+        if len(self.seeds) < 3:
             raise ConfigError("ablate: need at least 3 seeds for a median")
-        return cfg
+        _check_precision("ablate", "dtype", self.dtype)
+
+    @classmethod
+    def from_dict(cls, d: dict, where: str = "ablate") -> "AblateConfig":
+        return _parse(cls, d, where)
 
 
 @dataclass(frozen=True)
 class GradcheckConfig:
-    families: tuple[str, ...] = ("qe_layer", "qe_mlp", "quadranet", "swiglu")
+    families: tuple[str, ...] = FAMILIES
     instances: int = 100
     tol: float = 1e-4
     step: float = 1e-6
     precision: str = "f64"
     seed: int = 0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GradcheckConfig":
-        keys = _Keys(d, "gradcheck")
-        fams = keys.take("families", list(cls.families))
-        precision = str(keys.take("precision", "f64"))
-        # difference quotients always run in f64, so the step stays 1e-6;
-        # the tolerance widens for f32 analytic gradients
-        defaults = {"f64": (1e-6, 1e-4), "f32": (1e-6, 1e-2)}
-        if precision not in defaults:
-            raise ConfigError(f"gradcheck: precision must be f32 or f64, got {precision!r}")
-        dstep, dtol = defaults[precision]
-        cfg = cls(
-            families=tuple(fams),
-            instances=int(keys.take("instances", 100)),
-            tol=float(keys.take("tol", dtol)),
-            step=float(keys.take("step", dstep)),
-            precision=precision,
-            seed=int(keys.take("seed", 0)),
-        )
-        keys.done()
-        bad = set(cfg.families) - {"qe_layer", "qe_mlp", "quadranet", "swiglu"}
+    def __post_init__(self):
+        if not self.families:
+            raise ConfigError("gradcheck: families must name at least one family")
+        bad = set(self.families) - set(FAMILIES)
         if bad:
             raise ConfigError(f"gradcheck: unknown families {sorted(bad)}")
-        return cfg
+        _check_precision("gradcheck", "precision", self.precision)
+        if self.instances < 1:
+            raise ConfigError(f"gradcheck: instances must be >= 1, got {self.instances}")
+        for key in ("step", "tol"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"gradcheck: {key} must be > 0, got {getattr(self, key)}")
+
+    @classmethod
+    def from_dict(cls, d: dict, where: str = "gradcheck") -> "GradcheckConfig":
+        cfg = _parse(cls, d, where)
+        # difference quotients always run in f64, so the step stays 1e-6;
+        # the tolerance widens for f32 analytic gradients
+        return cfg if "tol" in d or cfg.precision == "f64" else replace(cfg, tol=1e-2)
 
 
 @dataclass(frozen=True)
@@ -234,18 +244,16 @@ class OracleEquivConfig:
     precision: str = "f64"
     max_dim: int = 32
 
+    def __post_init__(self):
+        _check_precision("oracle_equiv", "precision", self.precision)
+        if self.instances < 1:
+            raise ConfigError(f"oracle_equiv: instances must be >= 1, got {self.instances}")
+        if self.max_dim < 2:
+            raise ConfigError(f"oracle_equiv: max_dim must be >= 2, got {self.max_dim}")
+
     @classmethod
-    def from_dict(cls, d: dict) -> "OracleEquivConfig":
-        keys = _Keys(d, "oracle_equiv")
-        precision = str(keys.take("precision", "f64"))
-        if precision not in ("f32", "f64"):
-            raise ConfigError(f"oracle_equiv: precision must be f32 or f64, got {precision!r}")
-        cfg = cls(instances=int(keys.take("instances", 1000)),
-                  seed=int(keys.take("seed", 0)),
-                  precision=precision,
-                  max_dim=int(keys.take("max_dim", 32)))
-        keys.done()
-        return cfg
+    def from_dict(cls, d: dict, where: str = "oracle_equiv") -> "OracleEquivConfig":
+        return _parse(cls, d, where)
 
     @property
     def tol(self) -> float:
@@ -258,16 +266,13 @@ class MonteCarloConfig:
     samples: int = 10_000_000
     seed: int = 0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MonteCarloConfig":
-        keys = _Keys(d, "montecarlo")
-        cfg = cls(v_list=tuple(float(v) for v in keys.take("v_list", [4, 8, 16])),
-                  samples=int(keys.take("samples", 10_000_000)),
-                  seed=int(keys.take("seed", 0)))
-        keys.done()
-        if cfg.samples < 1 or any(v <= 0 for v in cfg.v_list):
+    def __post_init__(self):
+        if self.samples < 1 or any(v <= 0 for v in self.v_list):
             raise ConfigError("montecarlo: samples must be >= 1 and thresholds positive")
-        return cfg
+
+    @classmethod
+    def from_dict(cls, d: dict, where: str = "montecarlo") -> "MonteCarloConfig":
+        return _parse(cls, d, where)
 
 
 @dataclass(frozen=True)
@@ -275,23 +280,20 @@ class CostConfig:
     preset: str | None = None
     model: ModelSpec | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CostConfig":
-        keys = _Keys(d, "cost")
-        preset = keys.take("preset", None)
-        model_d = keys.take("model", None)
-        keys.done()
-        if (preset is None) == (model_d is None):
+    def __post_init__(self):
+        if (self.preset is None) == (self.model is None):
             raise ConfigError("cost: give exactly one of 'preset' or 'model'")
-        return cls(preset=preset,
-                   model=ModelSpec.from_dict(model_d) if model_d else None)
+
+    @classmethod
+    def from_dict(cls, d: dict, where: str = "cost") -> "CostConfig":
+        return _parse(cls, d, where)
 
 
 def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:        # bad JSON, bad UTF-8, an integer too long to convert
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 

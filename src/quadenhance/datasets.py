@@ -63,7 +63,11 @@ class Dataset:
 
 
 def _split(n: int, valid_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    if not 0 <= valid_fraction < 1:
+        raise ConfigError(f"valid_fraction must lie in [0, 1), got {valid_fraction}")
     n_valid = int(round(n * valid_fraction))
+    if n_valid == n:
+        raise ConfigError(f"valid_fraction {valid_fraction} leaves none of {n} rows to train on")
     return np.arange(0, n - n_valid), np.arange(n - n_valid, n)
 
 
@@ -78,8 +82,8 @@ def gen_xor(encoding: int = 1) -> Dataset:
                    provenance="xor", n_classes=2)
 
 
-def gen_quadratic_target(n: int, d: int, shifts=(1,), seed: int = 0, size: int = 256,
-                         valid_fraction: float = 0.0) -> Dataset:
+def gen_quadratic_target(n: int, d: int, shifts: tuple[int, ...] = (1,), seed: int = 0,
+                         size: int = 256, valid_fraction: float = 0.0) -> Dataset:
     """Regression targets produced by a hidden enhanced layer.
 
     The hidden layer has Gaussian weights (scaled 1/sqrt(n)), zero bias,
@@ -109,8 +113,8 @@ def gen_blobs(classes: int = 3, size: int = 300, noise: float = 0.5, seed: int =
     """Gaussian blobs on a circle of radius 5, one center per class."""
     if noise < 0:
         raise ConfigError("noise must be >= 0")
-    if size < classes:
-        raise ConfigError("need at least one sample per class")
+    if not 1 <= classes <= size:
+        raise ConfigError(f"need 1 <= classes <= size, got classes={classes}, size={size}")
     rng = Rng(seed)
     angles = 2.0 * np.pi * np.arange(classes) / classes
     centers = 5.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -129,8 +133,8 @@ def gen_circles(classes: int = 2, size: int = 200, noise: float = 0.1, seed: int
     """Concentric rings, radius c+1 for class c; not linearly separable."""
     if noise < 0:
         raise ConfigError("noise must be >= 0")
-    if size < classes:
-        raise ConfigError("need at least one sample per class")
+    if not 1 <= classes <= size:
+        raise ConfigError(f"need 1 <= classes <= size, got classes={classes}, size={size}")
     rng = Rng(seed)
     labels = (np.arange(size) % classes).astype(np.int64)
     theta = rng.uniform(size, 0.0, 2.0 * np.pi)
@@ -149,8 +153,8 @@ def gen_circles(classes: int = 2, size: int = 200, noise: float = 0.1, seed: int
 # file ingestion
 # ---------------------------------------------------------------------------
 
-def load_csv(path, label_column, has_header: bool = True, classification: bool = True,
-             valid_fraction: float = 0.2) -> Dataset:
+def load_csv(path: str, label_column: int | str, has_header: bool = True,
+             classification: bool = True, valid_fraction: float = 0.2) -> Dataset:
     """Numeric CSV with one label column (by index, or by name with a header)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -200,19 +204,6 @@ def load_csv(path, label_column, has_header: bool = True, classification: bool =
                    valid_idx=valid_idx, provenance=str(path), n_classes=n_classes)
 
 
-def save_csv(ds: Dataset, path, header: bool = True) -> None:
-    """Write features plus a final label column; floats keep full precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            cols = [f"x{i}" for i in range(ds.n)] + ["y"]
-            fh.write(",".join(cols) + "\n")
-        labels = ds.labels if ds.labels.ndim == 1 else ds.labels[:, 0]
-        for row, lab in zip(ds.features, labels):
-            cells = [f"{v:.17g}" for v in row]
-            cells.append(str(int(lab)) if ds.is_classification else f"{lab:.17g}")
-            fh.write(",".join(cells) + "\n")
-
-
 def _read_exact(fh, count: int, path, what: str) -> bytes:
     data = fh.read(count)
     if len(data) != count:
@@ -220,7 +211,7 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
     return data
 
 
-def load_idx(images, labels, valid_fraction: float = 0.0) -> Dataset:
+def load_idx(images: str, labels: str, valid_fraction: float = 0.0) -> Dataset:
     """Big-endian IDX image/label pair; pixel bytes are scaled to [0, 1]."""
     with open(images, "rb") as fh:
         magic, count, rows, cols = struct.unpack(">iiii", _read_exact(fh, 16, images, "header"))
@@ -241,6 +232,17 @@ def load_idx(images, labels, valid_fraction: float = 0.0) -> Dataset:
     n_classes = int(label_arr.max()) + 1 if label_arr.size else 0
     return Dataset(features=feats, labels=label_arr, train_idx=train_idx, valid_idx=valid_idx,
                    provenance=f"idx({images})", n_classes=n_classes)
+
+
+# dataset names a config may give; each builder's parameters are its config keys
+BUILDERS = {
+    "xor": gen_xor,
+    "quadratic_target": gen_quadratic_target,
+    "blobs": gen_blobs,
+    "circles": gen_circles,
+    "csv": load_csv,
+    "idx": load_idx,
+}
 
 
 def batch_iter(ds: Dataset, batch_size: int, shuffle_seed: int, indices: np.ndarray | None = None):

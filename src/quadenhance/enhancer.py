@@ -82,10 +82,6 @@ class BandLambda:
     def k(self) -> int:
         return len(self.shifts)
 
-    @property
-    def param_count(self) -> int:
-        return self.k * self.d
-
 
 def _band_sum(y: np.ndarray, shifts, vectors) -> np.ndarray | None:
     """sum_i vectors[i] * roll(y, shifts[i]), accumulated in shift order."""

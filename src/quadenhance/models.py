@@ -17,6 +17,7 @@ from . import autograd as ag
 from .enhancer import QELayer, init_qelayer
 from .errors import ConfigError, DimensionError, NumericError
 from .rng import Rng
+from .tensor import PRECISIONS
 
 ACTIVATIONS = {
     "relu": ag.relu,
@@ -49,8 +50,8 @@ class MLPConfig:
             raise ConfigError(f"all dims must be >= 1, got {self.layer_dims}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.dtype not in ("f32", "f64"):
-            raise ConfigError(f"dtype must be f32 or f64, got {self.dtype!r}")
+        if self.dtype not in PRECISIONS:
+            raise ConfigError(f"dtype must be one of {sorted(PRECISIONS)}, got {self.dtype!r}")
         if self.enhancer is not None and len(self.enhancer) != self.n_layers:
             raise ConfigError(
                 f"enhancer mask length {len(self.enhancer)} != layer count {self.n_layers}")
@@ -66,7 +67,7 @@ class MLPConfig:
         return tuple(m)
 
     def np_dtype(self):
-        return np.float32 if self.dtype == "f32" else np.float64
+        return PRECISIONS[self.dtype]
 
     def plain(self) -> "MLPConfig":
         """Same stack with every enhancer disabled (the linear baseline)."""
@@ -174,6 +175,10 @@ class SwiGLULayer(ag.Layer):
         return ag.on_rows(x, rows)
 
 
+# model types a config may name; each one's parameters are its config keys
+MODELS = {"qe_mlp": MLPConfig, "quadranet": QuadraNetLayer, "swiglu": SwiGLULayer}
+
+
 def mse(pred: ag.Variable, target: np.ndarray) -> ag.Variable:
     """Mean squared error over every element, built from taped primitives."""
     if pred.value.shape != target.shape:
@@ -182,7 +187,6 @@ def mse(pred: ag.Variable, target: np.ndarray) -> ag.Variable:
     diff = ag.add(pred, neg)
     sq = ag.hadamard(diff, diff)
     return ag.scale(ag.reduce_sum(sq), 1.0 / max(target.size, 1))
-
 
 
 # ---------------------------------------------------------------------------

@@ -77,13 +77,6 @@ class Rng:
         out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
         return out[:n]
 
-    def integers(self, n: int, bound: int) -> np.ndarray:
-        """``n`` integers uniform in [0, bound); mild modulo bias is accepted
-        for bound << 2**64 (all uses here have bound < 2**32)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return (self.next_u64(n) % np.uint64(bound)).astype(np.int64)
-
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n), driven by this stream."""
         perm = np.arange(n, dtype=np.int64)

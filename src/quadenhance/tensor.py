@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import DimensionError
 
+# config precision names and the numpy dtypes they select
+PRECISIONS = {"f32": np.float32, "f64": np.float64}
+
 
 def _require_same_dtype(a: np.ndarray, b: np.ndarray, op: str) -> None:
     if a.dtype != b.dtype:

@@ -20,33 +20,19 @@ from . import datasets as data
 from . import tensor as T
 from .checkpoint import save_checkpoint, write_atomic
 from .config import AblateConfig, DatasetSpec, ModelSpec, TrainConfig, canonical_json
-from .errors import ConfigError, NumericError
-from .models import MLP, MLPConfig, Adam, QuadraNetLayer, SGD, SwiGLULayer, mse
+from .errors import NumericError
+from .models import MLP, MODELS, MLPConfig, Adam, SGD, mse
 from .rng import Rng
 
 
 def build_dataset(spec: DatasetSpec) -> data.Dataset:
-    builders = {
-        "xor": data.gen_xor,
-        "quadratic_target": data.gen_quadratic_target,
-        "blobs": data.gen_blobs,
-        "circles": data.gen_circles,
-        "csv": data.load_csv,
-        "idx": data.load_idx,
-    }
-    return builders[spec.name](**spec.options)
+    return data.BUILDERS[spec.name](**spec.options)
 
 
 def build_model(spec: ModelSpec, seed: int, dtype: str):
-    np_dtype = np.float32 if dtype == "f32" else np.float64
     if spec.kind == "qe_mlp":
-        cfg = MLPConfig(seed=seed, dtype=dtype, **spec.options)
-        return MLP(cfg)
-    if spec.kind == "quadranet":
-        return QuadraNetLayer(seed=seed, dtype=np_dtype, **spec.options)
-    if spec.kind == "swiglu":
-        return SwiGLULayer(seed=seed, dtype=np_dtype, **spec.options)
-    raise ConfigError(f"unknown model kind {spec.kind!r}")
+        return MLP(MLPConfig(seed=seed, dtype=dtype, **spec.options))
+    return MODELS[spec.kind](seed=seed, dtype=T.PRECISIONS[dtype], **spec.options)
 
 
 def build_optimizer(spec):
@@ -111,7 +97,7 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
     ds = build_dataset(cfg.dataset)
     model = build_model(cfg.model, seed=cfg.seed, dtype=cfg.dtype)
     opt = build_optimizer(cfg.optimizer)
-    np_dtype = np.float32 if cfg.dtype == "f32" else np.float64
+    np_dtype = T.PRECISIONS[cfg.dtype]
     shuffle_base = Rng(cfg.seed).split(0xBA7C)
 
     rows: list[EpochRow] = []

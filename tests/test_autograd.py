@@ -1,5 +1,8 @@
 """Tape mechanics, backward rules, and the finite-difference checker."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from quadenhance import autograd as ag
 from quadenhance import tensor as T
 from quadenhance.enhancer import band_quadratic
 from quadenhance.errors import DataError, NumericError, UsageError
+from quadenhance.models import MLP, MLPConfig
 from quadenhance.rng import Rng
 
 from oracles import naive_cross_entropy
@@ -30,6 +34,20 @@ class TestBackwardBasics:
         out = ag.linear(x, tape.const(np.eye(2)))
         g = _grad_of(tape, ag.reduce_sum(out), x)
         np.testing.assert_array_equal(g, np.ones((1, 2)))
+
+    @pytest.mark.parametrize("input_is_param, gemms", [(False, 1), (True, 2)])
+    def test_linear_backward_skips_constant_input_gemm(self, monkeypatch, input_is_param, gemms):
+        tape = ag.Tape()
+        xv = np.arange(6.0).reshape(2, 3)
+        x = tape.param(xv) if input_is_param else tape.const(xv)
+        w = tape.param(np.ones((4, 3)))
+        loss = ag.reduce_sum(ag.linear(x, w))
+        calls = []
+        matmul = T.matmul
+        monkeypatch.setattr(T, "matmul", lambda a, b: calls.append(1) or matmul(a, b))
+        grads = tape.backward(loss)
+        assert len(calls) == gemms
+        np.testing.assert_array_equal(grads[w.node_id], np.tile(xv.sum(axis=0), (4, 1)))
 
     def test_hadamard_product_rule(self):
         tape = ag.Tape()
@@ -71,6 +89,21 @@ class TestBackwardBasics:
 
 
 class TestTapeContracts:
+    def test_finished_step_frees_its_tape_without_the_cycle_collector(self):
+        # backward closures hold arrays, never Variables (which point back at
+        # the tape), so a training step's activations go as soon as it returns
+        model = MLP(MLPConfig(layer_dims=(3, 4, 2), activation="relu", seed=0))
+        gc.disable()
+        try:
+            tape = ag.Tape()
+            out = model.apply(tape, model.bind(tape), tape.const(np.ones((2, 3))))
+            tape.backward(ag.reduce_sum(out))
+            ref = weakref.ref(tape)
+            del tape, out
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_non_scalar_loss_rejected(self):
         tape = ag.Tape()
         x = tape.param(np.ones(3))

@@ -1,14 +1,19 @@
 """Strict config parsing, CLI exit codes, and output determinism."""
 
+import copy
+import inspect
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quadenhance.cli import main
-from quadenhance.config import (AblateConfig, DatasetSpec, GradcheckConfig,
+from quadenhance.config import (AblateConfig, CostConfig, DatasetSpec, GradcheckConfig,
                                 ModelSpec, MonteCarloConfig, OptimizerSpec,
-                                TrainConfig)
+                                OracleEquivConfig, TrainConfig)
+from quadenhance.datasets import BUILDERS
 from quadenhance.errors import ConfigError
+from quadenhance.models import MODELS
 
 
 class TestStrictParsing:
@@ -61,6 +66,13 @@ class TestExitCodes:
     def test_bad_json_is_config_error(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{nope")
+        assert main(["montecarlo", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("content", [b'{"samples": ' + b"1" * 5000 + b"}",
+                                         b'{"seed": 1, "note": "\xe9"}'])
+    def test_unreadable_json_is_config_error(self, tmp_path, content):
+        p = tmp_path / "c.json"
+        p.write_bytes(content)
         assert main(["montecarlo", "--config", str(p)]) == 2
 
     def test_unknown_key_is_config_error(self, tmp_path):
@@ -161,3 +173,164 @@ def test_ablate_cli_grid_shape(tmp_path):
     assert lines[0] == "k_set,d4,d6"
     assert len(lines) == 3                      # header + one row per shift set
     assert all(len(l.split(",")) == 3 for l in lines)
+
+
+# ---------------------------------------------------------------------------
+# value types and ranges
+# ---------------------------------------------------------------------------
+
+_TRAIN = {
+    "model": {"type": "qe_mlp", "layer_dims": [4, 3], "activation": "relu",
+              "shifts": [1, -1], "exempt_final": False},
+    "dataset": {"name": "quadratic_target", "n": 4, "d": 3, "shifts": [1], "seed": 1,
+                "size": 16, "valid_fraction": 0.25},
+    "optimizer": {"algo": "adam", "lr": 0.01, "beta1": 0.9, "beta2": 0.99, "eps": 1e-8},
+    "epochs": 1, "batch_size": 4, "seed": 0, "dtype": "f64"}
+
+# valid configs, each key given unless it may be null (MLPConfig.enhancer,
+# AblateConfig.input_dim), so any value of another JSON type is wrong
+VALID = {
+    "train": _TRAIN,
+    "train-quadranet": {**_TRAIN, "model": {"type": "quadranet", "n": 2, "d": 3, "bias": True},
+                        "dataset": {"name": "blobs", "classes": 3, "size": 30, "noise": 0.5,
+                                    "seed": 2, "valid_fraction": 0.2}},
+    "train-swiglu-csv": {**_TRAIN, "model": {"type": "swiglu", "n": 2, "d": 2},
+                         "dataset": {"name": "csv", "path": "t.csv", "label_column": "y",
+                                     "has_header": True, "classification": True,
+                                     "valid_fraction": 0.2}},
+    "train-idx": {**_TRAIN, "dataset": {"name": "idx", "images": "i.idx", "labels": "l.idx",
+                                        "valid_fraction": 0.0}},
+    "ablate-k": {"k_sets": [[1], [-1, 1]], "dims": [4], "seeds": [0, 1, 2],
+                 "optimizer": {"algo": "sgd", "lr": 0.1}, "epochs": 1, "batch_size": 4,
+                 "dataset_size": 16, "target_shifts": [1], "dtype": "f32"},
+    "gradcheck": {"families": ["qe_layer"], "instances": 1, "tol": 1e-4, "step": 1e-6,
+                  "precision": "f64", "seed": 0},
+    "oracle-equiv": {"instances": 2, "seed": 0, "precision": "f64", "max_dim": 4},
+    "montecarlo": {"v_list": [4.0], "samples": 100, "seed": 0},
+    "cost": {"model": {"type": "qe_mlp", "layer_dims": [3, 2]}},
+    "cost-preset": {"preset": "layer-192"},
+}
+PARSERS = {"train": TrainConfig, "ablate-k": AblateConfig, "gradcheck": GradcheckConfig,
+           "oracle-equiv": OracleEquivConfig, "montecarlo": MonteCarloConfig, "cost": CostConfig}
+WRONG = [None, True, "x", 2.5, [1], {"a": 1}]
+
+
+def _command(case: str) -> str:
+    return next(c for c in PARSERS if case.startswith(c))
+
+
+def _paths(value, prefix=()):
+    """Every key and list element below ``value``, as index paths."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _get(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def _with(value, path, new):
+    if not path:
+        return new
+    out = copy.deepcopy(value)
+    _get(out, path[:-1])[path[-1]] = new
+    return out
+
+
+def _kind(v) -> str:
+    return "bool" if isinstance(v, bool) else type(v).__name__
+
+
+SLOTS = [(case, path) for case, raw in VALID.items() for path in _paths(raw)]
+
+
+@pytest.mark.parametrize("case", sorted(VALID))
+def test_valid_configs_parse(case):
+    PARSERS[_command(case)].from_dict(VALID[case])
+
+
+@given(slot=st.sampled_from(SLOTS), wrong=st.sampled_from(WRONG))
+@settings(max_examples=300, deadline=None)
+def test_wrong_json_type_is_config_error(tmp_path_factory, slot, wrong):
+    case, path = slot
+    assume(_kind(wrong) != _kind(_get(VALID[case], path)))
+    raw = _with(VALID[case], path, wrong)
+    command = _command(case)
+    with pytest.raises(ConfigError):
+        PARSERS[command].from_dict(raw)
+    tmp = tmp_path_factory.mktemp("wrong")
+    (tmp / "c.json").write_text(json.dumps(raw))
+    argv = [command, "--config", str(tmp / "c.json"), "--out", str(tmp / "o")]
+    assert main(argv) == 2
+
+
+def test_config_parameters_are_annotated():
+    # the parser reads each key's type from these annotations
+    sources = [(s, ()) for s in (*BUILDERS.values(), *PARSERS.values(), OptimizerSpec)]
+    sources += [(m, ("seed", "dtype")) for m in MODELS.values()]     # the run sets these
+    for source, skip in sources:
+        for name, p in inspect.signature(source).parameters.items():
+            if name not in skip:
+                assert p.annotation is not inspect.Parameter.empty, f"{source.__name__}({name})"
+
+
+def _train(**changes):
+    raw = copy.deepcopy(_TRAIN)
+    for path, value in changes.items():
+        raw = _with(raw, tuple(path.split("__")), value)
+    return raw
+
+
+PROBES = {
+    # wrong types
+    "epochs-string": ("train", _train(epochs="two"), "train.epochs: expected int, got 'two'"),
+    "lr-null": ("train", _train(optimizer__lr=None), "train.optimizer.lr: expected float"),
+    "shifts-int": ("train", _train(dataset__shifts=1), "train.dataset.shifts: expected tuple"),
+    "size-string": ("train", {**_TRAIN, "dataset": {"name": "blobs", "size": "300"}},
+                    "train.dataset.size: expected int"),
+    "target-no-n": ("train", {**_TRAIN, "dataset": {"name": "quadratic_target"}},
+                    "missing required key 'n'"),
+    "samples-string": ("montecarlo", {"samples": "many"}, "montecarlo.samples: expected int"),
+    "cost-n-string": ("cost", {"model": {"type": "quadranet", "n": "x", "d": 2}},
+                      "cost.model.n: expected int"),
+    "instances-float": ("oracle-equiv", {"instances": 2.7}, "oracle_equiv.instances: expected int"),
+    "epochs-integral-float": ("train", _train(epochs=2.0), "train.epochs: expected int"),
+    "epochs-bool": ("train", _train(epochs=True), "train.epochs: expected int"),
+    "lr-string": ("train", _train(optimizer__lr="0.1"), "train.optimizer.lr: expected float"),
+    "label-column-float": ("train", {**_TRAIN, "dataset": {"name": "csv", "path": "t.csv",
+                                                           "label_column": 1.5}},
+                           "label_column: expected int | str"),
+    "model-not-object": ("train", _train(model=[1]), "train.model: expected an object"),
+    "dataset-name-list": ("train", _train(dataset__name=["xor"]), "unknown dataset"),
+    # out-of-range values
+    "valid-fraction-one": ("train", _train(dataset__valid_fraction=1.0),
+                           "valid_fraction must lie in [0, 1)"),
+    "valid-fraction-negative": ("train", _train(dataset__valid_fraction=-0.5),
+                                "valid_fraction must lie in [0, 1)"),
+    "max-dim-one": ("oracle-equiv", {"max_dim": 1}, "max_dim must be >= 2"),
+    "oracle-instances-zero": ("oracle-equiv", {"instances": 0}, "instances must be >= 1"),
+    "oracle-instances-negative": ("oracle-equiv", {"instances": -1}, "instances must be >= 1"),
+    "gradcheck-instances-zero": ("gradcheck", {"instances": 0}, "instances must be >= 1"),
+    "gradcheck-step-zero": ("gradcheck", {"step": 0}, "step must be > 0"),
+    "gradcheck-tol-zero": ("gradcheck", {"tol": 0}, "tol must be > 0"),
+    "ablate-dtype": ("ablate-k", {**VALID["ablate-k"], "dtype": "f16"}, "ablate: dtype must be"),
+    "valid-fraction-no-train-rows": ("train", {**_TRAIN, "dataset": {
+        "name": "blobs", "classes": 2, "size": 4, "valid_fraction": 0.9}},
+        "valid_fraction 0.9 leaves none of 4 rows"),
+    "blobs-zero-classes": ("train", {**_TRAIN, "dataset": {"name": "blobs", "classes": 0}},
+                           "got classes=0"),
+    "gradcheck-no-families": ("gradcheck", {"families": []}, "families must name"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, probe):
+    command, raw, message = PROBES[probe]
+    (tmp_path / "c.json").write_text(json.dumps(raw))
+    assert main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err

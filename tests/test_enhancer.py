@@ -40,9 +40,6 @@ class TestBandLambda:
         with pytest.raises(DimensionError):
             BandLambda(d=3, shifts=(1,), values={1: np.zeros(4)})
 
-    def test_param_count(self):
-        assert BandLambda.zeros(5, (-2, 1, 3)).param_count == 15
-
 
 class TestApplyLambda:
     def test_empty_shift_set_is_zero(self):

@@ -56,8 +56,3 @@ def test_normal_odd_count():
 def test_permutation_is_permutation(seed, n):
     perm = Rng(seed).permutation(n)
     assert sorted(perm) == list(range(n))
-
-
-def test_integers_bound():
-    v = Rng(3).integers(1000, 7)
-    assert v.min() >= 0 and v.max() < 7
