@@ -8,7 +8,7 @@ order is fixed (bit-reproducible runs).
 Each differentiable operation here wraps the corresponding pure kernel
 from :mod:`quadenhance.tensor` and attaches its adjoint rule:
 
-    linear(x, W) = x W^T:  gx = g @ W (None for a constant x),  gW = (x^T @ g)^T
+    linear(x, W) = x W^T:  gx = g @ W (None for a constant x),  gW = g^T @ x
     hadamard:              gA = g * B,  gB = g * A
     add:                   pass-through
     reduce_sum:            broadcast of g
@@ -132,7 +132,7 @@ def linear(x: Variable, w: Variable) -> Variable:
         # a constant input (layer 0's batch) needs no gradient, so skip its GEMM;
         # the closure holds no Variable, which would tie the tape into a cycle
         gx = T.matmul(g, wv) if need_gx else None
-        return (gx, T.transpose(T.matmul(T.transpose(xv), g)))
+        return (gx, T.matmul(T.transpose(g), xv))
 
     return x.tape.record("linear", (x, w), out, bwd)
 

@@ -245,14 +245,14 @@ BUILDERS = {
 }
 
 
-def batch_iter(ds: Dataset, batch_size: int, shuffle_seed: int, indices: np.ndarray | None = None):
-    """Deterministic shuffled batches over the train split (or given indices).
+def batch_iter(ds: Dataset, batch_size: int, shuffle_seed: int):
+    """Deterministic shuffled batches over the train split.
 
     The final partial batch is included.
     """
     if batch_size < 1:
         raise ConfigError("batch size must be >= 1")
-    idx = ds.train_idx if indices is None else indices
+    idx = ds.train_idx
     order = idx[Rng(shuffle_seed).permutation(len(idx))]
     for start in range(0, len(order), batch_size):
         sel = order[start:start + batch_size]

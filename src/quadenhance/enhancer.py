@@ -17,8 +17,8 @@ easily than cross terms), so shifts that reduce to 0 mod d are rejected
 unless explicitly overridden.
 
 On a tape an enhanced layer is three nodes, ``linear`` (y = x W^T),
-``band_quadratic`` ((L y) * y + y) and ``add_row`` (+ b); a plain layer
-is ``linear`` and ``add_row``.
+``band_quadratic`` ((L y) * y + y) and ``add_row`` (+ b); a plain layer,
+one whose coupling has no shifts, is ``linear`` and ``add_row``.
 
 ``quadratic_reference`` and ``dense_lambda_oracle`` are independent
 reference implementations used to verify the fast path; they evaluate
@@ -146,16 +146,15 @@ def dense_lambda_oracle(lam: BandLambda) -> np.ndarray:
 
 @dataclass
 class QELayer(ag.Layer):
-    """Linear layer with an optional quadratic enhancer stage.
+    """Linear layer with a quadratic enhancer stage on the shifts of ``lam``.
 
-    With the enhancer off (or every coefficient zero) the layer is
-    exactly z = W x + b.
+    A layer whose ``lam`` has no shifts (or whose coefficients are all
+    zero) is exactly z = W x + b.
     """
 
     W: np.ndarray            # [d, n]
     b: np.ndarray            # [d]
     lam: BandLambda
-    enhancer: bool = True
     name: str = "qe"
 
     def __post_init__(self):
@@ -166,12 +165,11 @@ class QELayer(ag.Layer):
             raise DimensionError(f"b shape {self.b.shape} != ({d},)")
         if self.lam.d != d:
             raise DimensionError(f"coupling dimension {self.lam.d} != output dimension {d}")
-        if self.enhancer:
-            for r in self.lam.shifts:
-                if r % d == 0 and not self.lam.allow_square_terms:
-                    raise ConfigError(
-                        f"shift {r} reduces to 0 mod d={d} and would produce square terms; "
-                        "use allow_square_terms to override")
+        for r in self.lam.shifts:
+            if r % d == 0 and not self.lam.allow_square_terms:
+                raise ConfigError(
+                    f"shift {r} reduces to 0 mod d={d} and would produce square terms; "
+                    "use allow_square_terms to override")
 
     @property
     def n(self) -> int:
@@ -183,21 +181,19 @@ class QELayer(ag.Layer):
 
     @property
     def k(self) -> int:
-        return self.lam.k if self.enhancer else 0
+        return self.lam.k
 
     def parameters(self) -> dict[str, np.ndarray]:
         out = {"W": self.W, "b": self.b}
-        if self.enhancer:
-            for r in self.lam.shifts:
-                out[f"lam[{r}]"] = self.lam.values[r]
+        for r in self.lam.shifts:
+            out[f"lam[{r}]"] = self.lam.values[r]
         return out
 
     def load_parameters(self, params: dict[str, np.ndarray]) -> None:
         self.W = params["W"]
         self.b = params["b"]
-        if self.enhancer:
-            for r in self.lam.shifts:
-                self.lam.values[r] = params[f"lam[{r}]"]
+        for r in self.lam.shifts:
+            self.lam.values[r] = params[f"lam[{r}]"]
 
     def apply(self, tape: ag.Tape, bound: dict[str, ag.Variable], x: ag.Variable) -> ag.Variable:
         """Differentiable forward pass for x of shape [n] or [batch, n].
@@ -207,7 +203,7 @@ class QELayer(ag.Layer):
         """
         if x.value.shape[-1] != self.n:
             raise DimensionError(f"input trailing dim {x.value.shape[-1]} != {self.n}")
-        shifts = self.lam.shifts if self.enhancer else ()
+        shifts = self.lam.shifts
 
         def rows(h):
             y = ag.linear(h, bound["W"])
@@ -226,21 +222,22 @@ def qe_forward(layer: QELayer, x: np.ndarray) -> np.ndarray:
     return layer.forward(x)
 
 
-def init_qelayer(n: int, d: int, shifts, seed: int, scale: float | None = None,
-                 dtype=np.float64, enhancer: bool = True, name: str = "qe") -> QELayer:
+def glorot(rng: Rng, d: int, n: int, dtype) -> np.ndarray:
+    """[d, n] matrix uniform in [-s, s] with s = sqrt(6 / (n + d))."""
+    s = np.sqrt(6.0 / (n + d))
+    return rng.uniform(n * d, -s, s).reshape(d, n).astype(dtype)
+
+
+def init_qelayer(n: int, d: int, shifts, seed: int, dtype=np.float64, name: str = "qe") -> QELayer:
     """Fresh layer, fully determined by the seed.
 
-    W is uniform in [-s, s] with s = sqrt(6 / (n + d)); the bias and all
-    coupling coefficients start at zero, so a fresh layer is exactly its
-    linear baseline.
+    W is ``glorot``; the bias and all coupling coefficients start at
+    zero, so a fresh layer is exactly its linear baseline.
     """
     if n < 1 or d < 1:
         raise ConfigError(f"layer dims must be >= 1, got n={n}, d={d}")
-    s = np.sqrt(6.0 / (n + d)) if scale is None else float(scale)
-    rng = Rng(seed)
-    w = rng.uniform(n * d, -s, s).reshape(d, n).astype(dtype)
-    lam = BandLambda.zeros(d, shifts, dtype=dtype)
-    return QELayer(W=w, b=np.zeros(d, dtype=dtype), lam=lam, enhancer=enhancer, name=name)
+    return QELayer(W=glorot(Rng(seed), d, n, dtype), b=np.zeros(d, dtype=dtype),
+                   lam=BandLambda.zeros(d, shifts, dtype=dtype), name=name)
 
 
 # ---------------------------------------------------------------------------

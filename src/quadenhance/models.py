@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autograd as ag
-from .enhancer import QELayer, init_qelayer
+from .enhancer import QELayer, glorot, init_qelayer
 from .errors import ConfigError, DimensionError, NumericError
 from .rng import Rng
 from .tensor import PRECISIONS
@@ -88,9 +88,10 @@ class MLP(ag.Layer):
         for i in range(config.n_layers):
             layer_seed = int(rng.split(i).seed)
             self.layers.append(init_qelayer(
-                n=dims[i], d=dims[i + 1], shifts=config.shifts, seed=layer_seed,
-                dtype=config.np_dtype(), enhancer=mask[i], name=f"layers.{i}"))
+                n=dims[i], d=dims[i + 1], shifts=config.shifts if mask[i] else (),
+                seed=layer_seed, dtype=config.np_dtype(), name=f"layers.{i}"))
         self._act = ACTIVATIONS[config.activation]
+        self.n, self.d = dims[0], dims[-1]
 
     def parameters(self) -> dict[str, np.ndarray]:
         out = {}
@@ -113,19 +114,14 @@ class MLP(ag.Layer):
         return h
 
 
-def _glorot(rng: Rng, d: int, n: int, dtype) -> np.ndarray:
-    s = np.sqrt(6.0 / (n + d))
-    return rng.uniform(n * d, -s, s).reshape(d, n).astype(dtype)
-
-
 class QuadraNetLayer(ag.Layer):
     """Three-matrix quadratic baseline: z = (Wa x) * (Wb x) + Wc x [+ b]."""
 
     def __init__(self, n: int, d: int, seed: int = 0, bias: bool = False, dtype=np.float64):
         rng = Rng(seed)
-        self.Wa = _glorot(rng.split(0), d, n, dtype)
-        self.Wb = _glorot(rng.split(1), d, n, dtype)
-        self.Wc = _glorot(rng.split(2), d, n, dtype)
+        self.Wa = glorot(rng.split(0), d, n, dtype)
+        self.Wb = glorot(rng.split(1), d, n, dtype)
+        self.Wc = glorot(rng.split(2), d, n, dtype)
         self.b = np.zeros(d, dtype=dtype) if bias else None
         self.n, self.d = n, d
 
@@ -156,8 +152,8 @@ class SwiGLULayer(ag.Layer):
 
     def __init__(self, n: int, d: int, seed: int = 0, dtype=np.float64):
         rng = Rng(seed)
-        self.W1 = _glorot(rng.split(0), d, n, dtype)
-        self.W2 = _glorot(rng.split(1), d, n, dtype)
+        self.W1 = glorot(rng.split(0), d, n, dtype)
+        self.W2 = glorot(rng.split(1), d, n, dtype)
         self.n, self.d = n, d
 
     def parameters(self) -> dict[str, np.ndarray]:

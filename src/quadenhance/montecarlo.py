@@ -119,9 +119,11 @@ def rows_to_csv(rows: list[TailRow]) -> str:
 
 
 def format_table(rows: list[TailRow]) -> str:
+    # sq/cross: how many times heavier the analytic square tail is than the cross tail
     lines = [f"{'v':>6} {'P(x^2>v) mc':>14} {'analytic':>12} "
-             f"{'P(|x1x2|>v) mc':>16} {'integral':>12}"]
+             f"{'P(|x1x2|>v) mc':>16} {'integral':>12} {'sq/cross':>10}"]
     for r in rows:
+        ratio = r.square_analytic / max(r.cross_integral, 1e-300)
         lines.append(f"{r.v:>6.3g} {r.square_mc:>14.6e} {r.square_analytic:>12.6e} "
-                     f"{r.cross_mc:>16.6e} {r.cross_integral:>12.6e}")
+                     f"{r.cross_mc:>16.6e} {r.cross_integral:>12.6e} {ratio:>10,.1f}")
     return "\n".join(lines)

@@ -23,7 +23,6 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SPLIT_SALT = np.uint64(0x5851F42D4C957F2D)
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 _TWO_NEG_53 = 2.0 ** -53
 

@@ -1,16 +1,13 @@
 """Dense tensor kernels with bit-reproducible semantics.
 
-Values are plain C-contiguous numpy arrays in float32 or float64; these
-functions are the only arithmetic the differentiable layers are built
-from.  Two properties are normative and relied on by cross-module tests:
-
-* row-major (C) element order, and
-* sequential accumulation order in every reduction, so that repeated runs
-  and independently coded references agree bit for bit, not just within
-  rounding noise.
-
-``matmul`` in particular accumulates over the contraction axis in index
-order; a naive triple loop with the same ordering produces identical bits.
+Values are plain C-contiguous numpy arrays in float32 or float64.
+``matmul`` and ``reduce_sum`` fix their accumulation order: each adds in
+index order along the summed axis, so repeated runs and independently
+coded references agree bit for bit, not just within rounding noise (a
+naive triple loop reproduces ``matmul`` exactly).  The other kernels are
+single elementwise ufunc calls.  The differentiable layers also call
+numpy directly: activations, losses, and ``np.add.reduce`` in the bias
+and coupling gradients, which sums in numpy's own order.
 """
 
 from __future__ import annotations
@@ -102,9 +99,11 @@ def roll(y: np.ndarray, r: int) -> np.ndarray:
 
 
 def _sum_axis0(a: np.ndarray) -> np.ndarray:
+    # 0 + a[0] + a[1] + ...: accumulate adds in index order (add.reduce may sum
+    # pairwise); adding to zeros turns an all -0.0 sum into +0.0, as the 0 start does
     out = np.zeros(a.shape[1:], dtype=a.dtype)
-    for i in range(a.shape[0]):
-        out += a[i]
+    if len(a):
+        np.add(np.add.accumulate(a, axis=0)[-1], out, out=out)
     return out
 
 

@@ -20,7 +20,7 @@ from . import datasets as data
 from . import tensor as T
 from .checkpoint import save_checkpoint, write_atomic
 from .config import AblateConfig, DatasetSpec, ModelSpec, TrainConfig, canonical_json
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .models import MLP, MODELS, MLPConfig, Adam, SGD, mse
 from .rng import Rng
 
@@ -33,6 +33,16 @@ def build_model(spec: ModelSpec, seed: int, dtype: str):
     if spec.kind == "qe_mlp":
         return MLP(MLPConfig(seed=seed, dtype=dtype, **spec.options))
     return MODELS[spec.kind](seed=seed, dtype=T.PRECISIONS[dtype], **spec.options)
+
+
+def _check_widths(model, ds: data.Dataset) -> None:
+    """A model whose widths do not fit the dataset is a config error."""
+    if model.n != ds.n:
+        raise ConfigError(f"model input width {model.n} != dataset feature width {ds.n}")
+    if ds.is_classification and model.d < ds.n_classes:
+        raise ConfigError(f"model output width {model.d} < dataset class count {ds.n_classes}")
+    if not ds.is_classification and model.d != ds.labels.shape[1]:
+        raise ConfigError(f"model output width {model.d} != dataset label width {ds.labels.shape[1]}")
 
 
 def build_optimizer(spec):
@@ -79,7 +89,6 @@ class TrainResult:
     rows: list[EpochRow]
     final_train_loss: float
     final_train_accuracy: float | None
-    best_valid_loss: float | None
     model: object
 
     def metrics_csv(self) -> str:
@@ -96,13 +105,13 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
     """Train per config; optionally write metrics, checkpoints, and config echo."""
     ds = build_dataset(cfg.dataset)
     model = build_model(cfg.model, seed=cfg.seed, dtype=cfg.dtype)
+    _check_widths(model, ds)
     opt = build_optimizer(cfg.optimizer)
     np_dtype = T.PRECISIONS[cfg.dtype]
     shuffle_base = Rng(cfg.seed).split(0xBA7C)
 
     rows: list[EpochRow] = []
     timing: list[str] = []
-    best_valid = None
     best_score = None
     best_params = None
     has_valid = len(ds.valid_idx) > 0
@@ -127,8 +136,6 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
         valid_loss = valid_acc = None
         if has_valid:
             valid_loss, valid_acc = evaluate(model, ds, ds.valid_idx, np_dtype)
-            if best_valid is None or valid_loss < best_valid:
-                best_valid = valid_loss
         # "best" goes by validation loss, or train loss without a valid split
         score = valid_loss if has_valid else train_loss
         if best_score is None or score < best_score:
@@ -140,8 +147,7 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
 
     final_loss, final_acc = evaluate(model, ds, ds.train_idx, np_dtype)
     result = TrainResult(rows=rows, final_train_loss=final_loss,
-                         final_train_accuracy=final_acc,
-                         best_valid_loss=best_valid, model=model)
+                         final_train_accuracy=final_acc, model=model)
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -168,7 +174,6 @@ class AblateCell:
     shifts: tuple[int, ...]
     dim: int
     median_train_mse: float
-    median_valid_mse: float
     per_seed_train: list[float]
 
 
@@ -217,7 +222,7 @@ def ablate_run(cfg: AblateConfig, out_dir: str | Path | None = None) -> AblateRe
     for d in cfg.dims:
         n = cfg.input_dim or d
         for shifts in cfg.k_sets:
-            train_scores, valid_scores = [], []
+            train_scores = []
             for seed in cfg.seeds:
                 ds_seed = int(Rng(seed).split(d).seed)
                 spec = DatasetSpec(name="quadratic_target", options={
@@ -231,11 +236,9 @@ def ablate_run(cfg: AblateConfig, out_dir: str | Path | None = None) -> AblateRe
                                       dtype=cfg.dtype)
                 res = train_run(run_cfg, out_dir=None)
                 train_scores.append(res.final_train_loss)
-                valid_scores.append(res.rows[-1].valid_loss)
             cells.append(AblateCell(
                 shifts=shifts, dim=d,
                 median_train_mse=float(np.median(train_scores)),
-                median_valid_mse=float(np.median(valid_scores)),
                 per_seed_train=train_scores))
     result = AblateResult(cells=cells, k_sets=cfg.k_sets, dims=cfg.dims)
     if out_dir is not None:

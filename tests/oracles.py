@@ -28,6 +28,28 @@ def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def reduce_sum_sequential(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """Sum from a zero start, one scalar add at a time in index order.
+
+    axis=None sums the leading axis repeatedly until a scalar remains,
+    which is the package's documented order for a full reduction.
+    """
+    if axis is None:
+        out = a
+        while out.ndim:
+            out = reduce_sum_sequential(out, 0)
+        return out
+    moved = np.moveaxis(a, axis, 0)
+    cols = moved.reshape(moved.shape[0], int(np.prod(moved.shape[1:])))
+    out = np.zeros(cols.shape[1], dtype=a.dtype)
+    for c in range(cols.shape[1]):
+        acc = a.dtype.type(0)
+        for i in range(cols.shape[0]):
+            acc = acc + cols[i, c]
+        out[c] = acc
+    return out.reshape(moved.shape[1:])
+
+
 def naive_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Unstabilized softmax cross-entropy in extended precision."""
     z = logits.astype(np.longdouble)

@@ -325,6 +325,15 @@ PROBES = {
     "blobs-zero-classes": ("train", {**_TRAIN, "dataset": {"name": "blobs", "classes": 0}},
                            "got classes=0"),
     "gradcheck-no-families": ("gradcheck", {"families": []}, "families must name"),
+    # model widths that do not fit the dataset
+    "input-width": ("train", {**_TRAIN, "model": {"type": "qe_mlp", "layer_dims": [3, 2]},
+                              "dataset": {"name": "xor"}},
+                    "model input width 3 != dataset feature width 2"),
+    "label-width": ("train", _train(model__layer_dims=[4, 2]),
+                    "model output width 2 != dataset label width 3"),
+    "too-few-logits": ("train", {**_TRAIN, "model": {"type": "swiglu", "n": 2, "d": 2},
+                                 "dataset": {"name": "blobs", "classes": 3}},
+                       "model output width 2 < dataset class count 3"),
 }
 
 

@@ -33,7 +33,7 @@ class TestHeadlineNumbers:
 
 
 def test_disabled_enhancer_costs_nothing():
-    row = count_layer(init_qelayer(16, 16, (1,), seed=0, enhancer=False))
+    row = count_layer(init_qelayer(16, 16, (), seed=0))
     assert row.params_enhancer == 0
     assert row.flops_enhancer == 0
     assert row.k == 0

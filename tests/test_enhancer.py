@@ -126,7 +126,7 @@ class TestDenseLambdaOracle:
 class TestQEForward:
     def test_zero_lambda_reduces_to_linear_bitwise(self):
         enhanced = init_qelayer(4, 3, (1,), seed=11)
-        plain = init_qelayer(4, 3, (1,), seed=11, enhancer=False)
+        plain = init_qelayer(4, 3, (), seed=11)
         x = Rng(12).uniform(4, -1, 1)
         assert qe_forward(enhanced, x).tobytes() == qe_forward(plain, x).tobytes()
         np.testing.assert_allclose(qe_forward(enhanced, x), enhanced.W @ x + enhanced.b,
@@ -173,7 +173,7 @@ class TestQEForward:
 
     def test_layer_records_one_node_per_stage(self):
         enhanced = init_qelayer(4, 3, (1, -1), seed=0)
-        plain = init_qelayer(4, 3, (1, -1), seed=0, enhancer=False)
+        plain = init_qelayer(4, 3, (), seed=0)
         for layer, ops in ((enhanced, ["linear", "band_quadratic", "add_row"]),
                            (plain, ["linear", "add_row"])):
             tape = ag.Tape()
@@ -197,8 +197,8 @@ class TestQELayerValidation:
         QELayer(W=np.ones((3, 2)), b=np.zeros(3), lam=lam)
 
     def test_disabled_enhancer_skips_shift_check(self):
-        lam = BandLambda(d=1, shifts=(1,), values={1: np.zeros(1)})
-        layer = QELayer(W=np.ones((1, 3)), b=np.zeros(1), lam=lam, enhancer=False)
+        # a plain layer has no shifts, so d=1 is fine where shift 1 is not
+        layer = QELayer(W=np.ones((1, 3)), b=np.zeros(1), lam=BandLambda.zeros(1, ()))
         x = np.array([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(qe_forward(layer, x), layer.W @ x + layer.b)
 
@@ -332,7 +332,7 @@ class TestGradients:
 
     def test_zero_lambda_w_gradients_match_plain_bitwise(self):
         enhanced = init_qelayer(4, 3, (1,), seed=17)
-        plain = init_qelayer(4, 3, (1,), seed=17, enhancer=False)
+        plain = init_qelayer(4, 3, (), seed=17)
         x = Rng(18).uniform(8, -1, 1).reshape(2, 4)
         u = Rng(19).uniform(6, 0.5, 1.0).reshape(2, 3)
 

@@ -46,6 +46,19 @@ class TestMLPForward:
         layer = model.layers[0]
         np.testing.assert_allclose(model.forward(x), layer.W @ x + layer.b, atol=1e-14)
 
+    def test_masked_off_layer_is_plain(self):
+        # d=1 with shift 1 would be rejected for an enhanced layer; a plain
+        # layer takes no shifts, records no band node and owns no coupling
+        model = MLP(MLPConfig(layer_dims=(3, 1), shifts=(1,), enhancer=(False,),
+                              activation="identity", seed=2))
+        assert sorted(model.parameters()) == ["layers.0.W", "layers.0.b"]
+        x = Rng(3).uniform(6, -1, 1).reshape(2, 3)
+        tape = ag.Tape()
+        out = model.apply(tape, model.bind(tape), tape.const(x))
+        assert [node.op for node in tape.nodes if node.inputs] == ["linear", "add_row"]
+        layer = model.layers[0]
+        np.testing.assert_allclose(out.value, x @ layer.W.T + layer.b, atol=1e-15)
+
     def test_zero_input_zero_bias_relu_gives_zero_logits(self):
         cfg = MLPConfig(layer_dims=(4, 5, 3), activation="relu", seed=1)
         model = MLP(cfg)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quadenhance import tensor as T
 from quadenhance.errors import DimensionError
 
-from oracles import matmul_triple_loop
+from oracles import matmul_triple_loop, reduce_sum_sequential
 
 
 class TestMatmul:
@@ -133,6 +134,30 @@ class TestReductions:
     def test_invalid_axis(self):
         with pytest.raises(DimensionError):
             T.reduce_sum(np.zeros((2, 2)), axis=5)
+
+    @given(st.sampled_from([np.float32, np.float64]),
+           st.lists(st.integers(0, 20), min_size=1, max_size=3), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sum_matches_sequential_oracle(self, dtype, shape, data):
+        # extents 0 and 1, signed zeros, infinities and NaN included; an
+        # outer-axis add.reduce would sum pairwise and differ, e.g. on (18, 1)
+        special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+        moderate = st.floats(-10, 10, width=32)      # sums that round
+        finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
+        a = data.draw(hnp.arrays(dtype, shape, elements=st.one_of(special, moderate, finite)))
+        axis = data.draw(st.sampled_from([None, *range(-a.ndim, a.ndim)]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = T.reduce_sum(a, axis)
+            want = reduce_sum_sequential(a, axis)
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes()
+
+    def test_all_negative_zero_column_sums_to_positive_zero(self):
+        out = T.reduce_sum(np.full((3, 2), -0.0), axis=0)
+        assert not np.signbit(out).any()
 
     def test_argmax_last(self):
         assert T.argmax_last(np.array([0.2, 0.7, 0.1])) == 1
