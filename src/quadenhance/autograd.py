@@ -271,9 +271,14 @@ class Layer:
         return {k: tape.param(v, name=k) for k, v in self.parameters().items()}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Array-in, array-out evaluation over a throwaway tape."""
+        """Array-in, array-out evaluation over a throwaway tape.
+
+        The parameters bind as constants, so no node keeps a backward
+        closure or the activations it would hold.
+        """
         tape = Tape()
-        return self.apply(tape, self.bind(tape), tape.const(x)).value
+        bound = {k: tape.const(v) for k, v in self.parameters().items()}
+        return self.apply(tape, bound, tape.const(x)).value
 
 
 # ---------------------------------------------------------------------------

@@ -241,16 +241,21 @@ class Adam:
                 raise DimensionError(f"gradient shape {g.shape} != param shape {w.shape} for {name!r}")
             _check_finite(name, g)
             dt = w.dtype.type
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(w)
-                v = np.zeros_like(w)
-            m = dt(self.beta1) * m + dt(1 - self.beta1) * g
-            v = dt(self.beta2) * v + dt(1 - self.beta2) * (g * g)
-            self._m[name], self._v[name] = m, v
-            m_hat = m / dt(1 - self.beta1 ** t)
-            v_hat = v / dt(1 - self.beta2 ** t)
-            out[name] = w - dt(self.lr) * m_hat / (np.sqrt(v_hat) + dt(self.eps))
+            if name not in self._m:
+                self._m[name], self._v[name] = np.zeros_like(w), np.zeros_like(w)
+            # m and v update in place; each step below rounds as the
+            # expression w - lr * (m / c1) / (sqrt(v / c2) + eps) does
+            m, v, s = self._m[name], self._v[name], np.empty_like(w)
+            np.multiply(m, dt(self.beta1), out=m)
+            np.add(m, np.multiply(g, dt(1 - self.beta1), out=s), out=m)
+            np.multiply(v, dt(self.beta2), out=v)
+            np.multiply(g, g, out=s)
+            np.add(v, np.multiply(s, dt(1 - self.beta2), out=s), out=v)
+            np.sqrt(np.divide(v, dt(1 - self.beta2 ** t), out=s), out=s)
+            np.add(s, dt(self.eps), out=s)
+            step = np.divide(m, dt(1 - self.beta1 ** t))
+            np.multiply(step, dt(self.lr), out=step)
+            np.divide(step, s, out=step)
+            out[name] = np.subtract(w, step, out=step)
         return out
 

@@ -4,10 +4,16 @@ Values are plain C-contiguous numpy arrays in float32 or float64.
 ``matmul`` and ``reduce_sum`` fix their accumulation order: each adds in
 index order along the summed axis, so repeated runs and independently
 coded references agree bit for bit, not just within rounding noise (a
-naive triple loop reproduces ``matmul`` exactly).  The other kernels are
-single elementwise ufunc calls.  The differentiable layers also call
-numpy directly: activations, losses, and ``np.add.reduce`` in the bias
-and coupling gradients, which sums in numpy's own order.
+naive triple loop reproduces ``matmul`` exactly).  Neither loops over
+terms in Python.  ``matmul`` forms the products of a block of rows in
+one buffer and sums them along a strided axis, which numpy adds one term
+at a time in index order; a one-column right operand, whose summed axis
+would be the contiguous one that numpy sums pairwise, runs with its
+column doubled.  ``reduce_sum`` uses ``np.add.accumulate``, which is
+sequential on any axis.  The other kernels are single elementwise ufunc
+calls or slice copies.  The differentiable layers also call numpy
+directly: activations, losses, and ``np.add.reduce`` in the bias and
+coupling gradients, which sums in numpy's own order.
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ from .errors import DimensionError
 # config precision names and the numpy dtypes they select
 PRECISIONS = {"f32": np.float32, "f64": np.float64}
 
+# products per row block of matmul's scratch buffer
+_BLOCK_PRODUCTS = 1 << 17
+
 
 def _require_same_dtype(a: np.ndarray, b: np.ndarray, op: str) -> None:
     if a.dtype != b.dtype:
@@ -28,18 +37,32 @@ def _require_same_dtype(a: np.ndarray, b: np.ndarray, op: str) -> None:
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of a [r,c] and b [c,k] with sequential accumulation.
 
-    The sum over the contraction axis runs in index order, one rank-1
-    update per step, so every output element sees exactly the operation
-    sequence ``acc += a[i,j]*b[j,l]`` for j = 0..c-1.
+    Every output element is ``0 + a[i,0]*b[0,l] + a[i,1]*b[1,l] + ...``,
+    added in index order j = 0..c-1, as a scalar triple loop computes it.
+    Rows of ``a`` go in blocks of at most 2^17 products (or one row): the
+    block's entries, broadcast along k, are multiplied by ``b`` in one
+    buffer [rows, c, k], and ``np.add.reduce`` sums its middle axis.
+    numpy sums a strided axis one term at a time in index order (pairwise
+    summation applies only along the contiguous axis), so the order
+    holds.  A one-column ``b`` would make the summed axis the contiguous
+    one; it runs with its column doubled and the copy dropped afterwards.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
     _require_same_dtype(a, b, "matmul")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=a.dtype)
-    for j in range(a.shape[1]):
-        out += a[:, j : j + 1] * b[j]
+    (r, c), k = a.shape, b.shape[1]
+    if k == 1:
+        return matmul(a, np.repeat(b, 2, axis=1))[:, :1].copy()
+    out = np.empty((r, k), dtype=a.dtype)
+    rows = max(1, _BLOCK_PRODUCTS // max(c * k, 1))
+    buf = np.empty((min(rows, r), c, k), dtype=a.dtype)
+    for i in range(0, r, rows):
+        blk = buf[: min(rows, r - i)]
+        np.copyto(blk, a[i : i + rows, :, None])
+        np.multiply(blk, b, out=blk)
+        np.add.reduce(blk, axis=1, initial=0, out=out[i : i + rows])
     return out
 
 
@@ -95,7 +118,12 @@ def roll(y: np.ndarray, r: int) -> np.ndarray:
     """
     if y.ndim < 1 or y.shape[-1] < 1:
         raise DimensionError(f"roll needs a non-empty last axis, got {y.shape}")
-    return np.roll(y, -int(r), axis=-1)
+    d = y.shape[-1]
+    s = int(r) % d
+    out = np.empty_like(y)
+    out[..., : d - s] = y[..., s:]
+    out[..., d - s :] = y[..., :s]
+    return out
 
 
 def _sum_axis0(a: np.ndarray) -> np.ndarray:

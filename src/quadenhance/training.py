@@ -64,9 +64,7 @@ def _loss_and_grads(model, x, target, classification: bool):
 
 def evaluate(model, ds: data.Dataset, indices: np.ndarray, dtype) -> tuple[float, float | None]:
     """(loss, accuracy) over an index set; accuracy is None for regression."""
-    x = ds.features[indices].astype(dtype)
-    tape = ag.Tape()
-    out = model.apply(tape, model.bind(tape), tape.const(x))
+    out = ag.Tape().const(model.forward(ds.features[indices].astype(dtype)))
     if ds.is_classification:
         labels = ds.labels[indices]
         loss = ag.cross_entropy(out, labels)

@@ -1,17 +1,24 @@
 """Layer stacks, baselines, losses, optimizers."""
 
+import hashlib
 import inspect
 
 import numpy as np
 import pytest
 
 from quadenhance import autograd as ag
-from quadenhance import enhancer, models, training
+from quadenhance import datasets, enhancer, models, training
 from quadenhance.enhancer import BandLambda, QELayer, qe_forward
 from quadenhance.errors import ConfigError, DimensionError, NumericError
 from quadenhance.models import (MLP, MLPConfig, Adam, QuadraNetLayer, SGD,
                                 SwiGLULayer, mse)
 from quadenhance.rng import Rng
+
+# recorded with the allocating Adam (fresh m, v and temporaries each step)
+ADAM_DIGESTS = {
+    "f32": "02e1378051d60f989151cc40037d785a446f36222785e19211e9b1589f243d61",
+    "f64": "e73a23980e59018c0f2e2ef498baa613058c4ca5f680653b75e480da28247f15",
+}
 
 
 class TestMLPConfig:
@@ -81,6 +88,27 @@ class TestMLPForward:
 
         report = ag.gradcheck(f, params, step=1e-6, tol=1e-4)
         assert report.passed, report.lines()
+
+    def test_forward_and_evaluate_keep_no_backward_closures(self, monkeypatch):
+        """Forward-only passes bind parameters as constants: equal outputs,
+        and no node of their tapes holds a backward closure."""
+        tapes = []
+        init = ag.Tape.__init__
+
+        def recording_init(tape):
+            init(tape)
+            tapes.append(tape)
+
+        model = MLP(MLPConfig(layer_dims=(2, 5, 3), shifts=(1,), activation="relu", seed=6))
+        x = Rng(7).uniform(4, -1, 1).reshape(2, 2)
+        tape = ag.Tape()
+        want = model.apply(tape, model.bind(tape), tape.const(x)).value
+        monkeypatch.setattr(ag.Tape, "__init__", recording_init)
+        assert model.forward(x).tobytes() == want.tobytes()
+        ds = datasets.gen_blobs(classes=3, size=12, seed=8)
+        training.evaluate(model, ds, ds.train_idx, np.float64)
+        assert len(tapes) == 3      # forward; evaluate's forward and loss tapes
+        assert all(node.backward is None for t in tapes for node in t.nodes)
 
     def test_parameter_roundtrip(self):
         model = MLP(MLPConfig(layer_dims=(3, 4, 2), seed=0))
@@ -204,6 +232,32 @@ class TestLossesAndOptimizers:
         opt = SGD(lr=0.1)
         with pytest.raises(NumericError, match="spikes"):
             opt.step({"spikes": np.ones(2)}, {"spikes": np.array([1.0, np.nan])})
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_adam_five_steps_are_pinned(self, dtype):
+        """Five steps on two parameters land on pinned bits and leave the
+        arrays passed in untouched.  The gradients are f64, so the f32 set's
+        go through Adam's cast; their scale moves 10x per step, so the moments
+        and the bias corrections both matter."""
+        np_dtype = np.dtype(np.float32 if dtype == "f32" else np.float64)
+        rng = Rng(31)
+        params = {"W": rng.split(0).uniform(12, -1, 1).reshape(3, 4).astype(np_dtype),
+                  "b": rng.split(1).uniform(5, -0.5, 0.5).astype(np_dtype)}
+        opt = Adam(lr=0.01)
+        for step in range(5):
+            grads = {name: rng.split(10 + 2 * step + j).uniform(w.size, -1, 1).reshape(w.shape)
+                     * 10.0 ** (step - 2) for j, (name, w) in enumerate(params.items())}
+            before = {k: w.copy() for k, w in params.items()}
+            new = opt.step(params, grads)
+            for k, w in params.items():
+                assert w.tobytes() == before[k].tobytes()
+                assert new[k].dtype == np_dtype and new[k].shape == w.shape
+            params = new
+        h = hashlib.sha256()
+        for name, arr in sorted(params.items()):
+            h.update(name.encode())
+            h.update(arr.tobytes())
+        assert h.hexdigest() == ADAM_DIGESTS[dtype]
 
     def test_adam_hyperparameter_validation(self):
         with pytest.raises(ConfigError):

@@ -11,6 +11,15 @@ from quadenhance.errors import DimensionError
 from oracles import matmul_triple_loop, reduce_sum_sequential
 
 
+def _assert_same_bits(got, want):
+    """0 ulp: same dtype, shape and bytes, NaN wherever the reference has one."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes()
+
+
 class TestMatmul:
     def test_identity(self):
         v = np.array([[3.0], [4.0]])
@@ -37,14 +46,60 @@ class TestMatmul:
         b = rng.normal(size=(9, 4))
         assert T.matmul(a, b).tobytes() == T.matmul(a, b).tobytes()
 
-    @given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9),
-           st.integers(0, 2**32 - 1))
+    @given(st.sampled_from([np.float32, np.float64]), st.integers(0, 40),
+           st.integers(0, 40), st.integers(0, 40), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_triple_loop_equivalence_all_shapes(self, r, c, k, seed):
+    def test_triple_loop_equivalence_all_shapes(self, dtype, r, c, k, seed):
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=(r, c))
-        b = rng.normal(size=(c, k))
-        assert T.matmul(a, b).tobytes() == matmul_triple_loop(a, b).tobytes()
+        a = rng.normal(size=(r, c)).astype(dtype)
+        b = rng.normal(size=(c, k)).astype(dtype)
+        _assert_same_bits(T.matmul(a, b), matmul_triple_loop(a, b))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [8, 9, 16, 33])
+    def test_one_column_sums_in_index_order(self, dtype, c):
+        # with one output column the summed axis is the contiguous one, where
+        # numpy's own reduction sums pairwise from 8 terms on
+        rng = np.random.default_rng(c)
+        a = (rng.normal(size=(5, c)) * 10.0 ** rng.integers(-4, 5, size=c)).astype(dtype)
+        b = rng.normal(size=(c, 1)).astype(dtype)
+        _assert_same_bits(T.matmul(a, b), matmul_triple_loop(a, b))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 12, 7), (1, 40, 1), (4, 0, 3), (0, 5, 3), (3, 5, 0)])
+    def test_degenerate_extents(self, dtype, shape):
+        r, c, k = shape
+        rng = np.random.default_rng(r * 100 + c * 10 + k)
+        a = rng.normal(size=(r, c)).astype(dtype)
+        b = rng.normal(size=(c, k)).astype(dtype)
+        _assert_same_bits(T.matmul(a, b), matmul_triple_loop(a, b))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_signed_zeros_infinities_and_nan(self, dtype, k):
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(6, 10)).astype(dtype)
+        b = rng.normal(size=(10, k)).astype(dtype)
+        a[0] = -0.0                      # every product -0.0 or +0.0: sums to +0.0
+        b[:, 0] = np.abs(b[:, 0])
+        a[1, 3] = np.inf                 # inf + finite terms
+        a[2, 4], a[2, 6] = np.inf, -np.inf   # inf - inf = nan
+        a[3, 0] = np.nan
+        b[7] = 0.0                       # inf * 0 = nan only in row 4
+        a[4, 7] = np.inf
+        with np.errstate(invalid="ignore"):
+            got, want = T.matmul(a, b), matmul_triple_loop(a, b)
+        assert not np.signbit(got[0]).any()
+        _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_contiguous_left_operand(self, dtype):
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=(20, 24)).astype(dtype)
+        b = rng.normal(size=(12, 9)).astype(dtype)
+        for a in (base[::2, ::2], base[:12, :12].T, np.asfortranarray(base[:7, :12])):
+            assert not a.flags.c_contiguous
+            _assert_same_bits(T.matmul(a, b), matmul_triple_loop(a, b))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
