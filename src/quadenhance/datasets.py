@@ -13,6 +13,7 @@ format (magic 0x00000803 / 0x00000801).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -156,8 +157,11 @@ def gen_circles(classes: int = 2, size: int = 200, noise: float = 0.1, seed: int
 def load_csv(path: str, label_column: int | str, has_header: bool = True,
              classification: bool = True, valid_fraction: float = 0.2) -> Dataset:
     """Numeric CSV with one label column (by index, or by name with a header)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not lines:
         raise DataError(f"{path}: empty file")
     start = 0
@@ -183,6 +187,8 @@ def load_csv(path: str, label_column: int | str, has_header: bool = True,
             vals = [float(c) for c in cells]
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
+        if not all(map(math.isfinite, vals)):
+            raise DataError(f"{path}:{lineno}: non-finite cell")
         labels.append(vals.pop(label_idx))
         rows.append(vals)
     widths = {len(r) for r in rows}

@@ -10,6 +10,15 @@ reproducible from the seed alone.
 The heavy square tails versus thin cross tails are the numerical reason
 self-coupling (shift 0) is excluded from the quadratic enhancer by
 default.
+
+Memory is O(chunk), not O(samples): samples are drawn and counted
+``_CHUNK`` at a time, and since each sample depends only on (seed, index)
+the chunk size cannot change a result.  At 2^14 samples a chunk's arrays
+(raw draws, uniforms, the normal pair, squares, cross products) peak at
+1.7 MB under tracemalloc, inside a 2 MB per-core L2.  On a 2-vCPU Xeon,
+2M samples took ~180 ms at 2^13 and 2^14, ~190-220 ms at 2^15 and 2^16,
+and ~310-360 ms at 10^6 (a 96 MB peak); 2^14 needs half the Python
+iterations of 2^13.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from scipy import integrate, special
 
 from .rng import Rng
 
-_CHUNK = 1_000_000
+_CHUNK = 1 << 14
 _TWO_NEG_53 = 2.0 ** -53
 
 

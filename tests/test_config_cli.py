@@ -98,6 +98,20 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"instances": 2, "families": ["qe_layer"]}))
         assert main(["gradcheck", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("body,message", [
+        (b"x1,x2,y\n0,1,0\n\xe9,0,1\n", "not UTF-8"),         # Latin-1
+        ("x1,x2,y\n0,1,0\n".encode("utf-16"), "not UTF-8"),      # \xff\xfe BOM
+        (b"x1,x2,y\n0,1,0\n1,nan,1\n", "d.csv:3: non-finite cell"),
+        (b"x1,x2,y\n0,-inf,0\n1,0,1\n", "d.csv:2: non-finite cell"),
+    ], ids=["latin-1", "utf-16-bom", "nan", "-inf"])
+    def test_unreadable_csv_is_io_error(self, tmp_path, capsys, body, message):
+        (tmp_path / "d.csv").write_bytes(body)
+        cfg = {**_TRAIN, "model": {"type": "qe_mlp", "layer_dims": [2, 2]},
+               "dataset": {"name": "csv", "path": str(tmp_path / "d.csv"), "label_column": "y"}}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]) == 3
+        assert message in capsys.readouterr().err
+
     def test_cost_unknown_preset(self, tmp_path):
         assert main(["cost", "--preset", "nope", "--out", str(tmp_path)]) == 2
 

@@ -1,10 +1,15 @@
 """Tail-probability estimator and its two analytic cross-checks."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
+import pytest
 from scipy import special
 
-from quadenhance.montecarlo import (TailRow, cross_tail_integral, format_table,
-                                    rows_to_csv, run_montecarlo,
+import quadenhance.montecarlo as mc
+from quadenhance.montecarlo import (TailRow, _normal_pairs, cross_tail_integral,
+                                    format_table, rows_to_csv, run_montecarlo,
                                     square_tail_analytic)
 
 
@@ -73,7 +78,6 @@ def test_ten_million_sample_run_within_three_sigma_of_oracles():
 
 def test_chunking_invariant():
     """Estimates must not depend on internal chunk boundaries."""
-    import quadenhance.montecarlo as mc
     rows_big = run_montecarlo([4.0], samples=150_000, seed=3)
     old = mc._CHUNK
     try:
@@ -83,3 +87,61 @@ def test_chunking_invariant():
         mc._CHUNK = old
     assert rows_big[0].square_hits == rows_small[0].square_hits
     assert rows_big[0].cross_hits == rows_small[0].cross_hits
+
+
+def test_chunking_invariant_single_chunk_against_many(monkeypatch):
+    """One chunk holding every sample counts the same hits as many chunks."""
+    monkeypatch.setattr(mc, "_CHUNK", 150_000)
+    rows_one = run_montecarlo([1.0, 4.0], samples=150_000, seed=3)
+    monkeypatch.setattr(mc, "_CHUNK", 4097)
+    rows_many = run_montecarlo([1.0, 4.0], samples=150_000, seed=3)
+    assert rows_one == rows_many
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**63 + 5])
+@pytest.mark.parametrize("start", [0, 11])
+def test_normal_pairs_depend_only_on_seed_and_index(seed, start):
+    """Pieces of any size concatenate to the bits of one call over the range.
+
+    The sizes put different samples into the SIMD tails of log, cos and sin.
+    """
+    sizes = [1, 7, 8, 9, 4097, 16385]
+    whole = _normal_pairs(seed, start, sum(sizes))
+    pieces, at = [], start
+    for m in sizes:
+        pieces.append(_normal_pairs(seed, at, m))
+        at += m
+    for axis in (0, 1):
+        joined = np.concatenate([p[axis] for p in pieces])
+        assert joined.tobytes() == whole[axis].tobytes()
+
+
+def _traced_peak(samples):
+    tracemalloc.start()
+    try:
+        run_montecarlo((4, 8, 16), samples, 7)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_set_does_not_grow_with_samples():
+    """Samples are drawn and counted a chunk at a time: peak memory is
+    a few MB and the same for 200k and 2M samples."""
+    small, large = _traced_peak(200_000), _traced_peak(2_000_000)
+    assert large < 8e6
+    assert abs(large - small) <= 0.1 * small
+
+
+# SHA-256 of rows_to_csv, recorded when the study drew 10^6 samples per chunk
+GOLDEN_CSV = [
+    ((4, 8, 16), 2_000_000, 7, "c052a694d510a7f1b902dce114b85e4dc9d5582c1beefd1f9bc422e1c9cb52d6"),
+    ((1, 2.5), 16385, 3, "7018d419614136d74e473543e6264579dfb93cfddd1535a8d1e28a2e82fc6299"),
+    ((4, 8, 16), 1, 0, "3dd08963a7895a874e6b8a4a81e8cfb571429cecd04482496d4bffb1f8089c29"),
+]
+
+
+@pytest.mark.parametrize("v_list,samples,seed,digest", GOLDEN_CSV)
+def test_golden_csv(v_list, samples, seed, digest):
+    csv = rows_to_csv(run_montecarlo(v_list, samples, seed))
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
