@@ -125,14 +125,13 @@ class Tape:
 def linear(x: Variable, w: Variable) -> Variable:
     """x @ W^T for x [batch, n] and W [d, n], as one node."""
     xv, wv, need_gx = x.value, w.value, x.requires_grad
-    # the contiguous copy of W^T keeps the kernel's row reads fast
-    out = T.matmul(xv, T.transpose(wv))
+    out = T.matmul(xv, wv.T)
 
     def bwd(g):
         # a constant input (layer 0's batch) needs no gradient, so skip its GEMM;
         # the closure holds no Variable, which would tie the tape into a cycle
         gx = T.matmul(g, wv) if need_gx else None
-        return (gx, T.matmul(T.transpose(g), xv))
+        return (gx, T.matmul(g.T, xv))
 
     return x.tape.record("linear", (x, w), out, bwd)
 
@@ -321,7 +320,7 @@ class GradCheckReport:
 
 
 def gradcheck(f, params: dict[str, np.ndarray], step: float = 1e-6,
-              tol: float = 1e-4, fd_dtype=None) -> GradCheckReport:
+              tol: float = 1e-4) -> GradCheckReport:
     """Compare tape gradients of a scalar function against central differences.
 
     ``f(tape, bound)`` must build and return a scalar Variable from the
@@ -330,11 +329,10 @@ def gradcheck(f, params: dict[str, np.ndarray], step: float = 1e-6,
     (f(w+h) - f(w-h)) / 2h and reports the relative error
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
 
-    ``fd_dtype`` optionally runs the difference quotients at a different
-    precision than the analytic pass: checking a float32 network against
-    a float64 oracle evaluates the same function at the exact same point
-    (float32 values lift to float64 losslessly) without the difference
-    quotient drowning in single-precision rounding noise.
+    The difference quotients always run in float64, whatever the dtype of
+    the analytic pass: float32 parameters lift to float64 losslessly, so
+    both evaluate the same function at the same point, and a float32
+    quotient with a step of 1e-6 would be single-precision rounding noise.
     """
     analytic_tape = Tape()
     bound = {k: analytic_tape.param(v, name=k) for k, v in params.items()}
@@ -343,7 +341,7 @@ def gradcheck(f, params: dict[str, np.ndarray], step: float = 1e-6,
         raise UsageError("gradcheck target must be scalar-valued")
     grads = analytic_tape.backward(loss)
 
-    work = {k: np.array(v, copy=True, dtype=fd_dtype or v.dtype) for k, v in params.items()}
+    work = {k: np.array(v, copy=True, dtype=np.float64) for k, v in params.items()}
 
     def evaluate() -> float:
         tape = Tape()

@@ -234,8 +234,7 @@ def gradcheck_families(cfg: GradcheckConfig) -> list[FamilyResult]:
         for i in range(cfg.instances):
             inst_seed = int(base.split(FAMILIES.index(family) * 1_000_003 + i).seed)
             params, f = _family_instance(family, inst_seed, cfg.precision)
-            report = ag.gradcheck(f, params, step=cfg.step, tol=cfg.tol,
-                                  fd_dtype=np.float64)
+            report = ag.gradcheck(f, params, step=cfg.step, tol=cfg.tol)
             if report.max_rel_err > worst:
                 worst = report.max_rel_err
                 worst_param = report.worst().name

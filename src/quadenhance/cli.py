@@ -1,7 +1,8 @@
 """Command-line harness.
 
-    quadenhance <gradcheck|oracle-equiv|montecarlo|cost|train|ablate-k>
+    quadenhance <gradcheck|oracle-equiv|montecarlo|train|ablate-k>
                 [--config PATH] [--seed N] [--out DIR]
+    quadenhance cost (--preset NAME | --config PATH) [--out DIR]
 
 Config files are JSON with strictly validated keys; --seed overrides the
 config seed, --out picks the output directory (default runs/<command>).
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from .checkpoint import write_atomic
 from .checks import gradcheck_families, oracle_chain_sweep
-from .config import (AblateConfig, CostConfig, GradcheckConfig, ModelSpec,
+from .config import (COST_PRESETS, AblateConfig, CostConfig, GradcheckConfig,
                      MonteCarloConfig, OracleEquivConfig, TrainConfig, load_json)
 from .cost import count_model
 from .errors import ConfigError, DataError, NumericError, QuadEnhanceError
@@ -29,16 +30,6 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-COST_PRESETS = {
-    # single enhanced projection at the width discussed in the overhead analysis
-    "layer-192": ModelSpec(kind="qe_mlp", options={
-        "layer_dims": (192, 192), "activation": "identity", "shifts": (1,)}),
-    # six blocks of 192 -> 768 -> 192 projections, every one enhanced
-    "vit-m-ffn": ModelSpec(kind="qe_mlp", options={
-        "layer_dims": (192,) + (768, 192) * 6, "activation": "gelu", "shifts": (1,)}),
-}
-
 
 def _out_dir(args, command: str) -> Path:
     out = Path(args.out) if args.out else Path("runs") / command
@@ -104,14 +95,9 @@ def cmd_montecarlo(args) -> int:
 def cmd_cost(args) -> int:
     if (args.config is None) == (args.preset is None):
         raise ConfigError("cost needs exactly one of --config and --preset")
-    preset = args.preset
-    if args.config is not None:
-        cfg = CostConfig.from_dict(load_json(args.config))
-        preset, spec = cfg.preset, cfg.model
-    if preset is not None:
-        if preset not in COST_PRESETS:
-            raise ConfigError(f"unknown preset {preset!r} (choose from {sorted(COST_PRESETS)})")
-        spec = COST_PRESETS[preset]
+    cfg = (CostConfig(preset=args.preset) if args.config is None
+           else CostConfig.from_dict(load_json(args.config)))
+    spec = cfg.model if cfg.preset is None else COST_PRESETS[cfg.preset]
     model = build_model(spec, seed=0, dtype="f64")
     report = count_model(model)
     print(report.format_table())
@@ -162,11 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", type=str, default=None, help="output directory")
         if extra.get("preset"):
+            # cost builds its model at seed 0 and has no seed to override
             p.add_argument("--preset", type=str, default=None,
                            help=f"named preset: {', '.join(sorted(COST_PRESETS))}")
+        else:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--out", type=str, default=None, help="output directory")
         p.set_defaults(fn=fn)
     return parser
 

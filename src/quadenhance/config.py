@@ -275,14 +275,29 @@ class MonteCarloConfig:
         return _parse(cls, d, where)
 
 
+COST_PRESETS = {
+    # single enhanced projection at the width discussed in the overhead analysis
+    "layer-192": ModelSpec(kind="qe_mlp", options={
+        "layer_dims": (192, 192), "activation": "identity", "shifts": (1,)}),
+    # six blocks of 192 -> 768 -> 192 projections, every one enhanced
+    "vit-m-ffn": ModelSpec(kind="qe_mlp", options={
+        "layer_dims": (192,) + (768, 192) * 6, "activation": "gelu", "shifts": (1,)}),
+}
+
+
 @dataclass(frozen=True)
 class CostConfig:
+    """A model to account for: a named ``COST_PRESETS`` entry or a full spec."""
+
     preset: str | None = None
     model: ModelSpec | None = None
 
     def __post_init__(self):
         if (self.preset is None) == (self.model is None):
             raise ConfigError("cost: give exactly one of 'preset' or 'model'")
+        if self.preset is not None and self.preset not in COST_PRESETS:
+            raise ConfigError(f"cost: unknown preset {self.preset!r} "
+                              f"(choose from {sorted(COST_PRESETS)})")
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "cost") -> "CostConfig":

@@ -10,8 +10,10 @@ outputs and k active shifts the closed forms are
 
 so the relative overheads are k*d / n*d and 2(k+1)d / (2nd + d), both
 O(k/n).  Every formula count is cross-checked against an enumeration of
-the scalars actually stored; ratios are exact rationals derived from the
-integer fields, never re-measured.
+the scalars actually stored, split included: the linear share against
+the stored weights and bias, the row total against every stored
+parameter.  Ratios are exact rationals derived from the integer fields,
+never re-measured.
 
 The headline parameter ratio uses the weight-only denominator n*d; the
 bias is reported separately (see the report footer).
@@ -113,12 +115,8 @@ class AccountingError(AssertionError):
     """Formula count disagrees with the enumerated stored scalars."""
 
 
-def _enumerated_params(layer) -> int:
-    return sum(v.size for v in layer.parameters().values())
-
-
 def count_layer(layer, name: str | None = None) -> LayerCost:
-    """Cost row for one layer, formula counts verified by enumeration."""
+    """Cost row for one layer, formula counts and split verified by enumeration."""
     if isinstance(layer, QELayer):
         n, d, k = layer.n, layer.d, layer.k
         row = LayerCost(
@@ -150,29 +148,17 @@ def count_layer(layer, name: str | None = None) -> LayerCost:
         )
     else:
         raise DimensionError(f"cannot account for layer of type {type(layer).__name__}")
-    enumerated = _enumerated_params(layer)
-    if row.params_linear + row.params_enhancer != enumerated:
+    total = sum(v.size for v in layer.parameters().values())
+    # only an enhanced layer stores scalars outside its linear map
+    linear = layer.W.size + layer.b.size if isinstance(layer, QELayer) else total
+    if (row.params_linear, row.params_enhancer) != (linear, total - linear):
         raise AccountingError(
-            f"{row.name}: formula count {row.params_linear + row.params_enhancer} "
-            f"!= enumerated {enumerated}")
+            f"{row.name}: formula split {row.params_linear} linear + {row.params_enhancer} "
+            f"enhancer != enumerated {linear} + {total - linear}")
     return row
 
 
 def count_model(model) -> CostReport:
-    """Summed cost rows; the enhancer total is re-derived by enumeration.
-
-    For an MLP the enumeration compares against the same stack with every
-    enhancer disabled, asserting that the enhancer surcharge is exactly
-    the difference in stored scalars.
-    """
-    if isinstance(model, MLP):
-        rows = [count_layer(layer) for layer in model.layers]
-        report = CostReport(rows=rows)
-        baseline = MLP(model.config.plain())
-        diff = (sum(v.size for v in model.parameters().values())
-                - sum(v.size for v in baseline.parameters().values()))
-        if diff != report.total_params_enhancer:
-            raise AccountingError(
-                f"enhancer surcharge {report.total_params_enhancer} != enumerated delta {diff}")
-        return report
-    return CostReport(rows=[count_layer(model)])
+    """One verified ``count_layer`` row per layer of an MLP, or one for a single layer."""
+    return CostReport(rows=[count_layer(layer) for layer in
+                            (model.layers if isinstance(model, MLP) else [model])])

@@ -71,6 +71,9 @@ class BandLambda:
                 raise ConfigError(f"missing coefficient vector for shift {r}")
             if vec.shape != (self.d,):
                 raise DimensionError(f"shift {r}: vector shape {vec.shape} != ({self.d},)")
+        extra = set(self.values) - set(self.shifts)
+        if extra:
+            raise ConfigError(f"coefficient vectors for shifts {sorted(extra)} not in {self.shifts}")
 
     @classmethod
     def zeros(cls, d: int, shifts, dtype=np.float64, allow_square_terms: bool = False) -> "BandLambda":

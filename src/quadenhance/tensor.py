@@ -1,6 +1,8 @@
 """Dense tensor kernels with bit-reproducible semantics.
 
-Values are plain C-contiguous numpy arrays in float32 or float64.
+Values are plain numpy arrays in float32 or float64, in any memory
+layout: the kernels take transposed views and slices as they are, and
+only ``matmul`` copies an operand, its right one, into C order.
 ``matmul`` and ``reduce_sum`` fix their accumulation order: each adds in
 index order along the summed axis, so repeated runs and independently
 coded references agree bit for bit, not just within rounding noise (a
@@ -46,6 +48,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     summation applies only along the contiguous axis), so the order
     holds.  A one-column ``b`` would make the summed axis the contiguous
     one; it runs with its column doubled and the copy dropped afterwards.
+
+    ``b`` is copied into C order first: the multiply pass reads it row by
+    row for every row of ``a`` (x W^T at f32 32x768x192, 2-vCPU Xeon:
+    9.2 ms for a strided W^T, 3.7 ms with the copy).  A strided ``a``
+    costs nothing, as only the copy into the buffer reads it.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
@@ -55,6 +62,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (r, c), k = a.shape, b.shape[1]
     if k == 1:
         return matmul(a, np.repeat(b, 2, axis=1))[:, :1].copy()
+    b = np.ascontiguousarray(b)
     out = np.empty((r, k), dtype=a.dtype)
     rows = max(1, _BLOCK_PRODUCTS // max(c * k, 1))
     buf = np.empty((min(rows, r), c, k), dtype=a.dtype)
@@ -64,12 +72,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.multiply(blk, b, out=blk)
         np.add.reduce(blk, axis=1, initial=0, out=out[i : i + rows])
     return out
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    if a.ndim != 2:
-        raise DimensionError(f"transpose needs a matrix, got shape {a.shape}")
-    return np.ascontiguousarray(a.T)
 
 
 def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:

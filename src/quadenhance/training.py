@@ -57,7 +57,7 @@ def _loss_and_grads(model, x, target, classification: bool):
     out = model.apply(tape, bound, tape.const(x))
     loss = ag.cross_entropy(out, target) if classification else mse(out, target)
     grads = tape.backward(loss)
-    named = {name: grads.get(var.node_id, np.zeros_like(var.value))
+    named = {name: grads[var.node_id] if var.node_id in grads else np.zeros_like(var.value)
              for name, var in bound.items()}
     return float(loss.value), named
 

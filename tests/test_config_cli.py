@@ -115,6 +115,17 @@ class TestExitCodes:
     def test_cost_unknown_preset(self, tmp_path):
         assert main(["cost", "--preset", "nope", "--out", str(tmp_path)]) == 2
 
+    def test_cost_config_in_code_rejects_unknown_preset(self):
+        with pytest.raises(ConfigError, match="unknown preset 'nope'.*layer-192.*vit-m-ffn"):
+            CostConfig(preset="nope")
+
+    def test_cost_takes_no_seed(self, tmp_path, capsys):
+        # cost builds its model at seed 0; a seed flag would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["cost", "--preset", "layer-192", "--seed", "123", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_cost_preset_and_config_together_is_config_error(self, tmp_path):
         # the config need not exist: giving both is refused before any read
         assert main(["cost", "--preset", "layer-192", "--config", str(tmp_path / "missing.json"),

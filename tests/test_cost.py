@@ -4,7 +4,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from quadenhance.cost import CostReport, count_layer, count_model
+import numpy as np
+import pytest
+
+from quadenhance.cost import AccountingError, CostReport, count_layer, count_model
 from quadenhance.enhancer import init_qelayer
 from quadenhance.models import MLP, MLPConfig, QuadraNetLayer, SwiGLULayer
 
@@ -100,6 +103,15 @@ def test_formula_equals_enumeration(n, d, shifts):
     enumerated = sum(v.size for v in layer.parameters().values())
     assert row.params_linear + row.params_enhancer == enumerated
     assert row.params_enhancer == len(shifts) * d
+
+
+def test_wrong_split_with_right_total_is_caught():
+    # one scalar moved from the coupling vector to the bias: the total still
+    # matches n*d + d + k*d, the linear share does not
+    layer = init_qelayer(6, 4, (1,), seed=0)
+    layer.load_parameters({"W": layer.W, "b": np.zeros(5), "lam[1]": np.zeros(3)})
+    with pytest.raises(AccountingError, match="split"):
+        count_layer(layer)
 
 
 def test_csv_and_table_render():

@@ -40,6 +40,12 @@ class TestBandLambda:
         with pytest.raises(DimensionError):
             BandLambda(d=3, shifts=(1,), values={1: np.zeros(4)})
 
+    def test_rejects_vector_for_absent_shift(self):
+        # apply_lambda and parameters() read only the listed shifts, so a
+        # vector for shift 2 would be dropped without a word
+        with pytest.raises(ConfigError, match=r"shifts \[2\]"):
+            BandLambda(d=4, shifts=(1,), values={1: np.ones(4), 2: np.ones(4)})
+
 
 class TestApplyLambda:
     def test_empty_shift_set_is_zero(self):

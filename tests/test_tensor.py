@@ -100,6 +100,13 @@ class TestMatmul:
         for a in (base[::2, ::2], base[:12, :12].T, np.asfortranarray(base[:7, :12])):
             assert not a.flags.c_contiguous
             _assert_same_bits(T.matmul(a, b), matmul_triple_loop(a, b))
+        # right operands too: a W^T view as linear passes it, a slice, Fortran
+        # order, and a strided single column (the k = 1 path)
+        a, wide = base[:7, :12], rng.normal(size=(24, 18)).astype(dtype)
+        for b in (base[:9, :12].T, wide[::2, ::2], np.asfortranarray(wide[:12, :5]),
+                  wide[::2, 3:4]):
+            assert not b.flags.c_contiguous
+            _assert_same_bits(T.matmul(a, b), matmul_triple_loop(a, b))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
