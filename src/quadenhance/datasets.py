@@ -14,6 +14,8 @@ format (magic 0x00000803 / 0x00000801).
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -211,6 +213,14 @@ def load_csv(path: str, label_column: int | str, has_header: bool = True,
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:
+    # a regular file is checked against its size first, so that a header
+    # extent it cannot hold never reaches read() as a byte count; a pipe has
+    # no size and is only checked after the read
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        have = max(st.st_size - fh.tell(), 0)
+        if count > have:
+            raise DataError(f"{path}: truncated {what}: expected {count} bytes, got {have}")
     data = fh.read(count)
     if len(data) != count:
         raise DataError(f"{path}: truncated {what}: expected {count} bytes, got {len(data)}")

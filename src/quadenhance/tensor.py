@@ -7,15 +7,14 @@ only ``matmul`` copies an operand, its right one, into C order.
 index order along the summed axis, so repeated runs and independently
 coded references agree bit for bit, not just within rounding noise (a
 naive triple loop reproduces ``matmul`` exactly).  Neither loops over
-terms in Python.  ``matmul`` forms the products of a block of rows in
-one buffer and sums them along a strided axis, which numpy adds one term
-at a time in index order; a one-column right operand, whose summed axis
-would be the contiguous one that numpy sums pairwise, runs with its
-column doubled.  ``reduce_sum`` uses ``np.add.accumulate``, which is
-sequential on any axis.  The other kernels are single elementwise ufunc
-calls or slice copies.  The differentiable layers also call numpy
-directly: activations, losses, and ``np.add.reduce`` in the bias and
-coupling gradients, which sums in numpy's own order.
+terms in Python.  ``matmul`` runs on numpy's einsum kernel where an
+import-time probe finds that it sums in that order, else on ordered
+``np.add.reduce`` sums over row blocks of products.  ``reduce_sum`` uses
+``np.add.accumulate``, which is sequential on any axis.  The other
+kernels are single elementwise ufunc calls or slice copies.  The
+differentiable layers also call numpy directly: activations, losses, and
+``np.add.reduce`` in the bias and coupling gradients, which sums in
+numpy's own order.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .errors import DimensionError
 # config precision names and the numpy dtypes they select
 PRECISIONS = {"f32": np.float32, "f64": np.float64}
 
-# products per row block of matmul's scratch buffer
+# products per row block of the fallback matmul's scratch buffer
 _BLOCK_PRODUCTS = 1 << 17
 
 
@@ -36,33 +35,17 @@ def _require_same_dtype(a: np.ndarray, b: np.ndarray, op: str) -> None:
         raise DimensionError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of a [r,c] and b [c,k] with sequential accumulation.
+def _einsum_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # k has unit stride in the C-order b and out, so numpy's iterator makes it
+    # the inner loop; optimize=False keeps the product away from BLAS
+    out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
+    return np.einsum("ij,jk->ik", a, b, out=out, optimize=False)
 
-    Every output element is ``0 + a[i,0]*b[0,l] + a[i,1]*b[1,l] + ...``,
-    added in index order j = 0..c-1, as a scalar triple loop computes it.
-    Rows of ``a`` go in blocks of at most 2^17 products (or one row): the
-    block's entries, broadcast along k, are multiplied by ``b`` in one
-    buffer [rows, c, k], and ``np.add.reduce`` sums its middle axis.
-    numpy sums a strided axis one term at a time in index order (pairwise
-    summation applies only along the contiguous axis), so the order
-    holds.  A one-column ``b`` would make the summed axis the contiguous
-    one; it runs with its column doubled and the copy dropped afterwards.
 
-    ``b`` is copied into C order first: the multiply pass reads it row by
-    row for every row of ``a`` (x W^T at f32 32x768x192, 2-vCPU Xeon:
-    9.2 ms for a strided W^T, 3.7 ms with the copy).  A strided ``a``
-    costs nothing, as only the copy into the buffer reads it.
-    """
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
-    _require_same_dtype(a, b, "matmul")
+def _rowblock_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the products of a block of rows go into one buffer [rows, c, k] whose
+    # strided middle axis np.add.reduce sums one term at a time in index order
     (r, c), k = a.shape, b.shape[1]
-    if k == 1:
-        return matmul(a, np.repeat(b, 2, axis=1))[:, :1].copy()
-    b = np.ascontiguousarray(b)
     out = np.empty((r, k), dtype=a.dtype)
     rows = max(1, _BLOCK_PRODUCTS // max(c * k, 1))
     buf = np.empty((min(rows, r), c, k), dtype=a.dtype)
@@ -72,6 +55,71 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.multiply(blk, b, out=blk)
         np.add.reduce(blk, axis=1, initial=0, out=out[i : i + rows])
     return out
+
+
+def _probe_operands(dtype) -> tuple[np.ndarray, np.ndarray]:
+    """a [3, 17] and b [17, 67] whose product bits betray a non-sequential sum.
+
+    All columns of b are equal, so a kernel's SIMD body and scalar tail
+    see each case.  Row 0 is 0 - fl(x*y) + x*y: +0.0 in order, but
+    x*y - fl(x*y) under a fused multiply-add.  Row 1 is
+    1 + eps/2 + ... + eps/2: 1 in order, more once two halves are added
+    first.  Row 2 has only -0.0 products: +0.0 only from a 0 start.
+    """
+    eps = np.finfo(dtype).eps
+    x, y = dtype(1 + 3 * eps), dtype(1 + 5 * eps)
+    b = np.ones((17, 67), dtype=dtype)
+    b[0], b[1] = -(x * y), y
+    a = np.zeros((3, 17), dtype=dtype)
+    a[0, :2] = 1, x
+    a[1, 2], a[1, 3:] = 1, eps / 2
+    a[2, 1:] = -0.0
+    return a, b
+
+
+def _sums_in_order(kernel) -> bool:
+    """Whether ``kernel`` gives the row-block path's bits on both probe instances."""
+    for dtype in PRECISIONS.values():
+        a, b = _probe_operands(dtype)
+        if kernel(a, b).tobytes() != _rowblock_matmul(a, b).tobytes():
+            return False
+    return True
+
+
+# chosen once per process from the numpy build; no setting selects it
+_kernel = _einsum_matmul if _sums_in_order(_einsum_matmul) else _rowblock_matmul
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of a [r,c] and b [c,k] with sequential accumulation.
+
+    Every output element is ``0 + a[i,0]*b[0,l] + a[i,1]*b[1,l] + ...``,
+    added in index order j = 0..c-1 with each product and each sum
+    rounded, as a scalar triple loop computes it.  numpy's einsum kernel
+    does the sum: into a zeroed C-order output it adds ``a[i, j] * b[j, :]``
+    for j = 0, 1, ..., reading ``b`` once per row of ``a`` and buffering
+    no products.  That holds only while k is the inner loop, so ``b`` is
+    copied into C order (a ``W^T`` view would make j the unit-stride,
+    inner axis), and a one-column ``b`` runs with its column doubled and
+    the copy dropped afterwards (with k = 1 einsum switches to its
+    unrolled dot kernel, which regroups the sum).  A strided ``a`` costs
+    nothing.
+
+    This order and rounding are properties of the numpy build, not
+    documented API.  At import, ``_sums_in_order`` compares einsum bit for
+    bit with the row-block path on instances that an FMA, a regrouped sum
+    or a missing +0.0 start would each change.  Where they differ, as on
+    builds whose einsum multiply-add is a fused instruction (aarch64
+    NEON), ``matmul`` keeps the row-block path, several times slower.
+    """
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
+    _require_same_dtype(a, b, "matmul")
+    if b.shape[1] == 1:
+        return matmul(a, np.repeat(b, 2, axis=1))[:, :1].copy()
+    return _kernel(a, np.ascontiguousarray(b))
 
 
 def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Generators, file loaders, and batching."""
 
 import json
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -203,15 +205,62 @@ class TestIdx:
         with pytest.raises(DataError, match="negative extents"):
             data.load_idx(img, lab)
 
-    def test_negative_extents_exit_code_through_cli(self, tmp_path):
-        img, lab = self._negative_extents_pair(tmp_path)
+    @staticmethod
+    def _train_exit_code(tmp_path, img, lab):
         cfg = tmp_path / "t.json"
         cfg.write_text(json.dumps({
-            "model": {"type": "qe_mlp", "layer_dims": [2, 2], "activation": "identity"},
+            "model": {"type": "qe_mlp", "layer_dims": [784, 2], "activation": "identity"},
             "dataset": {"name": "idx", "images": str(img), "labels": str(lab)},
             "optimizer": {"algo": "sgd", "lr": 0.1},
             "epochs": 1, "batch_size": 4}))
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        return main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+    def test_negative_extents_exit_code_through_cli(self, tmp_path):
+        img, lab = self._negative_extents_pair(tmp_path)
+        assert self._train_exit_code(tmp_path, img, lab) == 3
+
+    @staticmethod
+    def _oversized_header_pair(tmp_path, which):
+        img, lab = _write_idx_pair(tmp_path)
+        if which == "images":
+            # 2^93 pixel bytes: read() itself raises OverflowError on that count
+            img.write_bytes(struct.pack(">iiii", data.IDX_IMAGE_MAGIC, *[0x7FFFFFFF] * 3))
+        else:
+            # zero-pixel images, so the label count is the one asked of read()
+            img.write_bytes(struct.pack(">iiii", data.IDX_IMAGE_MAGIC, 0x7FFFFFFF, 0, 0))
+            lab.write_bytes(struct.pack(">ii", data.IDX_LABEL_MAGIC, 0x7FFFFFFF) + b"\x00")
+        return img, lab
+
+    @pytest.mark.parametrize("which, want", [
+        ("images", "truncated pixel data: expected 9903520300447984150353281023 bytes, got 0"),
+        ("labels", "truncated label data: expected 2147483647 bytes, got 1")])
+    def test_header_larger_than_file(self, tmp_path, which, want):
+        img, lab = self._oversized_header_pair(tmp_path, which)
+        with pytest.raises(DataError, match=want):
+            data.load_idx(img, lab)
+
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_header_larger_than_file_exit_code_through_cli(self, tmp_path, capsys, which):
+        img, lab = self._oversized_header_pair(tmp_path, which)
+        assert self._train_exit_code(tmp_path, img, lab) == 3
+        assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_from_pipes(self, tmp_path):
+        # a pipe reports size 0, so only a regular file is size-checked
+        img, lab = _write_idx_pair(tmp_path)
+        want = data.load_idx(img, lab)
+        pipes = []
+        for src in (img, lab):
+            fifo = tmp_path / (src.name + ".fifo")
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_bytes, args=(src.read_bytes(),),
+                                      daemon=True)
+            writer.start()
+            pipes.append(fifo)
+        got = data.load_idx(*pipes)
+        assert got.features.tobytes() == want.features.tobytes()
+        np.testing.assert_array_equal(got.labels, want.labels)
 
     def test_count_mismatch(self, tmp_path):
         img, _ = _write_idx_pair(tmp_path, count=3)

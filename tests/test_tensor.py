@@ -1,5 +1,13 @@
 """Kernel contracts: exactness, determinism, and shape validation."""
 
+import json
+import os
+import platform
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,10 +54,12 @@ class TestMatmul:
         b = rng.normal(size=(9, 4))
         assert T.matmul(a, b).tobytes() == T.matmul(a, b).tobytes()
 
+    # static, so that the subclass runs it from the same executor as this class
+    @staticmethod
     @given(st.sampled_from([np.float32, np.float64]), st.integers(0, 40),
            st.integers(0, 40), st.integers(0, 40), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_triple_loop_equivalence_all_shapes(self, dtype, r, c, k, seed):
+    def test_triple_loop_equivalence_all_shapes(dtype, r, c, k, seed):
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(r, c)).astype(dtype)
         b = rng.normal(size=(c, k)).astype(dtype)
@@ -66,13 +76,28 @@ class TestMatmul:
         _assert_same_bits(T.matmul(a, b), matmul_triple_loop(a, b))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(1, 12, 7), (1, 40, 1), (4, 0, 3), (0, 5, 3), (3, 5, 0)])
+    @pytest.mark.parametrize("shape", [(1, 12, 7), (1, 40, 1), (4, 0, 3), (0, 5, 3), (3, 5, 0),
+                                       (3, 1, 4), (3, 1, 1)])
     def test_degenerate_extents(self, dtype, shape):
         r, c, k = shape
         rng = np.random.default_rng(r * 100 + c * 10 + k)
         a = rng.normal(size=(r, c)).astype(dtype)
         b = rng.normal(size=(c, k)).astype(dtype)
+        if c == 1:
+            # -0.0 products down column 0: +0.0 only from the sum's 0 start
+            a[0] = np.copysign(0.0, -b[:, 0])
         _assert_same_bits(T.matmul(a, b), matmul_triple_loop(a, b))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 67])
+    def test_products_round_before_the_sum(self, dtype, k):
+        # 0 - fl(x*y) + x*y is +0.0 when x*y is rounded before it is added; a
+        # fused multiply-add keeps x*y - fl(x*y) (2.1e-13 at f32) instead
+        eps = np.finfo(dtype).eps
+        x, y = dtype(1 + 3 * eps), dtype(1 + 5 * eps)
+        a = np.array([[1, x]], dtype=dtype)
+        b = np.array([[-(x * y)] * k, [y] * k], dtype=dtype)
+        _assert_same_bits(T.matmul(a, b), np.zeros((1, k), dtype=dtype))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -97,14 +122,16 @@ class TestMatmul:
         rng = np.random.default_rng(3)
         base = rng.normal(size=(20, 24)).astype(dtype)
         b = rng.normal(size=(12, 9)).astype(dtype)
-        for a in (base[::2, ::2], base[:12, :12].T, np.asfortranarray(base[:7, :12])):
-            assert not a.flags.c_contiguous
+        unaligned = np.frombuffer(b"\0" + base[:7, :12].tobytes(), dtype, 84, 1).reshape(7, 12)
+        for a in (base[::2, ::2], base[:12, :12].T, np.asfortranarray(base[:7, :12]),
+                  base[:7, :12][::-1, ::-1], unaligned):
+            assert not (a.flags.c_contiguous and a.flags.aligned)
             _assert_same_bits(T.matmul(a, b), matmul_triple_loop(a, b))
         # right operands too: a W^T view as linear passes it, a slice, Fortran
-        # order, and a strided single column (the k = 1 path)
+        # order, reversed axes, and a strided single column (the k = 1 path)
         a, wide = base[:7, :12], rng.normal(size=(24, 18)).astype(dtype)
         for b in (base[:9, :12].T, wide[::2, ::2], np.asfortranarray(wide[:12, :5]),
-                  wide[::2, 3:4]):
+                  wide[:12, :9][::-1, ::-1], wide[::2, 3:4]):
             assert not b.flags.c_contiguous
             _assert_same_bits(T.matmul(a, b), matmul_triple_loop(a, b))
 
@@ -115,6 +142,91 @@ class TestMatmul:
     def test_dtype_mismatch(self):
         with pytest.raises(DimensionError):
             T.matmul(np.zeros((2, 2), dtype=np.float32), np.zeros((2, 2)))
+
+
+class TestMatmulRowBlock(TestMatmul):
+    """Every ``TestMatmul`` contract again on the row-block fallback kernel."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _row_block_kernel(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_kernel", T._rowblock_matmul)
+            yield
+
+
+def _fused_kernel(a, b):
+    """out[i, :] += a[i, j] * b[j, :] in order, rounding each exact a*b + out once, as an FMA.
+
+    At float32 the rounding goes through float64, which can differ from a
+    true FMA in rare double-rounding cases.
+    """
+    exact = np.vectorize(lambda v: Fraction(float(v)), otypes=[object])
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=a.dtype)
+    for j in range(a.shape[1]):
+        fused = exact(out) + exact(a[:, j : j + 1]) * exact(b[j : j + 1])
+        out = np.vectorize(float)(fused).astype(a.dtype)
+    return out
+
+
+def _pairwise_kernel(a, b):
+    # numpy sums a contiguous axis with 8 partial sums, then pairwise
+    prods = np.ascontiguousarray((a[:, :, None] * b).transpose(0, 2, 1))
+    return np.add.reduce(prods, axis=-1)
+
+
+def _first_product_start_kernel(a, b):
+    # in index order, but starting from the first product instead of 0
+    return np.add.accumulate(a[:, :, None] * b, axis=1)[:, -1]
+
+
+class TestMatmulProbe:
+    def test_accepts_the_triple_loop(self):
+        assert T._sums_in_order(matmul_triple_loop)
+
+    def test_selection_follows_probe(self):
+        einsum_exact = T._sums_in_order(T._einsum_matmul)
+        assert T._kernel is (T._einsum_matmul if einsum_exact else T._rowblock_matmul)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("standin", [_fused_kernel, _pairwise_kernel,
+                                         _first_product_start_kernel])
+    def test_rejects_non_sequential_kernel(self, dtype, standin):
+        def kernel(a, b):
+            return (standin if a.dtype == dtype else T._rowblock_matmul)(a, b)
+
+        assert not T._sums_in_order(kernel)
+
+
+def _cpu_features(env, names):
+    """numpy's on/off report for each CPU feature in ``names``, in a process
+    started with ``env``; None for a name that numpy does not know."""
+    probe = ("import json, sys, numpy as np; m = getattr(np, '_core', None) or np.core; "
+             "f = m._multiarray_umath.__cpu_features__; "
+             "print(json.dumps([f.get(n) for n in sys.argv[1:]]))")
+    out = subprocess.run([sys.executable, "-c", probe, *names], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    return json.loads(out.stdout)
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="names x86 CPU features")
+def test_kernels_independent_of_cpu_dispatch():
+    # numpy's X86_V3 (AVX2, FMA3) and X86_V4 (AVX-512) dispatch targets
+    # switched off in a child process only; a pass counts only if the child's
+    # numpy reports both off
+    names = ("X86_V4", "X86_V3")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(names))
+    src = str(Path(T.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if not any(_cpu_features(os.environ, names)):
+        pytest.skip("numpy dispatches no X86_V3 or X86_V4 loops here")
+    if any(on is not False for on in _cpu_features(env, names)):
+        pytest.skip("this numpy does not switch X86_V3/X86_V4 off through the variable")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-k", "not cpu_dispatch", __file__],
+        cwd=Path(__file__).parents[1], env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 class TestElementwise:
