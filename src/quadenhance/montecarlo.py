@@ -11,6 +11,10 @@ The heavy square tails versus thin cross tails are the numerical reason
 self-coupling (shift 0) is excluded from the quadratic enhancer by
 default.
 
+``cross_tail_integral`` imports ``scipy.integrate`` on first use: it pulls
+in ``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg`` (~26 MB and
+~0.17 s), which no other command needs.
+
 Memory is O(chunk), not O(samples): samples are drawn and counted
 ``_CHUNK`` at a time, and since each sample depends only on (seed, index)
 the chunk size cannot change a result.  At 2^14 samples a chunk's arrays
@@ -27,7 +31,7 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .rng import Rng
 
@@ -62,6 +66,8 @@ def cross_tail_integral(v: float) -> float:
     The density of x1*x2 is K0(|z|)/pi, so the two-sided tail is
     (2/pi) * integral_v^inf K0(t) dt.
     """
+    from scipy import integrate
+
     val, _err = integrate.quad(lambda t: special.k0(t), v, np.inf, limit=200)
     return float(2.0 * val / np.pi)
 

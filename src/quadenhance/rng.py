@@ -19,46 +19,56 @@ from __future__ import annotations
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_SPLIT_SALT = np.uint64(0x5851F42D4C957F2D)
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_SPLIT_SALT = 0x5851F42D4C957F2D
+# built once: a np.uint64 made per call costs next_u64 ~1 us
+_GOLDEN_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
 
 _TWO_NEG_53 = 2.0 ** -53
 
 
 def _finalize(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on uint64 values (scalar or array)."""
+    """SplitMix64 finalizer on an array of uint64 values."""
     with np.errstate(over="ignore"):
         z = x.astype(np.uint64, copy=True)
         z ^= z >> np.uint64(30)
-        z *= _MIX1
+        z *= _MIX1_U64
         z ^= z >> np.uint64(27)
-        z *= _MIX2
+        z *= _MIX2_U64
         z ^= z >> np.uint64(31)
     return z
+
+
+def _finalize_int(z: int) -> int:
+    """The same finalizer on one Python int in [0, 2**64)."""
+    z ^= z >> 30
+    z = z * _MIX1 & _MASK
+    z ^= z >> 27
+    z = z * _MIX2 & _MASK
+    return z ^ z >> 31
 
 
 class Rng:
     """Counter-based generator; all draws are pure in (seed, counter)."""
 
     def __init__(self, seed: int, counter: int = 0):
-        self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self.seed = np.uint64(seed & _MASK)
         self.counter = int(counter)
 
     def split(self, tag: int) -> "Rng":
         """Derive an independent child stream identified by an integer tag."""
-        tagged = _finalize(np.uint64((tag & 0xFFFFFFFFFFFFFFFF)) + _SPLIT_SALT)
-        with np.errstate(over="ignore"):
-            child = _finalize(self.seed + _GOLDEN * (tagged | np.uint64(1)))
-        return Rng(int(child))
+        tagged = _finalize_int((tag + _SPLIT_SALT) & _MASK)
+        return Rng(_finalize_int((int(self.seed) + _GOLDEN * (tagged | 1)) & _MASK))
 
     def next_u64(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit draws, advancing the counter."""
         idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
         with np.errstate(over="ignore"):
-            return _finalize(self.seed + idx * _GOLDEN)
+            return _finalize(self.seed + idx * _GOLDEN_U64)
 
     def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """``n`` doubles uniform in [low, high), 53-bit resolution."""

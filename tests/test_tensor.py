@@ -211,17 +211,19 @@ def _cpu_features(env, names):
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="names x86 CPU features")
 def test_kernels_independent_of_cpu_dispatch():
-    # numpy's X86_V3 (AVX2, FMA3) and X86_V4 (AVX-512) dispatch targets
-    # switched off in a child process only; a pass counts only if the child's
-    # numpy reports both off
-    names = ("X86_V4", "X86_V3")
+    # every x86 dispatch target of numpy 2.x switched off in a child process
+    # only: X86_V3 (AVX2, FMA3), X86_V4 (AVX-512) and the AVX512_ICL and
+    # AVX512_SPR targets, which stay on when only the first two are named; a
+    # pass counts only if the child's numpy reports all four off
+    names = ("X86_V4", "X86_V3", "AVX512_ICL", "AVX512_SPR")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(names))
     src = str(Path(T.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if not any(_cpu_features(os.environ, names)):
-        pytest.skip("numpy dispatches no X86_V3 or X86_V4 loops here")
+        pytest.skip("numpy dispatches no x86 loops beyond its baseline here")
     if any(on is not False for on in _cpu_features(env, names)):
-        pytest.skip("this numpy does not switch X86_V3/X86_V4 off through the variable")
+        pytest.skip("this numpy does not switch all of " + ", ".join(names)
+                    + " off through the variable")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "-k", "not cpu_dispatch", __file__],
