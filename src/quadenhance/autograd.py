@@ -18,9 +18,11 @@ from :mod:`quadenhance.tensor` and attaches its adjoint rule:
                            gy = g + g * (L y) + Σ_r roll(gacc * λ_r, -r),
                            the roll terms added in reverse shift order
 
-plus a handful of activation and loss primitives the layer stack needs,
-the ``Layer`` protocol every model follows, and ``on_rows``, the one
-place a single vector [n] runs as a one-row batch [1, n].
+plus a handful of activation and loss primitives the layer stack needs
+and the ``Layer`` protocol every model follows.  ``linear`` is the one
+place a single vector [n] runs as a one-row batch [1, n]; every other
+primitive is elementwise, rolls the last axis or sums over all axes, so
+a vector needs no batch axis there.
 """
 
 from __future__ import annotations
@@ -123,15 +125,17 @@ class Tape:
 # ---------------------------------------------------------------------------
 
 def linear(x: Variable, w: Variable) -> Variable:
-    """x @ W^T for x [batch, n] and W [d, n], as one node."""
+    """x @ W^T for x [batch, n] or [n] (run as one row) and W [d, n], as one node."""
     xv, wv, need_gx = x.value, w.value, x.requires_grad
-    out = T.matmul(xv, wv.T)
+    rows = xv.reshape(1, -1) if xv.ndim == 1 else xv
+    out = T.matmul(rows, wv.T).reshape(*xv.shape[:-1], -1)
 
     def bwd(g):
         # a constant input (layer 0's batch) needs no gradient, so skip its GEMM;
         # the closure holds no Variable, which would tie the tape into a cycle
-        gx = T.matmul(g, wv) if need_gx else None
-        return (gx, T.matmul(g.T, xv))
+        g = g.reshape(-1, wv.shape[0])
+        gx = T.matmul(g, wv).reshape(xv.shape) if need_gx else None
+        return (gx, T.matmul(g.T, rows))
 
     return x.tape.record("linear", (x, w), out, bwd)
 
@@ -156,10 +160,12 @@ def scale(a: Variable, s: float) -> Variable:
 def add_row(a: Variable, v: Variable) -> Variable:
     """Broadcast-add a d-vector across the leading axes of a [..., d]."""
     out = T.add_row(a.value, v.value)
-    lead = tuple(range(a.value.ndim - 1))
+    d = v.value.shape[0]
 
     def bwd(g):
-        return (g, np.add.reduce(g, axis=lead) if lead else g)
+        # a vector sums as one row too: add.reduce starts from +0.0, so a
+        # -0.0 entry reads as it does in a one-row batch
+        return (g, np.add.reduce(g.reshape(-1, d), axis=0))
 
     return a.tape.record("add_row", (a, v), out, bwd)
 
@@ -174,27 +180,6 @@ def reduce_sum(a: Variable, axis: int | None = None) -> Variable:
         return (np.broadcast_to(np.expand_dims(g, axis), shape).astype(dtype, copy=True),)
 
     return a.tape.record("reduce_sum", (a,), out, bwd)
-
-
-def promote_row(a: Variable) -> Variable:
-    """View a vector [n] as a single-row batch [1, n]."""
-    out = a.value.reshape(1, -1)
-    return a.tape.record("promote_row", (a,), out, lambda g: (g.reshape(-1),))
-
-
-def squeeze_row(a: Variable) -> Variable:
-    """View a single-row batch [1, n] as a vector [n]."""
-    if a.value.ndim != 2 or a.value.shape[0] != 1:
-        raise DimensionError(f"squeeze_row expects shape [1, n], got {a.value.shape}")
-    out = a.value.reshape(-1)
-    return a.tape.record("squeeze_row", (a,), out, lambda g: (g.reshape(1, -1),))
-
-
-def on_rows(x: Variable, f: Callable[[Variable], Variable]) -> Variable:
-    """Run a batch map f on x [batch, n], or on a vector x [n] as one row."""
-    if x.value.ndim != 1:
-        return f(x)
-    return squeeze_row(f(promote_row(x)))
 
 
 def relu(a: Variable) -> Variable:

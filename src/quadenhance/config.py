@@ -145,6 +145,8 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class OptimizerSpec:
+    """``sgd`` or ``adam``; ``beta1``, ``beta2`` and ``eps`` are Adam's alone."""
+
     algo: str
     lr: float
     beta1: float = 0.9
@@ -156,9 +158,18 @@ class OptimizerSpec:
             raise ConfigError(f"optimizer: unknown optimizer {self.algo!r}")
         if self.lr <= 0:
             raise ConfigError("optimizer: lr must be positive")
+        for key, value in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 < value < 1:
+                raise ConfigError(f"optimizer: {key} must lie in (0, 1), got {value!r}")
+        if self.eps <= 0:
+            raise ConfigError(f"optimizer: eps must be positive, got {self.eps!r}")
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "optimizer") -> "OptimizerSpec":
+        if _object(d, where).get("algo") == "sgd":
+            adam_only = [k for k in ("beta1", "beta2", "eps") if k in d]
+            if adam_only:
+                raise ConfigError(f"{where}: sgd does not take {adam_only}")
         return _parse(cls, d, where)
 
 

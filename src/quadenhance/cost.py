@@ -16,7 +16,7 @@ parameter.  Ratios are exact rationals derived from the integer fields,
 never re-measured.
 
 The headline parameter ratio uses the weight-only denominator n*d; the
-bias is reported separately (see the report footer).
+bias is reported separately (see ``FOOTER``).
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ from fractions import Fraction
 from .enhancer import QELayer
 from .errors import DimensionError
 from .models import MLP, QuadraNetLayer, SwiGLULayer
+
+# the note printed under every cost table
+FOOTER = ("bias parameters (d per layer) are counted inside params_linear; "
+          "the weight-only figure n*d is the denominator of param_ratio")
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,6 @@ class LayerCost:
 @dataclass
 class CostReport:
     rows: list[LayerCost]
-    footer: str = ("bias parameters (d per layer) are counted inside params_linear; "
-                   "the weight-only figure n*d is the denominator of param_ratio")
 
     @property
     def total_params_linear(self) -> int:
@@ -107,7 +109,7 @@ class CostReport:
                      f"{self.total_params_enhancer:>8}{self.total_flops_linear:>12}"
                      f"{self.total_flops_enhancer:>8}{float(self.total_param_ratio):>10.4%}"
                      f"{float(self.total_flop_ratio):>10.4%}")
-        lines.append(f"note: {self.footer}")
+        lines.append(f"note: {FOOTER}")
         return "\n".join(lines)
 
 
@@ -115,12 +117,12 @@ class AccountingError(AssertionError):
     """Formula count disagrees with the enumerated stored scalars."""
 
 
-def count_layer(layer, name: str | None = None) -> LayerCost:
+def count_layer(layer) -> LayerCost:
     """Cost row for one layer, formula counts and split verified by enumeration."""
     if isinstance(layer, QELayer):
         n, d, k = layer.n, layer.d, layer.k
         row = LayerCost(
-            name=name or layer.name, n=n, d=d, k=k,
+            name=layer.name, n=n, d=d, k=k,
             params_linear=n * d + d,
             params_enhancer=k * d,
             flops_linear=2 * n * d + d,
@@ -130,7 +132,7 @@ def count_layer(layer, name: str | None = None) -> LayerCost:
         n, d = layer.n, layer.d
         bias = layer.b is not None
         row = LayerCost(
-            name=name or "quadranet", n=n, d=d, k=0,
+            name="quadranet", n=n, d=d, k=0,
             params_linear=3 * n * d + (d if bias else 0),
             params_enhancer=0,
             flops_linear=6 * n * d + 2 * d + (d if bias else 0),
@@ -140,7 +142,7 @@ def count_layer(layer, name: str | None = None) -> LayerCost:
         n, d = layer.n, layer.d
         # sigmoid counted as one op per element, like a hadamard
         row = LayerCost(
-            name=name or "swiglu", n=n, d=d, k=0,
+            name="swiglu", n=n, d=d, k=0,
             params_linear=2 * n * d,
             params_enhancer=0,
             flops_linear=4 * n * d + 3 * d,

@@ -35,7 +35,6 @@ class Dataset:
     labels: np.ndarray                   # [N] int for classification, [N, d] float for regression
     train_idx: np.ndarray
     valid_idx: np.ndarray
-    provenance: str
     n_classes: int | None = None         # None for regression
     generator: QELayer | None = field(default=None, repr=False)
 
@@ -81,8 +80,7 @@ def gen_xor(encoding: int = 1) -> Dataset:
     pts = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]) * encoding
     labels = (pts[:, 0] * pts[:, 1] > 0).astype(np.int64)
     return Dataset(features=pts, labels=labels,
-                   train_idx=np.arange(4), valid_idx=np.arange(4, 4),
-                   provenance="xor", n_classes=2)
+                   train_idx=np.arange(4), valid_idx=np.arange(4, 4), n_classes=2)
 
 
 def gen_quadratic_target(n: int, d: int, shifts: tuple[int, ...] = (1,), seed: int = 0,
@@ -107,7 +105,6 @@ def gen_quadratic_target(n: int, d: int, shifts: tuple[int, ...] = (1,), seed: i
     y = qe_forward(hidden, x)
     train_idx, valid_idx = _split(size, valid_fraction)
     return Dataset(features=x, labels=y, train_idx=train_idx, valid_idx=valid_idx,
-                   provenance=f"quadratic_target(n={n},d={d},shifts={tuple(shifts)},seed={seed})",
                    generator=hidden)
 
 
@@ -127,7 +124,6 @@ def gen_blobs(classes: int = 3, size: int = 300, noise: float = 0.5, seed: int =
     train_idx, valid_idx = _split(size, valid_fraction)
     return Dataset(features=pts[perm], labels=labels[perm],
                    train_idx=train_idx, valid_idx=valid_idx,
-                   provenance=f"blobs(classes={classes},size={size},noise={noise},seed={seed})",
                    n_classes=classes)
 
 
@@ -148,7 +144,6 @@ def gen_circles(classes: int = 2, size: int = 200, noise: float = 0.1, seed: int
     train_idx, valid_idx = _split(size, valid_fraction)
     return Dataset(features=pts[perm], labels=labels[perm],
                    train_idx=train_idx, valid_idx=valid_idx,
-                   provenance=f"circles(classes={classes},size={size},noise={noise},seed={seed})",
                    n_classes=classes)
 
 
@@ -209,7 +204,7 @@ def load_csv(path: str, label_column: int | str, has_header: bool = True,
         n_classes = None
     train_idx, valid_idx = _split(len(rows), valid_fraction)
     return Dataset(features=feats, labels=labels_arr, train_idx=train_idx,
-                   valid_idx=valid_idx, provenance=str(path), n_classes=n_classes)
+                   valid_idx=valid_idx, n_classes=n_classes)
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:
@@ -247,7 +242,7 @@ def load_idx(images: str, labels: str, valid_fraction: float = 0.0) -> Dataset:
     train_idx, valid_idx = _split(count, valid_fraction)
     n_classes = int(label_arr.max()) + 1 if label_arr.size else 0
     return Dataset(features=feats, labels=label_arr, train_idx=train_idx, valid_idx=valid_idx,
-                   provenance=f"idx({images})", n_classes=n_classes)
+                   n_classes=n_classes)
 
 
 # dataset names a config may give; each builder's parameters are its config keys

@@ -118,7 +118,7 @@ def band_quadratic(y: ag.Variable, shifts, lams) -> ag.Variable:
     vecs = [v.value for v in lams]
     acc = _band_sum(yv, shifts, vecs)
     out = T.add(T.hadamard(acc, yv), yv)
-    lead = tuple(range(yv.ndim - 1))
+    d = yv.shape[-1]
 
     def bwd(g):
         gacc = g * yv
@@ -126,7 +126,7 @@ def band_quadratic(y: ag.Variable, shifts, lams) -> ag.Variable:
         glams = [None] * len(vecs)
         for i in reversed(range(len(vecs))):
             gv = gacc * T.roll(yv, shifts[i])
-            glams[i] = np.add.reduce(gv, axis=lead) if lead else gv
+            glams[i] = np.add.reduce(gv.reshape(-1, d), axis=0)   # a vector too, as in add_row
             gy = gy + T.roll(gacc * vecs[i], -shifts[i])
         return (gy, *glams)
 
@@ -207,14 +207,10 @@ class QELayer(ag.Layer):
         if x.value.shape[-1] != self.n:
             raise DimensionError(f"input trailing dim {x.value.shape[-1]} != {self.n}")
         shifts = self.lam.shifts
-
-        def rows(h):
-            y = ag.linear(h, bound["W"])
-            if shifts:
-                y = band_quadratic(y, shifts, [bound[f"lam[{r}]"] for r in shifts])
-            return ag.add_row(y, bound["b"])
-
-        out = ag.on_rows(x, rows)
+        y = ag.linear(x, bound["W"])
+        if shifts:
+            y = band_quadratic(y, shifts, [bound[f"lam[{r}]"] for r in shifts])
+        out = ag.add_row(y, bound["b"])
         if not np.all(np.isfinite(out.value)):
             raise NumericError(f"non-finite output from layer {self.name!r}")
         return out

@@ -137,14 +137,11 @@ class QuadraNetLayer(ag.Layer):
             self.b = params["b"]
 
     def apply(self, tape, bound, x: ag.Variable) -> ag.Variable:
-        def rows(h):
-            ha = ag.linear(h, bound["Wa"])
-            hb = ag.linear(h, bound["Wb"])
-            hc = ag.linear(h, bound["Wc"])
-            z = ag.add(ag.hadamard(ha, hb), hc)
-            return z if self.b is None else ag.add_row(z, bound["b"])
-
-        return ag.on_rows(x, rows)
+        ha = ag.linear(x, bound["Wa"])
+        hb = ag.linear(x, bound["Wb"])
+        hc = ag.linear(x, bound["Wc"])
+        z = ag.add(ag.hadamard(ha, hb), hc)
+        return z if self.b is None else ag.add_row(z, bound["b"])
 
 
 class SwiGLULayer(ag.Layer):
@@ -163,12 +160,9 @@ class SwiGLULayer(ag.Layer):
         self.W1, self.W2 = params["W1"], params["W2"]
 
     def apply(self, tape, bound, x: ag.Variable) -> ag.Variable:
-        def rows(h):
-            h1 = ag.linear(h, bound["W1"])
-            h2 = ag.linear(h, bound["W2"])
-            return ag.hadamard(ag.hadamard(h1, ag.sigmoid(h1)), h2)
-
-        return ag.on_rows(x, rows)
+        h1 = ag.linear(x, bound["W1"])
+        h2 = ag.linear(x, bound["W2"])
+        return ag.hadamard(ag.hadamard(h1, ag.sigmoid(h1)), h2)
 
 
 # model types a config may name; each one's parameters are its config keys

@@ -350,6 +350,12 @@ PROBES = {
     "blobs-zero-classes": ("train", {**_TRAIN, "dataset": {"name": "blobs", "classes": 0}},
                            "got classes=0"),
     "gradcheck-no-families": ("gradcheck", {"families": []}, "families must name"),
+    "adam-beta1-one": ("train", _train(optimizer__beta1=1.0),
+                       "optimizer: beta1 must lie in (0, 1), got 1.0"),
+    "adam-eps-zero": ("train", _train(optimizer__eps=0), "optimizer: eps must be positive"),
+    # keys of another optimizer
+    "sgd-beta1": ("train", _train(optimizer={"algo": "sgd", "lr": 0.1, "beta1": 1.5, "eps": -3}),
+                  "train.optimizer: sgd does not take ['beta1', 'eps']"),
     # model widths that do not fit the dataset
     "input-width": ("train", {**_TRAIN, "model": {"type": "qe_mlp", "layer_dims": [3, 2]},
                               "dataset": {"name": "xor"}},

@@ -150,7 +150,7 @@ class TestCsv:
         ds = data.Dataset(features=feats, labels=labels,
                           train_idx=np.arange(len(feats)),
                           valid_idx=np.arange(len(feats), len(feats)),
-                          provenance="t", n_classes=2)
+                          n_classes=2)
         p = tmp / "rt.csv"
         _save_csv(ds, p)
         back = data.load_csv(p, label_column="y", valid_fraction=0.0)
@@ -297,9 +297,7 @@ class TestBatchIter:
 def test_dataset_invariant_validation():
     with pytest.raises(DataError):
         data.Dataset(features=np.zeros((2, 1)), labels=np.zeros(3, dtype=np.int64),
-                     train_idx=np.arange(2), valid_idx=np.arange(2, 2),
-                     provenance="bad", n_classes=1)
+                     train_idx=np.arange(2), valid_idx=np.arange(2, 2), n_classes=1)
     with pytest.raises(DataError):
         data.Dataset(features=np.zeros((2, 1)), labels=np.zeros(2, dtype=np.int64),
-                     train_idx=np.array([0, 1]), valid_idx=np.array([1]),
-                     provenance="overlap", n_classes=1)
+                     train_idx=np.array([0, 1]), valid_idx=np.array([1]), n_classes=1)

@@ -157,6 +157,8 @@ class TestQEForward:
         layer = init_qelayer(4, 3, (1,), seed=0)
         with pytest.raises(DimensionError):
             qe_forward(layer, np.zeros(5))
+        with pytest.raises(DimensionError):          # linear takes [n] or [batch, n] only
+            qe_forward(layer, np.zeros((2, 2, 4)))
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nonfinite_output_names_layer(self):
@@ -178,13 +180,15 @@ class TestQEForward:
         assert taped.value.tobytes() == pure.tobytes()
 
     def test_layer_records_one_node_per_stage(self):
+        # a vector records the same stages as a batch: linear alone adds the row axis
         enhanced = init_qelayer(4, 3, (1, -1), seed=0)
         plain = init_qelayer(4, 3, (), seed=0)
         for layer, ops in ((enhanced, ["linear", "band_quadratic", "add_row"]),
                            (plain, ["linear", "add_row"])):
-            tape = ag.Tape()
-            layer.apply(tape, layer.bind(tape), tape.const(np.ones((2, 4))))
-            assert [node.op for node in tape.nodes if node.inputs] == ops
+            for shape in ((2, 4), (4,)):
+                tape = ag.Tape()
+                layer.apply(tape, layer.bind(tape), tape.const(np.ones(shape)))
+                assert [node.op for node in tape.nodes if node.inputs] == ops
 
 
 class TestQELayerValidation:

@@ -189,6 +189,54 @@ class TestBaselines:
             np.testing.assert_array_equal(out[i], layer.forward(xb[i]))
 
 
+def _relu_mlp_with_couplings(seed):
+    model = MLP(MLPConfig(layer_dims=(4, 6, 3), activation="relu", shifts=(1, -1), seed=seed))
+    rng = Rng(seed + 1)
+    for j, (name, arr) in enumerate(sorted(model.parameters().items())):
+        if "lam[" in name or name.endswith(".b"):
+            arr[:] = rng.split(j).uniform(arr.size, -0.5, 0.5)
+    return model
+
+
+def _taped_pass(model, x0, u):
+    """The tape, its gradients of sum(out * u), and the arrays to compare:
+    the output, then the gradient of every parameter and of x."""
+    tape = ag.Tape()
+    bound = model.bind(tape)
+    x = tape.param(x0)
+    out = model.apply(tape, bound, x)
+    grads = tape.backward(ag.reduce_sum(ag.hadamard(out, tape.const(u))))
+    arrays = [out.value, *(grads[bound[k].node_id] for k in sorted(bound)), grads[x.node_id]]
+    return tape, grads, arrays
+
+
+class TestSingleVectorInputs:
+    """A vector x [n] runs as the one-row batch x[None], bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["qe_layer", "quadranet", "swiglu", "mlp"])
+    def test_vector_pass_equals_one_row_batch(self, kind):
+        model = {"qe_layer": lambda: enhancer.init_qelayer(4, 6, (1, -2), seed=3),
+                 "quadranet": lambda: QuadraNetLayer(4, 6, seed=3, bias=True),
+                 "swiglu": lambda: SwiGLULayer(4, 6, seed=3),
+                 "mlp": lambda: _relu_mlp_with_couplings(3)}[kind]()
+        if kind == "qe_layer":
+            for r in model.lam.shifts:
+                model.lam.values[r][:] = Rng(4 + r).uniform(6, -0.5, 0.5)
+        rng = Rng(5)
+        x = rng.uniform(4, -1, 1)
+        u = rng.split(1).uniform(model.d, -1, 1)
+        tape, grads, single = _taped_pass(model, x, u)
+        batch = _taped_pass(model, x[None], u[None])[2]
+        assert [a.tobytes() for a in single] == [a.tobytes() for a in batch]
+        assert single[0].shape == (model.d,) and single[-1].shape == (4,)
+        if kind == "mlp":
+            # the relu masks a negative upstream gradient, so -0.0 reaches
+            # layer 0, where a row sum that kept it would differ from the batch
+            relu = next(n for n in tape.nodes if n.op == "relu")
+            g0 = grads[relu.inputs[0]]
+            assert np.any((g0 == 0) & np.signbit(g0))
+
+
 class TestLossesAndOptimizers:
     def test_mse_of_identical_is_zero(self):
         tape = ag.Tape()
