@@ -204,8 +204,8 @@ class QELayer(ag.Layer):
         The linear response is computed once and reused by both the
         quadratic and the residual path.
         """
-        if x.value.shape[-1] != self.n:
-            raise DimensionError(f"input trailing dim {x.value.shape[-1]} != {self.n}")
+        if x.value.shape[-1:] != (self.n,):
+            raise DimensionError(f"input shape {x.value.shape} does not end in {self.n}")
         shifts = self.lam.shifts
         y = ag.linear(x, bound["W"])
         if shifts:

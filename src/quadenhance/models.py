@@ -183,9 +183,18 @@ def mse(pred: ag.Variable, target: np.ndarray) -> ag.Variable:
 # optimizers
 # ---------------------------------------------------------------------------
 
-def _check_finite(name: str, g: np.ndarray) -> None:
-    if not np.all(np.isfinite(g)):
-        raise NumericError(f"non-finite gradient for parameter {name!r}")
+def _checked_grads(params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Every gradient cast to its parameter's dtype, once all have passed the
+    shape and finiteness checks, so a step that raises changes nothing."""
+    out = {}
+    for name, w in params.items():
+        g = grads[name].astype(w.dtype, copy=False)
+        if g.shape != w.shape:
+            raise DimensionError(f"gradient shape {g.shape} != param shape {w.shape} for {name!r}")
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for parameter {name!r}")
+        out[name] = g
+    return out
 
 
 @dataclass
@@ -197,14 +206,11 @@ class SGD:
             raise ConfigError("learning rate must be positive")
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        out = {}
+        """w - lr * g, written into the arrays of ``params``; returns ``params``."""
+        grads = _checked_grads(params, grads)
         for name, w in params.items():
-            g = grads[name]
-            if g.shape != w.shape:
-                raise DimensionError(f"gradient shape {g.shape} != param shape {w.shape} for {name!r}")
-            _check_finite(name, g)
-            out[name] = w - w.dtype.type(self.lr) * g.astype(w.dtype, copy=False)
-        return out
+            np.subtract(w, w.dtype.type(self.lr) * grads[name], out=w)
+        return params
 
 
 @dataclass
@@ -226,18 +232,16 @@ class Adam:
             raise ConfigError("eps must be positive")
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """One update, written into the arrays of ``params``; returns ``params``."""
+        grads = _checked_grads(params, grads)
         self._t += 1
         t = self._t
-        out = {}
         for name, w in params.items():
-            g = grads[name].astype(w.dtype, copy=False)
-            if g.shape != w.shape:
-                raise DimensionError(f"gradient shape {g.shape} != param shape {w.shape} for {name!r}")
-            _check_finite(name, g)
+            g = grads[name]
             dt = w.dtype.type
             if name not in self._m:
                 self._m[name], self._v[name] = np.zeros_like(w), np.zeros_like(w)
-            # m and v update in place; each step below rounds as the
+            # w, m and v update in place; each step below rounds as the
             # expression w - lr * (m / c1) / (sqrt(v / c2) + eps) does
             m, v, s = self._m[name], self._v[name], np.empty_like(w)
             np.multiply(m, dt(self.beta1), out=m)
@@ -250,6 +254,6 @@ class Adam:
             step = np.divide(m, dt(1 - self.beta1 ** t))
             np.multiply(step, dt(self.lr), out=step)
             np.divide(step, s, out=step)
-            out[name] = np.subtract(w, step, out=step)
-        return out
+            np.subtract(w, step, out=w)
+        return params
 

@@ -26,19 +26,23 @@ _MIX2 = 0x94D049BB133111EB
 _SPLIT_SALT = 0x5851F42D4C957F2D
 # built once: a np.uint64 made per call costs next_u64 ~1 us
 _GOLDEN_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
 _TWO_NEG_53 = 2.0 ** -53
 
 
-def _finalize(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on an array of uint64 values."""
-    with np.errstate(over="ignore"):
-        z = x.astype(np.uint64, copy=True)
-        z ^= z >> np.uint64(30)
-        z *= _MIX1_U64
-        z ^= z >> np.uint64(27)
-        z *= _MIX2_U64
-        z ^= z >> np.uint64(31)
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a uint64 array, which it returns.
+
+    uint64 array arithmetic wraps mod 2**64 without a warning (only numpy
+    scalars warn on overflow), so no ``errstate`` is needed.
+    """
+    t = np.right_shift(z, _S30)
+    z ^= t
+    z *= _MIX1_U64
+    z ^= np.right_shift(z, _S27, out=t)
+    z *= _MIX2_U64
+    z ^= np.right_shift(z, _S31, out=t)
     return z
 
 
@@ -65,10 +69,11 @@ class Rng:
 
     def next_u64(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit draws, advancing the counter."""
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
-        with np.errstate(over="ignore"):
-            return _finalize(self.seed + idx * _GOLDEN_U64)
+        z *= _GOLDEN_U64
+        z += self.seed
+        return _finalize(z)
 
     def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """``n`` doubles uniform in [low, high), 53-bit resolution."""

@@ -110,8 +110,7 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
 
     rows: list[EpochRow] = []
     timing: list[str] = []
-    best_score = None
-    best_params = None
+    best_score = best_params = None
     has_valid = len(ds.valid_idx) > 0
 
     for epoch in range(cfg.epochs):
@@ -128,15 +127,18 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {bi}")
             model.load_parameters(opt.step(model.parameters(), grads))
+            # unbound now, so the next step's passes do not overlap this gradient set
+            del grads
             total += loss * len(bx)
             count += len(bx)
         train_loss = total / count
         valid_loss = valid_acc = None
         if has_valid:
             valid_loss, valid_acc = evaluate(model, ds, ds.valid_idx, np_dtype)
-        # "best" goes by validation loss, or train loss without a valid split
+        # "best" goes by validation loss, or train loss without a valid split;
+        # its snapshot, a parameter-sized copy, is kept only for best.qen1
         score = valid_loss if has_valid else train_loss
-        if best_score is None or score < best_score:
+        if out_dir is not None and (best_score is None or score < best_score):
             best_score = score
             best_params = {k: v.copy() for k, v in model.parameters().items()}
         rows.append(EpochRow(epoch=epoch, train_loss=train_loss,

@@ -159,6 +159,8 @@ class TestQEForward:
             qe_forward(layer, np.zeros(5))
         with pytest.raises(DimensionError):          # linear takes [n] or [batch, n] only
             qe_forward(layer, np.zeros((2, 2, 4)))
+        with pytest.raises(DimensionError):          # a 0-d input has no trailing axis
+            qe_forward(layer, np.float64(1.0))
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nonfinite_output_names_layer(self):

@@ -281,11 +281,27 @@ class TestLossesAndOptimizers:
         with pytest.raises(NumericError, match="spikes"):
             opt.step({"spikes": np.ones(2)}, {"spikes": np.array([1.0, np.nan])})
 
+    @pytest.mark.parametrize("opt", [SGD(lr=0.1), Adam(lr=0.1)], ids=["sgd", "adam"])
+    def test_failed_step_changes_nothing(self, opt):
+        """A NaN in the last gradient raises before any weight, moment or
+        step count moves, although the updates write in place."""
+        params = {"a": np.array([1.0, -2.0]), "b": np.array([0.5])}
+        opt.step(params, {"a": np.array([0.3, 0.1]), "b": np.array([-0.2])})
+
+        def state():
+            arrays = [params, getattr(opt, "_m", {}), getattr(opt, "_v", {})]
+            return [(k, a.tobytes()) for d in arrays for k, a in d.items()], getattr(opt, "_t", None)
+
+        before = state()
+        with pytest.raises(NumericError, match="'b'"):
+            opt.step(params, {"a": np.array([0.3, 0.1]), "b": np.array([np.nan])})
+        assert state() == before
+
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     def test_adam_five_steps_are_pinned(self, dtype):
-        """Five steps on two parameters land on pinned bits and leave the
-        arrays passed in untouched.  The gradients are f64, so the f32 set's
-        go through Adam's cast; their scale moves 10x per step, so the moments
+        """Five steps on two parameters land on pinned bits, written into
+        the arrays passed in.  The gradients are f64, so the f32 set's go
+        through Adam's cast; their scale moves 10x per step, so the moments
         and the bias corrections both matter."""
         np_dtype = np.dtype(np.float32 if dtype == "f32" else np.float64)
         rng = Rng(31)
@@ -295,10 +311,9 @@ class TestLossesAndOptimizers:
         for step in range(5):
             grads = {name: rng.split(10 + 2 * step + j).uniform(w.size, -1, 1).reshape(w.shape)
                      * 10.0 ** (step - 2) for j, (name, w) in enumerate(params.items())}
-            before = {k: w.copy() for k, w in params.items()}
             new = opt.step(params, grads)
             for k, w in params.items():
-                assert w.tobytes() == before[k].tobytes()
+                assert new[k] is w
                 assert new[k].dtype == np_dtype and new[k].shape == w.shape
             params = new
         h = hashlib.sha256()

@@ -1,11 +1,15 @@
 """Training loop behavior beyond what the CLI tests cover."""
 
+import csv
 import errno
+import json
 import os
+import tracemalloc
 
 import pytest
 
-from quadenhance.config import DatasetSpec, ModelSpec, TrainConfig
+from quadenhance.cli import main
+from quadenhance.config import COST_PRESETS, DatasetSpec, ModelSpec, TrainConfig
 from quadenhance.errors import NumericError
 from quadenhance.models import QuadraNetLayer, SwiGLULayer
 from quadenhance.training import build_dataset, build_model, train_run
@@ -119,3 +123,57 @@ def test_baseline_model_trains(tmp_path):
         "epochs": 150, "batch_size": 4, "seed": 2})
     res = train_run(cfg, out_dir=tmp_path)
     assert res.final_train_accuracy == 1.0
+
+
+def test_best_checkpoint_is_the_run_cut_at_its_best_epoch(tmp_path):
+    """A run is deterministic in its epoch prefix, so best.qen1 of a run
+    whose validation loss turns up after epoch 3 holds the bytes of
+    final.qen1 from the same config trained for 4 epochs.  An update that
+    wrote into the best snapshot would break this."""
+    raw = {
+        "model": {"type": "qe_mlp", "layer_dims": [4, 8, 3], "activation": "relu"},
+        "dataset": {"name": "quadratic_target", "n": 4, "d": 3, "size": 24, "seed": 2,
+                    "valid_fraction": 0.25},
+        "optimizer": {"algo": "adam", "lr": 0.05},
+        "batch_size": 4, "seed": 2}
+
+    def train(epochs):
+        cfg, out = tmp_path / f"e{epochs}.json", tmp_path / f"out{epochs}"
+        cfg.write_text(json.dumps({**raw, "epochs": epochs}))
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        return out
+
+    long, cut = train(6), train(4)
+    with open(long / "metrics.csv") as fh:
+        valid = [float(r["valid_loss"]) for r in csv.DictReader(fh)]
+    assert min(range(6), key=valid.__getitem__) == 3
+    best = (long / "best.qen1").read_bytes()
+    assert best == (cut / "final.qen1").read_bytes()
+    assert best != (long / "final.qen1").read_bytes()
+
+
+@pytest.mark.parametrize("algo, bound", [("adam", 5.5), ("sgd", 4.0)])
+def test_training_peak_in_parameter_sets(algo, bound):
+    """Without an output directory the traced peak of a vit-m-ffn run holds
+    the weights, one gradient set and the optimizer state (Adam: m and v),
+    plus activations and data well under one more parameter set: no
+    best-epoch snapshot, and no previous step's gradients during the next
+    step's passes."""
+    cfg = TrainConfig.from_dict({
+        "model": {"type": "qe_mlp", "activation": "gelu", "shifts": [1],
+                  "layer_dims": list(COST_PRESETS["vit-m-ffn"].options["layer_dims"])},
+        "dataset": {"name": "quadratic_target", "n": 192, "d": 192, "size": 80, "seed": 1},
+        "optimizer": {"algo": algo, "lr": 1e-3},
+        "epochs": 2, "batch_size": 32, "seed": 0, "dtype": "f32"})
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = train_run(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    param_bytes = sum(w.nbytes for w in res.model.parameters().values())
+    assert peak < bound * param_bytes, f"peak {peak / param_bytes:.2f} parameter sets"
