@@ -278,8 +278,13 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1 or any(v <= 0 for v in self.v_list):
-            raise ConfigError("montecarlo: samples must be >= 1 and thresholds positive")
+        if self.samples < 1:
+            raise ConfigError(f"montecarlo.samples: must be >= 1, got {self.samples}")
+        if not self.v_list:
+            raise ConfigError("montecarlo.v_list: must name at least one threshold")
+        for i, v in enumerate(self.v_list):
+            if v <= 0:
+                raise ConfigError(f"montecarlo.v_list[{i}]: must be > 0, got {v}")
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "montecarlo") -> "MonteCarloConfig":

@@ -17,12 +17,16 @@ in ``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg`` (~26 MB and
 
 Memory is O(chunk), not O(samples): samples are drawn and counted
 ``_CHUNK`` at a time, and since each sample depends only on (seed, index)
-the chunk size cannot change a result.  At 2^14 samples a chunk's arrays
-(raw draws, uniforms, the normal pair, squares, cross products) peak at
-1.7 MB under tracemalloc, inside a 2 MB per-core L2.  On a 2-vCPU Xeon,
-2M samples took ~180 ms at 2^13 and 2^14, ~190-220 ms at 2^15 and 2^16,
-and ~310-360 ms at 10^6 (a 96 MB peak); 2^14 needs half the Python
-iterations of 2^13.
+the chunk size cannot change a result.
+
+Only samples that can hit are finished.  The radius r = sqrt(-2 log u1)
+is computed for the whole chunk; |fl(cos)|, |fl(sin)| <= 1 and rounding is
+monotone, so fl(x1*x1) and |fl(x1*x2)| never exceed fl(r*r), and a sample
+with fl(r*r) <= min(v) hits nothing: its angle is never drawn, nor its cos
+and sin taken (at v = 4, e^-2 ~ 13.5% of samples remain).  At 2^14
+samples a chunk peaks at 0.64 MB under tracemalloc.  On a 2-vCPU Xeon,
+2M samples at v = 4, 8, 16 took ~40-50 ms at 2^14 and 2^15, ~55-70 ms at
+2^16 and 10^6 (a 38 MB peak) and ~60-85 ms at 2^12 and 2^13.
 """
 
 from __future__ import annotations
@@ -37,22 +41,7 @@ from .rng import Rng
 
 _CHUNK = 1 << 14
 _TWO_NEG_53 = 2.0 ** -53
-
-
-def _normal_pairs(seed: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Standard-normal pairs for sample indices [start, start+count).
-
-    Sample j consumes exactly the two raw draws at counters 2j and 2j+1
-    (Box-Muller), so results depend only on (seed, j), never on how the
-    total is chunked.
-    """
-    rng = Rng(seed, counter=2 * start)
-    raw = rng.next_u64(2 * count)
-    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG_53
-    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    return radius * np.cos(angle), radius * np.sin(angle)
+_S11, _ONE = np.uint64(11), np.uint64(1)
 
 
 def square_tail_analytic(v: float) -> float:
@@ -100,15 +89,35 @@ class TailRow:
         return float(np.sqrt(p * (1.0 - p) / self.samples))
 
 
+def _candidate_pairs(seed: int, start: int, count: int, v_min: float):
+    """The samples of [start, start+count) that can exceed ``v_min``: their
+    positions in the range and their normal pairs (x1, x2).
+
+    Sample j is the Box-Muller pair of raw draws 2j and 2j+1, so results
+    depend only on (seed, j), never on how the total is chunked.
+    """
+    rng = Rng(seed)
+    first = np.arange(2 * start, 2 * (start + count), 2, dtype=np.uint64)
+    u1 = ((rng.at(first) >> _S11).astype(np.float64) + 1.0) * _TWO_NEG_53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    keep = np.flatnonzero(radius * radius > v_min)
+    radius = radius[keep]
+    u2 = (rng.at(first[keep] + _ONE) >> _S11).astype(np.float64) * _TWO_NEG_53
+    angle = 2.0 * np.pi * u2
+    return keep, radius * np.cos(angle), radius * np.sin(angle)
+
+
 def run_montecarlo(v_list, samples: int, seed: int) -> list[TailRow]:
     """Estimate P(x1^2 > v) and P(|x1 x2| > v) for each v by simulation."""
     v_arr = np.asarray(sorted(float(v) for v in v_list))
+    if not len(v_arr):
+        raise ValueError("run_montecarlo needs at least one threshold")
     sq_hits = np.zeros(len(v_arr), dtype=np.int64)
     cr_hits = np.zeros(len(v_arr), dtype=np.int64)
     done = 0
     while done < samples:
         m = min(_CHUNK, int(samples) - done)
-        x1, x2 = _normal_pairs(seed, done, m)
+        _, x1, x2 = _candidate_pairs(seed, done, m, v_arr[0])
         sq = x1 * x1
         cr = np.abs(x1 * x2)
         for i, v in enumerate(v_arr):

@@ -27,6 +27,7 @@ _SPLIT_SALT = 0x5851F42D4C957F2D
 # built once: a np.uint64 made per call costs next_u64 ~1 us
 _GOLDEN_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
 _S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
+_ONE_U64 = np.uint64(1)
 
 _TWO_NEG_53 = 2.0 ** -53
 
@@ -67,13 +68,29 @@ class Rng:
         tagged = _finalize_int((tag + _SPLIT_SALT) & _MASK)
         return Rng(_finalize_int((int(self.seed) + _GOLDEN * (tagged | 1)) & _MASK))
 
-    def next_u64(self, n: int) -> np.ndarray:
-        """Next ``n`` raw 64-bit draws, advancing the counter."""
-        z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        self.counter += n
+    def _draws(self, z: np.ndarray) -> np.ndarray:
+        """Draws i for z = i + 1, a uint64 array that is overwritten and returned."""
         z *= _GOLDEN_U64
         z += self.seed
         return _finalize(z)
+
+    def at(self, indices: np.ndarray) -> np.ndarray:
+        """Draw ``i`` of this stream for each ``i`` of a uint64 array, in a new
+        array; the counter does not move."""
+        return self._draws(indices + _ONE_U64)
+
+    def next_u64(self, n: int) -> np.ndarray:
+        """Next ``n`` raw 64-bit draws, advancing the counter."""
+        c = self.counter
+        self.counter += n
+        if n <= 2:
+            # the check instance builders draw one at a time: on Python ints a
+            # call takes ~1.5 us, through arrays ~5-9 us (2-vCPU Xeon)
+            s = int(self.seed)
+            return np.array([_finalize_int((s + (i + 1) * _GOLDEN) & _MASK) for i in range(c, c + n)],
+                            dtype=np.uint64)
+        # an index array for ``at`` would cost a 147k-draw init ~0.4 ms more
+        return self._draws(np.arange(c + 1, c + n + 1, dtype=np.uint64))
 
     def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """``n`` doubles uniform in [low, high), 53-bit resolution."""

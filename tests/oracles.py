@@ -8,6 +8,8 @@ instead of sharing them.
 import numpy as np
 from scipy.optimize import linprog
 
+from quadenhance.rng import Rng
+
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Scalar triple loop with j-innermost sequential accumulation.
@@ -124,3 +126,19 @@ def fnv1a64_bytewise(data: bytes) -> int:
     for byte in data:
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def normal_pairs(seed: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Box-Muller pairs for sample indices [start, start+count), every one drawn.
+
+    Sample j turns the raw draws 2j and 2j+1 of ``Rng(seed)`` into u1 in
+    (0, 1] and u2 in [0, 1), then into (r cos 2 pi u2, r sin 2 pi u2) with
+    r = sqrt(-2 log u1): the expressions Monte Carlo evaluates, in the same
+    order, but for every sample rather than those that can hit.
+    """
+    raw = Rng(seed, counter=2 * start).next_u64(2 * count)
+    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    return radius * np.cos(angle), radius * np.sin(angle)

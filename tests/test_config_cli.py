@@ -350,6 +350,14 @@ PROBES = {
     "blobs-zero-classes": ("train", {**_TRAIN, "dataset": {"name": "blobs", "classes": 0}},
                            "got classes=0"),
     "gradcheck-no-families": ("gradcheck", {"families": []}, "families must name"),
+    "montecarlo-samples-zero": ("montecarlo", {"samples": 0},
+                                "montecarlo.samples: must be >= 1, got 0"),
+    "montecarlo-empty-v-list": ("montecarlo", {"v_list": []},
+                                "montecarlo.v_list: must name at least one threshold"),
+    "montecarlo-v-zero": ("montecarlo", {"v_list": [4, 0]},
+                          "montecarlo.v_list[1]: must be > 0, got 0.0"),
+    "montecarlo-v-negative": ("montecarlo", {"v_list": [-2.5]},
+                              "montecarlo.v_list[0]: must be > 0, got -2.5"),
     "adam-beta1-one": ("train", _train(optimizer__beta1=1.0),
                        "optimizer: beta1 must lie in (0, 1), got 1.0"),
     "adam-eps-zero": ("train", _train(optimizer__eps=0), "optimizer: eps must be positive"),

@@ -8,9 +8,11 @@ import pytest
 from scipy import special
 
 import quadenhance.montecarlo as mc
-from quadenhance.montecarlo import (TailRow, _normal_pairs, cross_tail_integral,
-                                    format_table, rows_to_csv, run_montecarlo,
-                                    square_tail_analytic)
+from quadenhance.montecarlo import (TailRow, cross_tail_integral, format_table, rows_to_csv,
+                                    run_montecarlo, square_tail_analytic)
+
+from cpu_dispatch import assert_passes_without_cpu_dispatch
+from oracles import normal_pairs
 
 
 def test_square_tail_closed_form():
@@ -120,14 +122,63 @@ def test_normal_pairs_depend_only_on_seed_and_index(seed, start):
     The sizes put different samples into the SIMD tails of log, cos and sin.
     """
     sizes = [1, 7, 8, 9, 4097, 16385]
-    whole = _normal_pairs(seed, start, sum(sizes))
+    whole = normal_pairs(seed, start, sum(sizes))
     pieces, at = [], start
     for m in sizes:
-        pieces.append(_normal_pairs(seed, at, m))
+        pieces.append(normal_pairs(seed, at, m))
         at += m
     for axis in (0, 1):
         joined = np.concatenate([p[axis] for p in pieces])
         assert joined.tobytes() == whole[axis].tobytes()
+
+
+V_LISTS = {
+    "tiny": (1e-12, 0.5),               # every sample survives the filter
+    "huge": (1e3, 1e6),                 # no sample survives it
+    "duplicated": (8.0, 4.0, 8.0, 4.0, 2.5),
+}
+
+
+@pytest.mark.parametrize("v_list", sorted(V_LISTS))
+@pytest.mark.parametrize("seed,samples,chunk", [
+    (0, 50_001, mc._CHUNK), (5, 20_000, 4097), (2**64 - 1, 16_385, 1000)])
+def test_filtered_counts_equal_full_draw(monkeypatch, v_list, seed, samples, chunk):
+    """Drawing angles only where fl(r*r) > min(v) counts the same hits as
+    drawing every pair; the chunk sizes start chunks at many offsets."""
+    monkeypatch.setattr(mc, "_CHUNK", chunk)
+    rows = run_montecarlo(V_LISTS[v_list], samples, seed)
+    x1, x2 = normal_pairs(seed, 0, samples)
+    sq, cr = x1 * x1, np.abs(x1 * x2)
+    assert [r.v for r in rows] == sorted(V_LISTS[v_list])
+    for r in rows:
+        assert (r.square_hits, r.cross_hits) == (np.count_nonzero(sq > r.v),
+                                                 np.count_nonzero(cr > r.v))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+@pytest.mark.parametrize("start,count", [(0, 16_384), (11, 4097), (2**40 + 3, 999)])
+@pytest.mark.parametrize("v_min", [1e-12, 4.0, 9.0])
+def test_candidates_keep_the_full_draw_bits(seed, start, count, v_min):
+    """Each candidate has the reference's x1 and x2 bits at its index, and
+    every sample left out exceeds v_min in neither product."""
+    keep, x1, x2 = mc._candidate_pairs(seed, start, count, v_min)
+    ref1, ref2 = normal_pairs(seed, start, count)
+    assert x1.tobytes() == ref1[keep].tobytes()
+    assert x2.tobytes() == ref2[keep].tobytes()
+    out = np.ones(count, dtype=bool)
+    out[keep] = False
+    assert not np.any(ref1[out] * ref1[out] > v_min)
+    assert not np.any(np.abs(ref1[out] * ref2[out]) > v_min)
+
+
+def test_empty_v_list_is_refused():
+    with pytest.raises(ValueError, match="at least one threshold"):
+        run_montecarlo([], 10, 0)
+
+
+def test_montecarlo_independent_of_cpu_dispatch():
+    # the filter runs cos and sin on gathered subsets and log on whole chunks
+    assert_passes_without_cpu_dispatch(__file__)
 
 
 def _traced_peak(samples):

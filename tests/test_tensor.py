@@ -1,12 +1,6 @@
 """Kernel contracts: exactness, determinism, and shape validation."""
 
-import json
-import os
-import platform
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from quadenhance import tensor as T
 from quadenhance.errors import DimensionError
 
+from cpu_dispatch import assert_passes_without_cpu_dispatch
 from oracles import matmul_triple_loop, reduce_sum_sequential
 
 
@@ -197,38 +192,8 @@ class TestMatmulProbe:
         assert not T._sums_in_order(kernel)
 
 
-def _cpu_features(env, names):
-    """numpy's on/off report for each CPU feature in ``names``, in a process
-    started with ``env``; None for a name that numpy does not know."""
-    probe = ("import json, sys, numpy as np; m = getattr(np, '_core', None) or np.core; "
-             "f = m._multiarray_umath.__cpu_features__; "
-             "print(json.dumps([f.get(n) for n in sys.argv[1:]]))")
-    out = subprocess.run([sys.executable, "-c", probe, *names], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    return json.loads(out.stdout)
-
-
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="names x86 CPU features")
 def test_kernels_independent_of_cpu_dispatch():
-    # every x86 dispatch target of numpy 2.x switched off in a child process
-    # only: X86_V3 (AVX2, FMA3), X86_V4 (AVX-512) and the AVX512_ICL and
-    # AVX512_SPR targets, which stay on when only the first two are named; a
-    # pass counts only if the child's numpy reports all four off
-    names = ("X86_V4", "X86_V3", "AVX512_ICL", "AVX512_SPR")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(names))
-    src = str(Path(T.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    if not any(_cpu_features(os.environ, names)):
-        pytest.skip("numpy dispatches no x86 loops beyond its baseline here")
-    if any(on is not False for on in _cpu_features(env, names)):
-        pytest.skip("this numpy does not switch all of " + ", ".join(names)
-                    + " off through the variable")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "-k", "not cpu_dispatch", __file__],
-        cwd=Path(__file__).parents[1], env=env, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert_passes_without_cpu_dispatch(__file__)
 
 
 class TestElementwise:
