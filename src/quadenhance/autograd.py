@@ -170,16 +170,10 @@ def add_row(a: Variable, v: Variable) -> Variable:
     return a.tape.record("add_row", (a, v), out, bwd)
 
 
-def reduce_sum(a: Variable, axis: int | None = None) -> Variable:
-    out = T.reduce_sum(a.value, axis)
+def reduce_sum(a: Variable) -> Variable:
+    out = T.reduce_sum(a.value)
     shape, dtype = a.value.shape, a.value.dtype
-
-    def bwd(g):
-        if axis is None:
-            return (np.full(shape, g, dtype=dtype),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).astype(dtype, copy=True),)
-
-    return a.tape.record("reduce_sum", (a,), out, bwd)
+    return a.tape.record("reduce_sum", (a,), out, lambda g: (np.full(shape, g, dtype=dtype),))
 
 
 def relu(a: Variable) -> Variable:

@@ -137,13 +137,13 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
     for name, arr in params.items():
         tag = _TAG_FOR_KIND.get(arr.dtype.newbyteorder("="))
         if tag is None:
-            raise CheckpointError(f"unsupported dtype {arr.dtype} for parameter {name!r}")
+            raise CheckpointError(f"{path}: unsupported dtype {arr.dtype} for parameter {name!r}")
         name_b = name.encode("utf-8")
         if len(name_b) > 0xFFFF:
-            raise CheckpointError(f"parameter name {name[:40]!r}... is {len(name_b)} UTF-8 bytes; "
-                                  f"QEN1 allows at most 65535")
+            raise CheckpointError(f"{path}: parameter name {name[:40]!r}... is {len(name_b)} "
+                                  f"UTF-8 bytes; QEN1 allows at most 65535")
         if any(n > 0xFFFFFFFF for n in arr.shape):
-            raise CheckpointError(f"parameter {name!r} has shape {arr.shape}; "
+            raise CheckpointError(f"{path}: parameter {name!r} has shape {arr.shape}; "
                                   f"QEN1 extents must be below 2**32")
         # a view where possible: the join below is the one copy of the payload
         raw = memoryview(np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]))

@@ -44,8 +44,6 @@ def _draw_shifts(rng: Rng, d: int) -> tuple[int, ...]:
 def make_sweep_instance(instance_seed: int, max_dim: int = 32, dtype=np.float64):
     """Seeded random (layer, x) pair with magnitudes kept moderate so the
     absolute tolerances hold headroom in both precisions."""
-    if max_dim < 2:
-        raise ValueError("max_dim must be at least 2")
     rng = Rng(instance_seed)
     d = 2 + int(rng.next_u64(1)[0]) % (max_dim - 1)
     n = 1 + int(rng.next_u64(1)[0]) % max_dim

@@ -113,6 +113,12 @@ def _choice(d, where: str, tag: str, table: dict, what: str, skip: tuple[str, ..
     return choice, options
 
 
+def _check_at_least(where: str, cfg, low: int, *keys: str) -> None:
+    for key in keys:
+        if getattr(cfg, key) < low:
+            raise ConfigError(f"{where}.{key}: must be >= {low}, got {getattr(cfg, key)}")
+
+
 def _check_precision(where: str, key: str, value: str) -> None:
     if value not in PRECISIONS:
         raise ConfigError(f"{where}: {key} must be one of {sorted(PRECISIONS)}, got {value!r}")
@@ -157,7 +163,7 @@ class OptimizerSpec:
         if self.algo not in ("sgd", "adam"):
             raise ConfigError(f"optimizer: unknown optimizer {self.algo!r}")
         if self.lr <= 0:
-            raise ConfigError("optimizer: lr must be positive")
+            raise ConfigError(f"optimizer: lr must be positive, got {self.lr!r}")
         for key, value in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0 < value < 1:
                 raise ConfigError(f"optimizer: {key} must lie in (0, 1), got {value!r}")
@@ -184,8 +190,7 @@ class TrainConfig:
     dtype: str = "f32"
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("train: epochs and batch_size must be >= 1")
+        _check_at_least("train", self, 1, "epochs", "batch_size")
         _check_precision("train", "dtype", self.dtype)
 
     @classmethod
@@ -211,6 +216,14 @@ class AblateConfig:
             raise ConfigError("ablate: k_sets must be a non-empty list of shift lists")
         if len(self.seeds) < 3:
             raise ConfigError("ablate: need at least 3 seeds for a median")
+        if not self.dims:
+            raise ConfigError("ablate.dims: must name at least one dim")
+        for i, d in enumerate(self.dims):
+            if d < 2:
+                raise ConfigError(f"ablate.dims[{i}]: must be >= 2, got {d}")
+        if self.input_dim is not None:
+            _check_at_least("ablate", self, 2, "input_dim")
+        _check_at_least("ablate", self, 1, "dataset_size", "epochs", "batch_size")
         _check_precision("ablate", "dtype", self.dtype)
 
     @classmethod
@@ -278,8 +291,7 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ConfigError(f"montecarlo.samples: must be >= 1, got {self.samples}")
+        _check_at_least("montecarlo", self, 1, "samples")
         if not self.v_list:
             raise ConfigError("montecarlo.v_list: must name at least one threshold")
         for i, v in enumerate(self.v_list):
@@ -333,7 +345,5 @@ def canonical_json(obj) -> str:
     def default(o):
         if hasattr(o, "__dataclass_fields__"):
             return asdict(o)
-        if isinstance(o, tuple):
-            return list(o)
         raise TypeError(f"cannot serialize {type(o).__name__}")
     return json.dumps(obj, indent=2, sort_keys=True, default=default) + "\n"

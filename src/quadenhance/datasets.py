@@ -56,10 +56,6 @@ class Dataset:
         return self.features.shape[1]
 
     @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def is_classification(self) -> bool:
         return self.n_classes is not None
 

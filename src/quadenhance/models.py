@@ -66,9 +66,6 @@ class MLPConfig:
             m[-1] = False
         return tuple(m)
 
-    def np_dtype(self):
-        return PRECISIONS[self.dtype]
-
     def plain(self) -> "MLPConfig":
         """Same stack with every enhancer disabled (the linear baseline)."""
         return replace(self, enhancer=tuple(False for _ in range(self.n_layers)))
@@ -89,7 +86,7 @@ class MLP(ag.Layer):
             layer_seed = int(rng.split(i).seed)
             self.layers.append(init_qelayer(
                 n=dims[i], d=dims[i + 1], shifts=config.shifts if mask[i] else (),
-                seed=layer_seed, dtype=config.np_dtype(), name=f"layers.{i}"))
+                seed=layer_seed, dtype=PRECISIONS[config.dtype], name=f"layers.{i}"))
         self._act = ACTIVATIONS[config.activation]
         self.n, self.d = dims[0], dims[-1]
 
@@ -219,9 +216,9 @@ class Adam:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    _m: dict = field(default_factory=dict, repr=False)
-    _v: dict = field(default_factory=dict, repr=False)
-    _t: int = 0
+    _m: dict = field(default_factory=dict, init=False, repr=False)
+    _v: dict = field(default_factory=dict, init=False, repr=False)
+    _t: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.lr <= 0:

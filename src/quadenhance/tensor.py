@@ -9,12 +9,12 @@ coded references agree bit for bit, not just within rounding noise (a
 naive triple loop reproduces ``matmul`` exactly).  Neither loops over
 terms in Python.  ``matmul`` runs on numpy's einsum kernel where an
 import-time probe finds that it sums in that order, else on ordered
-``np.add.reduce`` sums over row blocks of products.  ``reduce_sum`` uses
-``np.add.accumulate``, which is sequential on any axis.  The other
-kernels are single elementwise ufunc calls or slice copies.  The
-differentiable layers also call numpy directly: activations, losses, and
-``np.add.reduce`` in the bias and coupling gradients, which sums in
-numpy's own order.
+``np.add.reduce`` sums over row blocks of products.  ``reduce_sum``, a
+full reduction, sums leading axes with ``np.add.accumulate``, which is
+sequential.  The other kernels are single elementwise ufunc calls or
+slice copies; there is no argmax kernel.  The differentiable layers also
+call numpy directly: activations, losses, and ``np.add.reduce`` in the
+bias and coupling gradients, which sums in numpy's own order.
 """
 
 from __future__ import annotations
@@ -185,27 +185,14 @@ def _sum_axis0(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def reduce_sum(a: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """Sum with a fixed sequential accumulation order.
+def reduce_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of every element with a fixed sequential accumulation order.
 
-    axis=None reduces leading axes one at a time (each sequentially in
-    index order) until a scalar remains; an integer axis reduces that
-    axis only.  The order is part of the contract: identical inputs give
-    bit-identical sums everywhere this runs.
+    Leading axes are reduced one at a time, each sequentially in index
+    order, until a scalar remains.  The order is part of the contract:
+    identical inputs give bit-identical sums everywhere this runs.
     """
-    if axis is None:
-        out = a
-        while out.ndim > 0:
-            out = _sum_axis0(out)
-        return out
-    if not -a.ndim <= axis < a.ndim:
-        raise DimensionError(f"axis {axis} invalid for shape {a.shape}")
-    return _sum_axis0(np.moveaxis(a, axis, 0))
-
-
-def argmax_last(a: np.ndarray) -> np.ndarray:
-    """Index of the maximum along the last axis, ties to the lowest index."""
-    if a.ndim < 1 or a.shape[-1] < 1:
-        raise DimensionError(f"argmax_last needs a non-empty last axis, got {a.shape}")
-    return np.argmax(a, axis=-1)
-
+    out = a
+    while out.ndim > 0:
+        out = _sum_axis0(out)
+    return out

@@ -8,6 +8,7 @@ go to a separate timing log so reruns stay byte-identical).
 
 from __future__ import annotations
 
+import contextlib
 import io
 import time
 from dataclasses import dataclass
@@ -65,13 +66,30 @@ def _loss_and_grads(model, x, target, classification: bool):
 def evaluate(model, ds: data.Dataset, indices: np.ndarray, dtype) -> tuple[float, float | None]:
     """(loss, accuracy) over an index set; accuracy is None for regression."""
     out = ag.Tape().const(model.forward(ds.features[indices].astype(dtype)))
+    acc = None
     if ds.is_classification:
         labels = ds.labels[indices]
         loss = ag.cross_entropy(out, labels)
-        acc = float(np.mean(T.argmax_last(out.value) == labels))
-        return float(loss.value), acc
-    target = ds.labels[indices].astype(dtype)
-    return float(mse(out, target).value), None
+        acc = float(np.mean(np.argmax(out.value, axis=-1) == labels))
+    else:
+        loss = mse(out, ds.labels[indices].astype(dtype))
+    if not np.isfinite(loss.value):
+        raise NumericError("non-finite loss")
+    return float(loss.value), acc
+
+
+@contextlib.contextmanager
+def _failing_as(where: str):
+    """numpy's overflow warnings off, and a NumericError prefixed with ``where``.
+
+    Layer outputs, losses and gradients are all checked for finiteness,
+    so a diverging run ends in the package's own error, not a warning.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except NumericError as exc:
+        raise NumericError(f"{where}: {exc}") from None
 
 
 @dataclass
@@ -120,13 +138,11 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
         for bi, (bx, by) in enumerate(data.batch_iter(ds, cfg.batch_size, epoch_seed)):
             x = bx.astype(np_dtype)
             target = by if ds.is_classification else by.astype(np_dtype)
-            try:
+            with _failing_as(f"epoch {epoch}, batch {bi}"):
                 loss, grads = _loss_and_grads(model, x, target, ds.is_classification)
-            except NumericError as exc:
-                raise NumericError(f"epoch {epoch}, batch {bi}: {exc}") from None
-            if not np.isfinite(loss):
-                raise NumericError(f"non-finite loss at epoch {epoch}, batch {bi}")
-            model.load_parameters(opt.step(model.parameters(), grads))
+                if not np.isfinite(loss):
+                    raise NumericError("non-finite loss")
+                model.load_parameters(opt.step(model.parameters(), grads))
             # unbound now, so the next step's passes do not overlap this gradient set
             del grads
             total += loss * len(bx)
@@ -134,7 +150,8 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
         train_loss = total / count
         valid_loss = valid_acc = None
         if has_valid:
-            valid_loss, valid_acc = evaluate(model, ds, ds.valid_idx, np_dtype)
+            with _failing_as(f"epoch {epoch}, validation"):
+                valid_loss, valid_acc = evaluate(model, ds, ds.valid_idx, np_dtype)
         # "best" goes by validation loss, or train loss without a valid split;
         # its snapshot, a parameter-sized copy, is kept only for best.qen1
         score = valid_loss if has_valid else train_loss
@@ -145,7 +162,8 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
                              valid_loss=valid_loss, valid_accuracy=valid_acc))
         timing.append(f"epoch {epoch}: {time.perf_counter() - t0:.6f} s")
 
-    final_loss, final_acc = evaluate(model, ds, ds.train_idx, np_dtype)
+    with _failing_as("final evaluation"):
+        final_loss, final_acc = evaluate(model, ds, ds.train_idx, np_dtype)
     result = TrainResult(rows=rows, final_train_loss=final_loss,
                          final_train_accuracy=final_acc, model=model)
 
@@ -156,8 +174,7 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
         write_atomic(out / "timing.log", ("\n".join(timing) + "\n").encode())
         write_atomic(out / "run_config.json", canonical_json(cfg).encode())
         save_checkpoint(out / "final.qen1", model.parameters())
-        save_checkpoint(out / "best.qen1", best_params if best_params is not None
-                        else model.parameters())
+        save_checkpoint(out / "best.qen1", best_params)
     return result
 
 

@@ -80,13 +80,6 @@ class TestBackwardBasics:
         g = _grad_of(tape, ag.reduce_sum(out), x)
         np.testing.assert_array_equal(g, [5.0])
 
-    def test_reduce_sum_axis_backward(self):
-        tape = ag.Tape()
-        x = tape.param(np.ones((2, 3)))
-        out = ag.reduce_sum(ag.reduce_sum(x, axis=0))
-        g = _grad_of(tape, out, x)
-        np.testing.assert_array_equal(g, np.ones((2, 3)))
-
 
 class TestTapeContracts:
     def test_finished_step_frees_its_tape_without_the_cycle_collector(self):
@@ -230,14 +223,6 @@ def _primitive_cases():
             return ag.reduce_sum(ag.scale(bound["x"], -1.7))
         return {"x": x}, f
 
-    def sum_axis_case(rng, dt):
-        x = rng.split(1).uniform(6, -1, 1).reshape(2, 3).astype(dt)
-        u = rng.split(2).uniform(3, 0.5, 1.0)
-        def f(tape, bound):
-            out = ag.reduce_sum(bound["x"], axis=0)
-            return ag.reduce_sum(ag.hadamard(out, tape.const(u.astype(out.value.dtype))))
-        return {"x": x}, f
-
     def ce_case(rng, dt):
         z = rng.split(1).uniform(6, -2, 2).reshape(2, 3).astype(dt)
         labels = (rng.split(2).next_u64(2) % np.uint64(3)).astype(np.int64)
@@ -252,7 +237,6 @@ def _primitive_cases():
         "add": binary_case(ag.add),
         "scale": scale_case,
         "add_row": row_case(ag.add_row),
-        "reduce_sum_axis": sum_axis_case,
         # relu inputs shifted away from the kink at 0
         "relu": unary_case(ag.relu, shift=2.0),
         "gelu": unary_case(ag.gelu, shift=3.0),

@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import os
+import re
 import struct
 
 import numpy as np
@@ -142,10 +143,36 @@ def test_unrepresentable_parameter_rejected_on_save(tmp_path, params, match):
     assert list(tmp_path.iterdir()) == []
 
 
-def _one_record(name: bytes, extents, payload: bytes) -> bytes:
+def _one_record(name: bytes, extents, payload: bytes, tag: int = 0) -> bytes:
     return (MAGIC + struct.pack("<II", 1, 1) + struct.pack("<H", len(name)) + name
-            + struct.pack("<BB", 0, len(extents)) + struct.pack(f"<{len(extents)}I", *extents)
+            + struct.pack("<BB", tag, len(extents)) + struct.pack(f"<{len(extents)}I", *extents)
             + payload)
+
+
+def test_unsupported_dtype_rejected_on_save(tmp_path):
+    path = tmp_path / "m.qen1"
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: unsupported dtype int32")):
+        save_checkpoint(path, {"w": np.zeros(2, dtype=np.int32)})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_file_shorter_than_header_and_checksum_rejected(tmp_path):
+    path = tmp_path / "m.qen1"
+    path.write_bytes(MAGIC + bytes(15))
+    with pytest.raises(ChecksumError, match=re.escape(f"{path}: file too short (19 bytes)")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("body, match", [
+    (_one_record(b"w", (1,), struct.pack("<f", 1.0), tag=7), "unknown dtype tag 7 for 'w'"),
+    (_one_record(b"w", (1,), struct.pack("<f", 1.0)) + b"\x00\x00", "2 trailing bytes"),
+], ids=["unknown-tag", "trailing-bytes"])
+def test_checksummed_malformed_record_rejected(tmp_path, body, match):
+    # a valid checksum, so the parser rejects the record, not the checksum
+    path = tmp_path / "m.qen1"
+    path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {match}")):
+        load_checkpoint(path)
 
 
 def test_non_utf8_name_rejected(tmp_path):

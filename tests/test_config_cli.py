@@ -151,13 +151,10 @@ class TestOutputDeterminism:
             outs.append((out / "cost.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_train_rerun_byte_identical(self, tmp_path):
+    @staticmethod
+    def _train_twice(tmp_path, raw):
         cfg = tmp_path / "t.json"
-        cfg.write_text(json.dumps({
-            "model": {"type": "qe_mlp", "layer_dims": [2, 2], "activation": "identity"},
-            "dataset": {"name": "xor"},
-            "optimizer": {"algo": "sgd", "lr": 0.1},
-            "epochs": 20, "batch_size": 4, "seed": 3}))
+        cfg.write_text(json.dumps(raw))
         blobs = []
         for name in ("a", "b"):
             out = tmp_path / name
@@ -166,6 +163,32 @@ class TestOutputDeterminism:
                           (out / "final.qen1").read_bytes(),
                           (out / "best.qen1").read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_train_rerun_byte_identical(self, tmp_path):
+        self._train_twice(tmp_path, {
+            "model": {"type": "qe_mlp", "layer_dims": [2, 2], "activation": "identity"},
+            "dataset": {"name": "xor"},
+            "optimizer": {"algo": "sgd", "lr": 0.1},
+            "epochs": 20, "batch_size": 4, "seed": 3})
+
+    # sigmoid calls np.exp, whose bits depend on the CPU's dispatch target,
+    # so these reruns pin no digest
+    def test_swiglu_rerun_byte_identical(self, tmp_path):
+        self._train_twice(tmp_path, {
+            "model": {"type": "swiglu", "n": 2, "d": 2},
+            "dataset": {"name": "circles", "classes": 2, "size": 40, "noise": 0.1, "seed": 3,
+                        "valid_fraction": 0.5},
+            "optimizer": {"algo": "sgd", "lr": 1}, "epochs": 2, "batch_size": 4})
+
+    def test_csv_regression_rerun_byte_identical(self, tmp_path):
+        rows = [(i % 3 - 1, (i * 7) % 5 / 4, i / 10) for i in range(12)]
+        (tmp_path / "table.csv").write_text(
+            "a,b,c,y\n" + "".join(f"{a},{b},{c},{a * b - c}\n" for a, b, c in rows))
+        self._train_twice(tmp_path, {
+            "model": {"type": "qe_mlp", "layer_dims": [3, 4, 1], "exempt_final": True},
+            "dataset": {"name": "csv", "path": str(tmp_path / "table.csv"), "label_column": "y",
+                        "has_header": True, "classification": False, "valid_fraction": 0.5},
+            "optimizer": {"algo": "sgd", "lr": 0.1}, "epochs": 2, "batch_size": 4})
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = tmp_path / "mc.json"
@@ -184,6 +207,21 @@ def test_oracle_equiv_cli(tmp_path):
     header, row = (out / "oracle_equiv.csv").read_text().strip().splitlines()
     assert header.startswith("instances,")
     assert row.endswith(",1")
+
+
+def test_oracle_equiv_cli_without_config_runs_the_defaults(tmp_path):
+    out = tmp_path / "o"
+    assert main(["oracle-equiv", "--out", str(out)]) == 0
+    row = (out / "oracle_equiv.csv").read_text().splitlines()[1]
+    assert row.startswith("1000,0,f64,1.0e-12,") and row.endswith(",1")
+
+
+def test_ablate_cli_seed_override_shifts_every_seed(tmp_path):
+    cfg = tmp_path / "ab.json"
+    cfg.write_text(json.dumps({**VALID["ablate-k"], "k_sets": [[1]]}))
+    out = tmp_path / "o"
+    assert main(["ablate-k", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
+    assert json.loads((out / "run_config.json").read_text())["seeds"] == [5, 6, 7]
 
 
 def test_ablate_cli_grid_shape(tmp_path):
@@ -344,6 +382,22 @@ PROBES = {
     "gradcheck-step-zero": ("gradcheck", {"step": 0}, "step must be > 0"),
     "gradcheck-tol-zero": ("gradcheck", {"tol": 0}, "tol must be > 0"),
     "ablate-dtype": ("ablate-k", {**VALID["ablate-k"], "dtype": "f16"}, "ablate: dtype must be"),
+    "ablate-no-dims": ("ablate-k", {**VALID["ablate-k"], "dims": []},
+                       "ablate.dims: must name at least one dim"),
+    "ablate-dim-one": ("ablate-k", {**VALID["ablate-k"], "dims": [4, 1], "epochs": 200},
+                       "ablate.dims[1]: must be >= 2, got 1"),
+    "ablate-input-dim-zero": ("ablate-k", {**VALID["ablate-k"], "input_dim": 0},
+                              "ablate.input_dim: must be >= 2, got 0"),
+    "ablate-dataset-size-zero": ("ablate-k", {**VALID["ablate-k"], "dataset_size": 0},
+                                 "ablate.dataset_size: must be >= 1, got 0"),
+    "ablate-epochs-zero": ("ablate-k", {**VALID["ablate-k"], "epochs": 0},
+                           "ablate.epochs: must be >= 1, got 0"),
+    "ablate-batch-size-zero": ("ablate-k", {**VALID["ablate-k"], "batch_size": 0},
+                               "ablate.batch_size: must be >= 1, got 0"),
+    "train-epochs-zero": ("train", _train(epochs=0), "train.epochs: must be >= 1, got 0"),
+    "train-batch-size-zero": ("train", _train(batch_size=0),
+                              "train.batch_size: must be >= 1, got 0"),
+    "lr-zero": ("train", _train(optimizer__lr=0), "optimizer: lr must be positive"),
     "valid-fraction-no-train-rows": ("train", {**_TRAIN, "dataset": {
         "name": "blobs", "classes": 2, "size": 4, "valid_fraction": 0.9}},
         "valid_fraction 0.9 leaves none of 4 rows"),

@@ -42,11 +42,6 @@ def test_disabled_enhancer_costs_nothing():
     assert row.k == 0
 
 
-def test_empty_shift_set_costs_nothing():
-    row = count_layer(init_qelayer(16, 16, (), seed=0))
-    assert row.params_enhancer == 0 and row.flops_enhancer == 0
-
-
 class TestModelAccounting:
     def test_three_layer_enhancer_params(self):
         model = MLP(MLPConfig(layer_dims=(4, 8, 8, 2), shifts=(1,), seed=0))

@@ -37,7 +37,7 @@ class TestXor:
             assert y == (1 if x[0] * x[1] > 0 else 0)
 
     def test_size_four(self):
-        assert data.gen_xor().size == 4
+        assert len(data.gen_xor().features) == 4
 
     def test_specific_points(self):
         ds = data.gen_xor()
@@ -107,7 +107,7 @@ class TestCsv:
         p = tmp_path / "d.csv"
         p.write_text("x1,x2,y\n0,1,0\n1,0,1\n")
         ds = data.load_csv(p, label_column="y")
-        assert ds.size == 2 and ds.n == 2
+        assert ds.features.shape == (2, 2)
         np.testing.assert_array_equal(ds.labels, [0, 1])
 
     def test_label_by_index(self, tmp_path):

@@ -267,15 +267,6 @@ class TestReductions:
     def test_sum_hand(self):
         assert T.reduce_sum(np.array([1.0, 2.0, 3.0])) == 6.0
 
-    def test_sum_axis(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(T.reduce_sum(a, axis=0), [4.0, 6.0])
-        np.testing.assert_array_equal(T.reduce_sum(a, axis=1), [3.0, 7.0])
-
-    def test_invalid_axis(self):
-        with pytest.raises(DimensionError):
-            T.reduce_sum(np.zeros((2, 2)), axis=5)
-
     @given(st.sampled_from([np.float32, np.float64]),
            st.lists(st.integers(0, 20), min_size=1, max_size=3), st.data())
     @settings(max_examples=300, deadline=None)
@@ -286,10 +277,9 @@ class TestReductions:
         moderate = st.floats(-10, 10, width=32)      # sums that round
         finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
         a = data.draw(hnp.arrays(dtype, shape, elements=st.one_of(special, moderate, finite)))
-        axis = data.draw(st.sampled_from([None, *range(-a.ndim, a.ndim)]))
         with np.errstate(over="ignore", invalid="ignore"):
-            got = T.reduce_sum(a, axis)
-            want = reduce_sum_sequential(a, axis)
+            got = T.reduce_sum(a)
+            want = reduce_sum_sequential(a)
         assert isinstance(got, np.ndarray)
         assert got.dtype == want.dtype and got.shape == want.shape
         nan = np.isnan(want)
@@ -297,15 +287,5 @@ class TestReductions:
         assert np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes()
 
     def test_all_negative_zero_column_sums_to_positive_zero(self):
-        out = T.reduce_sum(np.full((3, 2), -0.0), axis=0)
-        assert not np.signbit(out).any()
-
-    def test_argmax_last(self):
-        assert T.argmax_last(np.array([0.2, 0.7, 0.1])) == 1
-
-    def test_argmax_tie_lowest_index(self):
-        assert T.argmax_last(np.array([0.5, 0.5])) == 0
-
-    def test_argmax_batched(self):
-        out = T.argmax_last(np.array([[0.0, 1.0], [2.0, -1.0]]))
-        np.testing.assert_array_equal(out, [1, 0])
+        out = T.reduce_sum(np.full((3, 2), -0.0))
+        assert not np.signbit(out)

@@ -6,13 +6,14 @@ import json
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from quadenhance.cli import main
 from quadenhance.config import COST_PRESETS, DatasetSpec, ModelSpec, TrainConfig
 from quadenhance.errors import NumericError
 from quadenhance.models import QuadraNetLayer, SwiGLULayer
-from quadenhance.training import build_dataset, build_model, train_run
+from quadenhance.training import build_dataset, build_model, evaluate, train_run
 
 
 def _xor_config(**overrides):
@@ -42,7 +43,6 @@ def test_different_seeds_different_curves():
     assert [r.train_loss for r in a.rows] != [r.train_loss for r in b.rows]
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_divergence_aborts_with_location():
     cfg = TrainConfig.from_dict({
         "model": {"type": "qe_mlp", "layer_dims": [8, 8], "activation": "identity"},
@@ -51,6 +51,48 @@ def test_divergence_aborts_with_location():
         "epochs": 50, "batch_size": 64, "seed": 0, "dtype": "f32"})
     with pytest.raises(NumericError, match="epoch"):
         train_run(cfg)
+
+
+@pytest.mark.parametrize("batch_size, valid_fraction, where", [
+    (8, 0.0, "epoch 0, batch 1"),
+    (48, 0.25, "epoch 0, validation"),
+    (64, 0.0, "final evaluation"),
+], ids=["step", "validation", "final"])
+def test_diverging_run_exits_1_naming_where(tmp_path, capsys, batch_size, valid_fraction, where):
+    """SGD at lr 1e30 overflows f32 in the next forward pass: in the second
+    step, in the validation pass after a one-step epoch, or in the final
+    evaluation.  The run ends in the package's error, and no numpy warning
+    (an error under pytest here) comes first."""
+    (tmp_path / "c.json").write_text(json.dumps({
+        "model": {"type": "qe_mlp", "layer_dims": [2, 4, 2], "activation": "relu"},
+        "dataset": {"name": "blobs", "classes": 2, "size": 64, "valid_fraction": valid_fraction},
+        "optimizer": {"algo": "sgd", "lr": 1e30},
+        "epochs": 1, "batch_size": batch_size, "dtype": "f32"}))
+    assert main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]) == 1
+    assert (f"check failure: {where}: non-finite output from layer 'layers.0'"
+            in capsys.readouterr().err)
+
+
+def test_non_finite_validation_loss_aborts():
+    # swiglu checks no layer output for finiteness, so evaluate checks the loss
+    cfg = TrainConfig.from_dict({
+        "model": {"type": "swiglu", "n": 2, "d": 2},
+        "dataset": {"name": "quadratic_target", "n": 2, "d": 2, "size": 64,
+                    "valid_fraction": 0.25},
+        "optimizer": {"algo": "sgd", "lr": 1e30},
+        "epochs": 1, "batch_size": 48, "dtype": "f32"})
+    with pytest.raises(NumericError, match="epoch 0, validation: non-finite loss"):
+        train_run(cfg)
+
+
+def test_evaluate_gives_tied_logits_to_class_0():
+    # all-zero parameters make every logit 0
+    ds = build_dataset(DatasetSpec(name="blobs", options={"classes": 3, "size": 30}))
+    model = build_model(ModelSpec(kind="qe_mlp", options={"layer_dims": (2, 3)}),
+                        seed=0, dtype="f64")
+    model.load_parameters({k: np.zeros_like(v) for k, v in model.parameters().items()})
+    assert evaluate(model, ds, np.flatnonzero(ds.labels == 0), np.float64)[1] == 1.0
+    assert evaluate(model, ds, np.flatnonzero(ds.labels != 0), np.float64)[1] == 0.0
 
 
 def test_valid_metrics_reported_for_classification(tmp_path):
@@ -112,7 +154,7 @@ def test_build_model_kinds():
 def test_build_dataset_dispatch():
     ds = build_dataset(DatasetSpec(name="blobs", options={"classes": 2, "size": 20,
                                                           "noise": 0.1, "seed": 1}))
-    assert ds.size == 20 and ds.n_classes == 2
+    assert len(ds.features) == 20 and ds.n_classes == 2
 
 
 def test_baseline_model_trains(tmp_path):
