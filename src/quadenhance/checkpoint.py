@@ -3,21 +3,25 @@
 Layout (all integers little-endian):
 
     magic     4 bytes  b"QEN1"
-    version   u32      currently 1
+    version   u32      2 (``save_checkpoint`` writes only this one)
     count     u32      number of parameter records
     records   count x { name_len u16, name utf-8,
                         dtype u8 (0 = float32, 1 = float64),
                         ndim u8, extents ndim x u32,
                         raw little-endian scalars, row-major }
-    checksum  u64      FNV-1a 64 over every preceding byte
+    checksum  8 bytes  BLAKE2b with an 8-byte digest (RFC 7693) of every
+                       preceding byte
 
-Scalars round-trip bit for bit; the checksum is verified before any
-record is parsed, so truncation or corruption is reported as a checksum
-error rather than a confusing parse failure.  Saving goes through
+Version 1, read but never written, differs only in its checksum: the
+FNV-1a 64 of the same bytes, as a u64.  A load checks the magic and the
+version, then that version's checksum before it parses any record, so
+truncation or corruption past the 8-byte header is a checksum error
+rather than a confusing parse failure.  Saving goes through
 ``write_atomic``, so an interrupted save leaves any earlier checkpoint at
-that path untouched.
+that path untouched; the checksum reads the chunks handed to it, never a
+joined copy of the payload.
 
-The checksum is the standard byte-at-a-time FNV-1a 64,
+``fnv1a64`` is the standard byte-at-a-time FNV-1a 64,
 ``h <- (h ^ b_i) * P mod 2**64`` with ``P = 0x100000001B3``, computed in
 blocks of whole-array numpy passes instead of a loop over bytes:
 
@@ -42,6 +46,7 @@ blocks of whole-array numpy passes instead of a loop over bytes:
 
 from __future__ import annotations
 
+import hashlib
 import os
 import secrets
 import struct
@@ -53,10 +58,13 @@ import numpy as np
 from .errors import CheckpointError, ChecksumError
 
 MAGIC = b"QEN1"
-VERSION = 1
+VERSION = 2
 
 _DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _TAG_FOR_KIND = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+# the 8-byte checksum of each readable version, of every preceding byte
+_CHECKSUMS = {1: lambda body: struct.pack("<Q", fnv1a64(body)),
+              2: lambda body: hashlib.blake2b(body, digest_size=8).digest()}
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -145,15 +153,14 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
         if any(n > 0xFFFFFFFF for n in arr.shape):
             raise CheckpointError(f"{path}: parameter {name!r} has shape {arr.shape}; "
                                   f"QEN1 extents must be below 2**32")
-        # a view where possible: the join below is the one copy of the payload
+        # a view unless the array must be converted; the chunks are never joined
         raw = memoryview(np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]))
-        chunks.append(struct.pack("<H", len(name_b)))
-        chunks.append(name_b)
-        chunks.append(struct.pack("<BB", tag, arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(raw)
-    body = b"".join(chunks)
-    write_atomic(path, body, struct.pack("<Q", fnv1a64(body)))
+        chunks += [struct.pack("<H", len(name_b)), name_b, struct.pack("<BB", tag, arr.ndim),
+                   struct.pack(f"<{arr.ndim}I", *arr.shape), raw]
+    digest = hashlib.blake2b(digest_size=8)
+    for chunk in chunks:
+        digest.update(chunk)
+    write_atomic(path, *chunks, digest.digest())
 
 
 def write_atomic(path, *chunks: bytes) -> None:
@@ -199,7 +206,7 @@ class _Reader:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read back named arrays, verifying checksum, magic, and version."""
+    """Read back named arrays, verifying magic, version, then checksum."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 4 + 4 + 8:
@@ -207,17 +214,16 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     # slices of the view share the file's buffer: each payload is copied
     # once, into its own array
     body = memoryview(blob)[:-8]
-    stored = struct.unpack("<Q", blob[-8:])[0]
-    actual = fnv1a64(body)
-    if actual != stored:
-        raise ChecksumError(
-            f"{path}: checksum mismatch (stored 0x{stored:016x}, computed 0x{actual:016x})")
     rd = _Reader(body, path)
     if rd.take(4) != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a QEN1 checkpoint")
     (version,) = rd.unpack("<I")
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unknown format version {version} (supported: {VERSION})")
+    if version not in _CHECKSUMS:
+        raise CheckpointError(f"{path}: unknown format version {version} (supported: 1, 2)")
+    stored, actual = blob[-8:], _CHECKSUMS[version](body)
+    if actual != stored:
+        raise ChecksumError(f"{path}: checksum mismatch (stored {stored.hex()}, "
+                            f"computed {actual.hex()})")
     (count,) = rd.unpack("<I")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):

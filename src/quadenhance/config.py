@@ -121,7 +121,7 @@ def _check_at_least(where: str, cfg, low: int, *keys: str) -> None:
 
 def _check_precision(where: str, key: str, value: str) -> None:
     if value not in PRECISIONS:
-        raise ConfigError(f"{where}: {key} must be one of {sorted(PRECISIONS)}, got {value!r}")
+        raise ConfigError(f"{where}.{key}: must be one of {sorted(PRECISIONS)}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -161,14 +161,14 @@ class OptimizerSpec:
 
     def __post_init__(self):
         if self.algo not in ("sgd", "adam"):
-            raise ConfigError(f"optimizer: unknown optimizer {self.algo!r}")
+            raise ConfigError(f"optimizer.algo: unknown optimizer {self.algo!r}")
         if self.lr <= 0:
-            raise ConfigError(f"optimizer: lr must be positive, got {self.lr!r}")
+            raise ConfigError(f"optimizer.lr: must be positive, got {self.lr!r}")
         for key, value in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0 < value < 1:
-                raise ConfigError(f"optimizer: {key} must lie in (0, 1), got {value!r}")
+                raise ConfigError(f"optimizer.{key}: must lie in (0, 1), got {value!r}")
         if self.eps <= 0:
-            raise ConfigError(f"optimizer: eps must be positive, got {self.eps!r}")
+            raise ConfigError(f"optimizer.eps: must be positive, got {self.eps!r}")
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "optimizer") -> "OptimizerSpec":
@@ -176,7 +176,11 @@ class OptimizerSpec:
             adam_only = [k for k in ("beta1", "beta2", "eps") if k in d]
             if adam_only:
                 raise ConfigError(f"{where}: sgd does not take {adam_only}")
-        return _parse(cls, d, where)
+        fields = _fields(_schema(cls), d, where)
+        try:
+            return cls(**fields)
+        except ConfigError as exc:      # a range error names the section it was parsed in
+            raise ConfigError(where + str(exc).removeprefix("optimizer")) from None
 
 
 @dataclass(frozen=True)
@@ -213,9 +217,9 @@ class AblateConfig:
 
     def __post_init__(self):
         if not self.k_sets:
-            raise ConfigError("ablate: k_sets must be a non-empty list of shift lists")
+            raise ConfigError("ablate.k_sets: must be a non-empty list of shift lists")
         if len(self.seeds) < 3:
-            raise ConfigError("ablate: need at least 3 seeds for a median")
+            raise ConfigError("ablate.seeds: need at least 3 seeds for a median")
         if not self.dims:
             raise ConfigError("ablate.dims: must name at least one dim")
         for i, d in enumerate(self.dims):
@@ -242,16 +246,15 @@ class GradcheckConfig:
 
     def __post_init__(self):
         if not self.families:
-            raise ConfigError("gradcheck: families must name at least one family")
+            raise ConfigError("gradcheck.families: must name at least one family")
         bad = set(self.families) - set(FAMILIES)
         if bad:
-            raise ConfigError(f"gradcheck: unknown families {sorted(bad)}")
+            raise ConfigError(f"gradcheck.families: unknown families {sorted(bad)}")
         _check_precision("gradcheck", "precision", self.precision)
-        if self.instances < 1:
-            raise ConfigError(f"gradcheck: instances must be >= 1, got {self.instances}")
+        _check_at_least("gradcheck", self, 1, "instances")
         for key in ("step", "tol"):
             if getattr(self, key) <= 0:
-                raise ConfigError(f"gradcheck: {key} must be > 0, got {getattr(self, key)}")
+                raise ConfigError(f"gradcheck.{key}: must be > 0, got {getattr(self, key)}")
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "gradcheck") -> "GradcheckConfig":
@@ -270,10 +273,8 @@ class OracleEquivConfig:
 
     def __post_init__(self):
         _check_precision("oracle_equiv", "precision", self.precision)
-        if self.instances < 1:
-            raise ConfigError(f"oracle_equiv: instances must be >= 1, got {self.instances}")
-        if self.max_dim < 2:
-            raise ConfigError(f"oracle_equiv: max_dim must be >= 2, got {self.max_dim}")
+        _check_at_least("oracle_equiv", self, 1, "instances")
+        _check_at_least("oracle_equiv", self, 2, "max_dim")
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "oracle_equiv") -> "OracleEquivConfig":

@@ -55,6 +55,13 @@ class MLPConfig:
         if self.enhancer is not None and len(self.enhancer) != self.n_layers:
             raise ConfigError(
                 f"enhancer mask length {len(self.enhancer)} != layer count {self.n_layers}")
+        for i, enhanced in enumerate(self.mask()):
+            d = self.layer_dims[i + 1]
+            for r in self.shifts if enhanced else ():
+                if r % d == 0:
+                    raise ConfigError(
+                        f"layer {i} (width {d}): shift {r} reduces to 0 mod {d} and would produce "
+                        "square terms; set exempt_final, enhancer or shifts to avoid it")
 
     @property
     def n_layers(self) -> int:

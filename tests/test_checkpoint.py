@@ -5,6 +5,7 @@ import hashlib
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from oracles import fnv1a64_bytewise
 from quadenhance import checkpoint
 from quadenhance.checkpoint import (MAGIC, fnv1a64, load_checkpoint,
                                     load_into_model, save_checkpoint)
+from quadenhance.config import COST_PRESETS
 from quadenhance.errors import CheckpointError, ChecksumError
 from quadenhance.models import MLP, MLPConfig
 from quadenhance.rng import Rng
@@ -30,6 +32,33 @@ def _params(seed=0, dtype=np.float64):
         "b": rng.split(1).uniform(3, -1, 1).astype(dtype),
         "scalar": np.asarray(rng.split(2).uniform(1, -1, 1)[0], dtype=dtype).reshape(()),
     }
+
+
+# every readable version and its trailer over the preceding bytes, built
+# here from hashlib and fnv1a64 rather than taken from the loader
+VERSIONS = (1, 2)
+_TRAILERS = {1: lambda body: struct.pack("<Q", fnv1a64(body)),
+             2: lambda body: hashlib.blake2b(body, digest_size=8).digest()}
+
+
+def _as_version(body: bytes, version: int) -> bytes:
+    return body[:4] + struct.pack("<I", version) + body[8:]
+
+
+def _sealed(body: bytes, trailer: int | None = None) -> bytes:
+    """``body`` and the trailer of ``trailer``, by default the version its header names."""
+    if trailer is None:
+        (trailer,) = struct.unpack("<I", body[4:8])
+    return body + _TRAILERS[trailer](body)
+
+
+def _save(path, params, version: int) -> bytes:
+    """Save ``params`` as ``version``: there is no version 1 writer, so a
+    version 1 file is the version 2 records under the FNV-1a 64 trailer."""
+    save_checkpoint(path, params)
+    if version == 1:
+        path.write_bytes(_sealed(_as_version(path.read_bytes()[:-8], 1)))
+    return path.read_bytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -58,37 +87,37 @@ def test_roundtrip_random_values(tmp_path_factory, seed):
 
 def test_truncated_file_is_checksum_error(tmp_path):
     path = tmp_path / "m.qen1"
-    save_checkpoint(path, _params())
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-5])
-    with pytest.raises(ChecksumError):
-        load_checkpoint(path)
+    for version in VERSIONS:
+        blob = _save(path, _params(), version)
+        path.write_bytes(blob[:-5])
+        with pytest.raises(ChecksumError):
+            load_checkpoint(path)
 
 
 def test_flipped_byte_is_checksum_error(tmp_path):
     path = tmp_path / "m.qen1"
-    save_checkpoint(path, _params())
-    blob = bytearray(path.read_bytes())
-    blob[20] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ChecksumError):
-        load_checkpoint(path)
+    for version in VERSIONS:
+        blob = bytearray(_save(path, _params(), version))
+        blob[20] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ChecksumError):
+            load_checkpoint(path)
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "m.qen1"
-    body = b"NOPE" + struct.pack("<I", 1) + struct.pack("<I", 0)
-    path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
-    with pytest.raises(CheckpointError, match="magic"):
-        load_checkpoint(path)
+    for version in VERSIONS:
+        path.write_bytes(_sealed(b"NOPE" + struct.pack("<II", version, 0)))
+        with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(path)
 
 
 def test_unknown_version_rejected(tmp_path):
     path = tmp_path / "m.qen1"
-    body = MAGIC + struct.pack("<I", 99) + struct.pack("<I", 0)
-    path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
-    with pytest.raises(CheckpointError, match="version 99"):
-        load_checkpoint(path)
+    for trailer in VERSIONS:
+        path.write_bytes(_sealed(MAGIC + struct.pack("<II", 99, 0), trailer))
+        with pytest.raises(CheckpointError, match="version 99"):
+            load_checkpoint(path)
 
 
 def test_fnv1a64_known_vectors():
@@ -114,23 +143,73 @@ def test_fnv1a64_matches_bytewise_oracle(length, fill, seed):
     assert fnv1a64(memoryview(data)) == expected
 
 
+# one of each record kind: f32 and f64, a 0-d and an empty array, a
+# non-ASCII name and a big-endian array that is stored little-endian
+_PINNED = {
+    "W": (np.arange(12, dtype=np.float32).reshape(3, 4) - 5.5) / 3,
+    "b": np.linspace(-1.0, 1.0, 5, dtype=np.float64),
+    "λ[0]": np.asarray(np.pi, dtype=np.float64).reshape(()),
+    "empty": np.zeros((0, 3), dtype=np.float32),
+    "big-endian": np.arange(4, dtype=">f8") * 0.25,
+}
+
+
 def test_file_bytes_are_pinned(tmp_path):
-    # the bytes version 1 has always written for this parameter set, as
-    # produced by the byte-at-a-time checksum: the format must not drift
-    params = {
-        "W": (np.arange(12, dtype=np.float32).reshape(3, 4) - 5.5) / 3,
-        "b": np.linspace(-1.0, 1.0, 5, dtype=np.float64),
-        "λ[0]": np.asarray(np.pi, dtype=np.float64).reshape(()),
-        "empty": np.zeros((0, 3), dtype=np.float32),
-        "big-endian": np.arange(4, dtype=">f8") * 0.25,
-    }
+    # the bytes version 2 writes for this parameter set: the format must not drift
     path = tmp_path / "golden.qen1"
-    save_checkpoint(path, params)
+    save_checkpoint(path, _PINNED)
     blob = path.read_bytes()
     assert len(blob) == 214
+    assert blob[4:8] == struct.pack("<I", 2)
+    assert blob[-8:] == bytes.fromhex("dd62414b0bb118db")
+    assert hashlib.sha256(blob).hexdigest() == \
+        "fbb104b4fde6d9d2197ab293736e4e65e65cc2f52ff86bb0cc0c26f466103794"
+
+
+def test_version_1_file_still_loads(tmp_path):
+    # the bytes version 1 always wrote for this parameter set, as produced
+    # by the byte-at-a-time checksum; they must load bit for bit
+    path = tmp_path / "golden-v1.qen1"
+    blob = _save(path, _PINNED, 1)
+    assert len(blob) == 214
     assert blob[-8:] == struct.pack("<Q", 0x5C59936F5AE44C9C)
+    assert struct.unpack("<Q", blob[-8:])[0] == fnv1a64_bytewise(blob[:-8])
     assert hashlib.sha256(blob).hexdigest() == \
         "831763493336d28b2e31cf38cb58cd0201ca76feec878c6edd8cb2f4a92bd881"
+    back = load_checkpoint(path)
+    assert list(back) == list(_PINNED)
+    for name, arr in _PINNED.items():
+        assert back[name].dtype == arr.dtype.newbyteorder("=")
+        assert back[name].shape == arr.shape
+        assert back[name].tobytes() == arr.astype(back[name].dtype).tobytes()
+
+
+@pytest.mark.parametrize("version", VERSIONS)
+def test_every_flipped_byte_past_the_header_is_checksum_error(tmp_path, version):
+    path = tmp_path / "m.qen1"
+    blob = _save(path, _PINNED, version)
+    for pos in range(8, len(blob)):
+        flipped = bytearray(blob)
+        flipped[pos] ^= 0xFF
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(ChecksumError):
+            load_checkpoint(path)
+
+
+def test_save_holds_no_copy_of_the_payload(tmp_path):
+    # the 7.1 MB vit-m-ffn parameter set: the save hashes and writes views of
+    # the arrays, so its traced allocations stay far below one payload
+    cfg = COST_PRESETS["vit-m-ffn"].options
+    params = MLP(MLPConfig(**cfg, dtype="f32")).parameters()
+    payload = sum(arr.nbytes for arr in params.values())
+    assert payload > 7_000_000
+    tracemalloc.start()
+    try:
+        save_checkpoint(tmp_path / "m.qen1", params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * payload, f"save peaked at {peak / payload:.3f}x its payload"
 
 
 @pytest.mark.parametrize("params, match", [
@@ -144,7 +223,7 @@ def test_unrepresentable_parameter_rejected_on_save(tmp_path, params, match):
 
 
 def _one_record(name: bytes, extents, payload: bytes, tag: int = 0) -> bytes:
-    return (MAGIC + struct.pack("<II", 1, 1) + struct.pack("<H", len(name)) + name
+    return (MAGIC + struct.pack("<II", 2, 1) + struct.pack("<H", len(name)) + name
             + struct.pack("<BB", tag, len(extents)) + struct.pack(f"<{len(extents)}I", *extents)
             + payload)
 
@@ -158,9 +237,10 @@ def test_unsupported_dtype_rejected_on_save(tmp_path):
 
 def test_file_shorter_than_header_and_checksum_rejected(tmp_path):
     path = tmp_path / "m.qen1"
-    path.write_bytes(MAGIC + bytes(15))
-    with pytest.raises(ChecksumError, match=re.escape(f"{path}: file too short (19 bytes)")):
-        load_checkpoint(path)
+    for version in VERSIONS:
+        path.write_bytes(MAGIC + struct.pack("<I", version) + bytes(11))
+        with pytest.raises(ChecksumError, match=re.escape(f"{path}: file too short (19 bytes)")):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("body, match", [
@@ -170,17 +250,19 @@ def test_file_shorter_than_header_and_checksum_rejected(tmp_path):
 def test_checksummed_malformed_record_rejected(tmp_path, body, match):
     # a valid checksum, so the parser rejects the record, not the checksum
     path = tmp_path / "m.qen1"
-    path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
-    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {match}")):
-        load_checkpoint(path)
+    for version in VERSIONS:
+        path.write_bytes(_sealed(_as_version(body, version)))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: {match}")):
+            load_checkpoint(path)
 
 
 def test_non_utf8_name_rejected(tmp_path):
     path = tmp_path / "m.qen1"
     body = _one_record(b"\xff\xfe", (1,), struct.pack("<f", 1.0))
-    path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
-    with pytest.raises(CheckpointError, match="UTF-8"):
-        load_checkpoint(path)
+    for version in VERSIONS:
+        path.write_bytes(_sealed(_as_version(body, version)))
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("extents, match", [
@@ -191,9 +273,46 @@ def test_non_utf8_name_rejected(tmp_path):
 def test_impossible_extents_rejected(tmp_path, extents, match):
     path = tmp_path / "m.qen1"
     body = _one_record(b"w", extents, struct.pack("<f", 1.0))
-    path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
-    with pytest.raises(CheckpointError, match=match):
-        load_checkpoint(path)
+    for version in VERSIONS:
+        path.write_bytes(_sealed(_as_version(body, version)))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+
+def _load_or_package_error(path):
+    """Arrays, or None after a package error; any other exception escapes."""
+    try:
+        out = load_checkpoint(path)
+    except CheckpointError:      # ChecksumError included
+        return None
+    assert all(isinstance(arr, np.ndarray) for arr in out.values())
+    return out
+
+
+@given(st.sampled_from(VERSIONS),
+       st.one_of(st.binary(max_size=96),
+                 st.builds(lambda count, rest: struct.pack("<I", count) + rest,
+                           st.integers(0, 3), st.binary(max_size=96))))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_records_under_a_valid_trailer(tmp_path_factory, version, rest):
+    # a valid header and any bytes after it, sealed with a correct trailer,
+    # so the record parser itself meets the arbitrary bytes
+    path = tmp_path_factory.mktemp("fuzz") / "m.qen1"
+    path.write_bytes(_sealed(MAGIC + struct.pack("<I", version) + rest))
+    _load_or_package_error(path)
+
+
+@given(st.sampled_from(VERSIONS), st.integers(0, 205), st.integers(1, 255))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_byte_of_a_saved_file_under_a_valid_trailer(tmp_path_factory, version, pos, xor):
+    # one byte of a saved file changed and the trailer recomputed for the
+    # version the header then names (either version's for an unknown one)
+    path = tmp_path_factory.mktemp("fuzz") / "m.qen1"
+    body = bytearray(_save(path, _PINNED, version)[:-8])
+    body[pos] ^= xor
+    (named,) = struct.unpack("<I", body[4:8])
+    path.write_bytes(_sealed(bytes(body), named if named in VERSIONS else version))
+    _load_or_package_error(path)
 
 
 @pytest.mark.parametrize("call", ["fsync", "replace"])

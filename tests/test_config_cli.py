@@ -37,6 +37,16 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="unknown optimizer"):
             OptimizerSpec.from_dict({"algo": "lion", "lr": 0.1})
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"algo": "sgd", "lr": 0}, "ablate.optimizer.lr: must be positive, got 0.0"),
+        ({"algo": "sgd", "lr": None}, "ablate.optimizer.lr: expected float, got None"),
+        ({"algo": "lion", "lr": 0.1}, "ablate.optimizer.algo: unknown optimizer 'lion'"),
+    ], ids=["range", "type", "algo"])
+    def test_optimizer_errors_name_their_section(self, raw, message):
+        with pytest.raises(ConfigError) as exc:
+            OptimizerSpec.from_dict(raw, "ablate.optimizer")
+        assert str(exc.value) == message
+
     def test_train_config_full_parse(self):
         cfg = TrainConfig.from_dict({
             "model": {"type": "qe_mlp", "layer_dims": [2, 2], "activation": "identity"},
@@ -375,13 +385,16 @@ PROBES = {
                            "valid_fraction must lie in [0, 1)"),
     "valid-fraction-negative": ("train", _train(dataset__valid_fraction=-0.5),
                                 "valid_fraction must lie in [0, 1)"),
-    "max-dim-one": ("oracle-equiv", {"max_dim": 1}, "max_dim must be >= 2"),
-    "oracle-instances-zero": ("oracle-equiv", {"instances": 0}, "instances must be >= 1"),
-    "oracle-instances-negative": ("oracle-equiv", {"instances": -1}, "instances must be >= 1"),
-    "gradcheck-instances-zero": ("gradcheck", {"instances": 0}, "instances must be >= 1"),
-    "gradcheck-step-zero": ("gradcheck", {"step": 0}, "step must be > 0"),
-    "gradcheck-tol-zero": ("gradcheck", {"tol": 0}, "tol must be > 0"),
-    "ablate-dtype": ("ablate-k", {**VALID["ablate-k"], "dtype": "f16"}, "ablate: dtype must be"),
+    "max-dim-one": ("oracle-equiv", {"max_dim": 1}, "oracle_equiv.max_dim: must be >= 2, got 1"),
+    "oracle-instances-zero": ("oracle-equiv", {"instances": 0},
+                              "oracle_equiv.instances: must be >= 1, got 0"),
+    "oracle-instances-negative": ("oracle-equiv", {"instances": -1},
+                                  "oracle_equiv.instances: must be >= 1, got -1"),
+    "gradcheck-instances-zero": ("gradcheck", {"instances": 0},
+                                 "gradcheck.instances: must be >= 1, got 0"),
+    "gradcheck-step-zero": ("gradcheck", {"step": 0}, "gradcheck.step: must be > 0"),
+    "gradcheck-tol-zero": ("gradcheck", {"tol": 0}, "gradcheck.tol: must be > 0"),
+    "ablate-dtype": ("ablate-k", {**VALID["ablate-k"], "dtype": "f16"}, "ablate.dtype: must be"),
     "ablate-no-dims": ("ablate-k", {**VALID["ablate-k"], "dims": []},
                        "ablate.dims: must name at least one dim"),
     "ablate-dim-one": ("ablate-k", {**VALID["ablate-k"], "dims": [4, 1], "epochs": 200},
@@ -397,13 +410,15 @@ PROBES = {
     "train-epochs-zero": ("train", _train(epochs=0), "train.epochs: must be >= 1, got 0"),
     "train-batch-size-zero": ("train", _train(batch_size=0),
                               "train.batch_size: must be >= 1, got 0"),
-    "lr-zero": ("train", _train(optimizer__lr=0), "optimizer: lr must be positive"),
+    "lr-zero": ("train", _train(optimizer__lr=0), "train.optimizer.lr: must be positive, got 0.0"),
+    "ablate-lr-zero": ("ablate-k", {**VALID["ablate-k"], "optimizer": {"algo": "sgd", "lr": 0}},
+                       "ablate.optimizer.lr: must be positive, got 0.0"),
     "valid-fraction-no-train-rows": ("train", {**_TRAIN, "dataset": {
         "name": "blobs", "classes": 2, "size": 4, "valid_fraction": 0.9}},
         "valid_fraction 0.9 leaves none of 4 rows"),
     "blobs-zero-classes": ("train", {**_TRAIN, "dataset": {"name": "blobs", "classes": 0}},
                            "got classes=0"),
-    "gradcheck-no-families": ("gradcheck", {"families": []}, "families must name"),
+    "gradcheck-no-families": ("gradcheck", {"families": []}, "gradcheck.families: must name"),
     "montecarlo-samples-zero": ("montecarlo", {"samples": 0},
                                 "montecarlo.samples: must be >= 1, got 0"),
     "montecarlo-empty-v-list": ("montecarlo", {"v_list": []},
@@ -413,8 +428,8 @@ PROBES = {
     "montecarlo-v-negative": ("montecarlo", {"v_list": [-2.5]},
                               "montecarlo.v_list[0]: must be > 0, got -2.5"),
     "adam-beta1-one": ("train", _train(optimizer__beta1=1.0),
-                       "optimizer: beta1 must lie in (0, 1), got 1.0"),
-    "adam-eps-zero": ("train", _train(optimizer__eps=0), "optimizer: eps must be positive"),
+                       "train.optimizer.beta1: must lie in (0, 1), got 1.0"),
+    "adam-eps-zero": ("train", _train(optimizer__eps=0), "train.optimizer.eps: must be positive"),
     # keys of another optimizer
     "sgd-beta1": ("train", _train(optimizer={"algo": "sgd", "lr": 0.1, "beta1": 1.5, "eps": -3}),
                   "train.optimizer: sgd does not take ['beta1', 'eps']"),
@@ -427,6 +442,10 @@ PROBES = {
     "too-few-logits": ("train", {**_TRAIN, "model": {"type": "swiglu", "n": 2, "d": 2},
                                  "dataset": {"name": "blobs", "classes": 3}},
                        "model output width 2 < dataset class count 3"),
+    # an enhanced layer too narrow for its shift
+    "width-one-output": ("train", {**_TRAIN, "model": {"type": "qe_mlp", "layer_dims": [4, 1]}},
+                         "layer 0 (width 1): shift 1 reduces to 0 mod 1 and would produce square "
+                         "terms; set exempt_final, enhancer or shifts to avoid it"),
 }
 
 

@@ -44,6 +44,17 @@ class TestMLPConfig:
     def test_plain_variant(self):
         assert MLPConfig(layer_dims=(4, 3, 2)).plain().mask() == (False, False)
 
+    def test_shift_that_is_zero_mod_an_enhanced_width_rejected(self):
+        with pytest.raises(ConfigError, match=r"layer 1 \(width 1\): shift 1 .*exempt_final, "
+                                              r"enhancer or shifts"):
+            MLPConfig(layer_dims=(3, 4, 1))
+        with pytest.raises(ConfigError, match=r"layer 0 \(width 2\): shift -2"):
+            MLPConfig(layer_dims=(3, 2), shifts=(1, -2))
+        # a plain layer takes no shift, so each way around the check builds
+        assert MLPConfig(layer_dims=(3, 4, 1), exempt_final=True).mask() == (True, False)
+        assert MLPConfig(layer_dims=(3, 4, 1), enhancer=(True, False)).mask() == (True, False)
+        assert MLPConfig(layer_dims=(3, 1), shifts=()).mask() == (True,)
+
 
 class TestMLPForward:
     def test_single_layer_identity_is_linear(self):
