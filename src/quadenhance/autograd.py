@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from . import tensor as T
 from .errors import DataError, DimensionError, NumericError, UsageError
@@ -79,11 +78,13 @@ class Tape:
         return self._leaf(np.asarray(value), True, f"param:{name}" if name else "param")
 
     def record(self, op: str, inputs: Sequence[Variable], value: np.ndarray,
-               backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Variable:
+               backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None) -> Variable:
         """Append an operation node.
 
         ``backward`` maps the upstream gradient to one gradient (or None)
-        per input, in input order.  All inputs must live on this tape.
+        per input, in input order; it is dropped when no input requires a
+        gradient, so a forward-only caller may pass None.  All inputs must
+        live on this tape.
         """
         for v in inputs:
             if v.tape is not self:
@@ -184,9 +185,13 @@ def relu(a: Variable) -> Variable:
 
 def gelu(a: Variable) -> Variable:
     """Exact (erf-based) gaussian-weighted linear unit."""
+    from scipy import special
+
     x = a.value
     cdf = special.ndtr(x.astype(np.float64)).astype(x.dtype)
     out = x * cdf
+    if not a.requires_grad:
+        return a.tape.record("gelu", (a,), out, None)
     pdf = (np.exp(-0.5 * x.astype(np.float64) ** 2) / np.sqrt(2.0 * np.pi)).astype(x.dtype)
     local = cdf + x * pdf
     return a.tape.record("gelu", (a,), out, lambda g: (g * local,))
@@ -226,10 +231,9 @@ def cross_entropy(logits: Variable, labels: np.ndarray) -> Variable:
     lse = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
     logp = shifted - lse
     loss = np.asarray(-np.mean(logp[np.arange(b), labels]), dtype=z.dtype)
-    probs = np.exp(logp)
 
     def bwd(g):
-        gz = probs.copy()
+        gz = np.exp(logp)
         gz[np.arange(b), labels] -= 1.0
         gz *= g / z.dtype.type(b)
         return (gz.astype(z.dtype, copy=False),)
@@ -312,6 +316,8 @@ def gradcheck(f, params: dict[str, np.ndarray], step: float = 1e-6,
     the analytic pass: float32 parameters lift to float64 losslessly, so
     both evaluate the same function at the same point, and a float32
     quotient with a step of 1e-6 would be single-precision rounding noise.
+    The quotients never call ``backward``, so they bind the parameters as
+    constants and keep no backward state.
     """
     analytic_tape = Tape()
     bound = {k: analytic_tape.param(v, name=k) for k, v in params.items()}
@@ -324,7 +330,7 @@ def gradcheck(f, params: dict[str, np.ndarray], step: float = 1e-6,
 
     def evaluate() -> float:
         tape = Tape()
-        fd_bound = {k: tape.param(v, name=k) for k, v in work.items()}
+        fd_bound = {k: tape.const(v) for k, v in work.items()}
         return float(f(tape, fd_bound).value)
 
     entries = []

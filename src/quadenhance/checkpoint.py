@@ -233,6 +233,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: parameter name at offset {rd.pos - name_len} "
                                   f"is not valid UTF-8 ({exc.reason})") from None
+        if name in out:
+            raise CheckpointError(f"{path}: parameter {name!r} appears twice")
         tag, ndim = rd.unpack("<BB")
         if tag not in _DTYPE_TAGS:
             raise CheckpointError(f"{path}: unknown dtype tag {tag} for {name!r}")

@@ -11,9 +11,11 @@ The heavy square tails versus thin cross tails are the numerical reason
 self-coupling (shift 0) is excluded from the quadratic enhancer by
 default.
 
-``cross_tail_integral`` imports ``scipy.integrate`` on first use: it pulls
-in ``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg`` (~26 MB and
-~0.17 s), which no other command needs.
+SciPy loads on first use, not at import.  ``square_tail_analytic`` and
+``cross_tail_integral`` import ``scipy.special`` (~26 MB and ~0.25 s,
+shared with ``autograd.gelu``), and ``cross_tail_integral`` also imports
+``scipy.integrate``, which pulls in ``scipy.optimize``, ``scipy.sparse``
+and ``scipy.linalg`` (~26 MB and ~0.17 s) that no other command needs.
 
 Memory is O(chunk), not O(samples): samples are drawn and counted
 ``_CHUNK`` at a time, and since each sample depends only on (seed, index)
@@ -35,7 +37,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .rng import Rng
 
@@ -46,6 +47,8 @@ _S11, _ONE = np.uint64(11), np.uint64(1)
 
 def square_tail_analytic(v: float) -> float:
     """P(x^2 > v) = 2 * (1 - Phi(sqrt(v))) for x ~ N(0, 1)."""
+    from scipy import special
+
     return float(2.0 * (1.0 - special.ndtr(np.sqrt(v))))
 
 
@@ -55,7 +58,7 @@ def cross_tail_integral(v: float) -> float:
     The density of x1*x2 is K0(|z|)/pi, so the two-sided tail is
     (2/pi) * integral_v^inf K0(t) dt.
     """
-    from scipy import integrate
+    from scipy import integrate, special
 
     val, _err = integrate.quad(lambda t: special.k0(t), v, np.inf, limit=200)
     return float(2.0 * val / np.pi)

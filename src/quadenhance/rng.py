@@ -110,11 +110,11 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n), driven by this stream."""
-        perm = np.arange(n, dtype=np.int64)
         if n < 2:
-            return perm
-        draws = self.next_u64(n - 1)
-        for i in range(n - 1, 0, -1):
-            j = int(draws[n - 1 - i] % np.uint64(i + 1))
+            return np.arange(n, dtype=np.int64)
+        # draw t picks the swap partner of position i = n-1-t from [0, i]
+        js = (self.next_u64(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), js):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)

@@ -142,3 +142,19 @@ def normal_pairs(seed: int, start: int, count: int) -> tuple[np.ndarray, np.ndar
     radius = np.sqrt(-2.0 * np.log(u1))
     angle = 2.0 * np.pi * u2
     return radius * np.cos(angle), radius * np.sin(angle)
+
+
+def fisher_yates_loop(seed: int, n: int, counter: int = 0) -> np.ndarray:
+    """Fisher-Yates on an int64 array, one numpy draw and modulus per swap.
+
+    Position i (from n-1 down to 1) swaps with draw n-1-i of
+    ``Rng(seed, counter)`` mod i+1, the order ``Rng.permutation`` follows.
+    """
+    perm = np.arange(n, dtype=np.int64)
+    if n < 2:
+        return perm
+    draws = Rng(seed, counter).next_u64(n - 1)
+    for i in range(n - 1, 0, -1):
+        j = int(draws[n - 1 - i] % np.uint64(i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm

@@ -367,3 +367,30 @@ def test_sigmoid_stable_at_extremes():
     tape = ag.Tape()
     out = ag.sigmoid(tape.const(np.array([-800.0, 0.0, 800.0])))
     np.testing.assert_allclose(out.value, [0.0, 0.5, 1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", ["gelu", "cross_entropy"])
+def test_forward_only_primitive_keeps_no_backward_state(op, dtype):
+    z = (3.0 * Rng(41).normal(12)).reshape(3, 4).astype(dtype)
+    labels = np.array([0, 3, 1])
+    apply = ag.gelu if op == "gelu" else (lambda v: ag.cross_entropy(v, labels))
+    tape = ag.Tape()
+    const_out, param_out = apply(tape.const(z)), apply(tape.param(z))
+    assert const_out.value.dtype == param_out.value.dtype == dtype
+    assert const_out.value.tobytes() == param_out.value.tobytes()
+    assert tape.nodes[const_out.node_id].backward is None
+    assert tape.nodes[param_out.node_id].backward is not None
+
+
+def test_gradcheck_difference_quotients_record_no_backward():
+    tapes = []
+
+    def f(tape, bound):
+        tapes.append(tape)
+        return ag.reduce_sum(ag.gelu(bound["x"]))
+
+    ag.gradcheck(f, {"x": Rng(42).normal(3)})
+    assert len(tapes) == 1 + 2 * 3
+    assert any(node.backward is not None for node in tapes[0].nodes)
+    assert all(node.backward is None for tape in tapes[1:] for node in tape.nodes)

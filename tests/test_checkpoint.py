@@ -265,6 +265,17 @@ def test_non_utf8_name_rejected(tmp_path):
             load_checkpoint(path)
 
 
+def test_duplicate_name_rejected(tmp_path):
+    # two records "w" under a valid trailer: neither may silently win
+    path = tmp_path / "m.qen1"
+    record = _one_record(b"w", (1,), struct.pack("<f", 1.0))[12:]
+    second = _one_record(b"w", (1,), struct.pack("<f", 2.0))[12:]
+    for version in VERSIONS:
+        path.write_bytes(_sealed(MAGIC + struct.pack("<II", version, 2) + record + second))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: parameter 'w' appears twice")):
+            load_checkpoint(path)
+
+
 @pytest.mark.parametrize("extents, match", [
     ((2**32 - 1,) * 4, "past end"),          # the byte count overflows int64
     ((1000,), "past end"),

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import fisher_yates_loop
 from quadenhance.rng import Rng
 
 
@@ -78,3 +79,17 @@ def test_normal_odd_count():
 def test_permutation_is_permutation(seed, n):
     perm = Rng(seed).permutation(n)
     assert sorted(perm) == list(range(n))
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 1000), st.integers(0, 2**40))
+@example(0, 0, 0)
+@example(1, 1, 0)
+@example(2**64 - 1, 2, 0)
+@example(2**64 - 1, 3, 7)
+@settings(max_examples=200, deadline=None)
+def test_permutation_matches_the_loop_oracle(seed, n, counter):
+    rng = Rng(seed, counter)
+    perm = rng.permutation(n)
+    assert perm.dtype == np.int64
+    np.testing.assert_array_equal(perm, fisher_yates_loop(seed, n, counter))
+    assert rng.counter == counter + max(n - 1, 0)

@@ -1,9 +1,14 @@
-"""What a quadenhance process loads: only ``montecarlo`` pulls in scipy.integrate.
+"""What a quadenhance process loads: SciPy only where a command computes with it.
 
-``scipy.integrate`` brings ``scipy.optimize``, ``scipy.sparse`` and
-``scipy.linalg`` with it (~26 MB resident, ~0.17 s to import).  The pytest
-process has them loaded already (``tests/oracles.py`` imports
-``scipy.optimize``), so the check runs in a fresh interpreter.
+``scipy.special`` (~26 MB resident, ~0.25 s to import) loads on the first
+``gelu`` or Monte Carlo call, so ``import quadenhance.cli`` and every
+command that runs neither (``cost``, ``oracle-equiv``, ``ablate-k``,
+``gradcheck`` without ``qe_mlp``, ``train`` without ``gelu``) leave it
+unloaded.  ``scipy.integrate`` brings ``scipy.optimize``, ``scipy.sparse``
+and ``scipy.linalg`` with it (another ~26 MB and ~0.17 s) and loads only
+in ``montecarlo``.  The pytest process has SciPy loaded already
+(``tests/oracles.py`` imports ``scipy.optimize``), so each check runs in a
+fresh interpreter.
 """
 
 import json
@@ -12,20 +17,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import quadenhance
 
+SPECIAL = "scipy.special"
 HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
 
 CHILD = """
 import json, sys
 from quadenhance.cli import main
 
-heavy = json.loads(sys.argv[1])
+special, heavy = json.loads(sys.argv[1])
 
-def loaded():
-    return [m for m in heavy if m in sys.modules]
+def loaded(mods):
+    return [m for m in mods if m in sys.modules]
 
-assert not loaded(), "import quadenhance.cli loaded " + str(loaded())
+def run(argv):
+    code = main(argv + ["--out", "out-" + argv[0] + "-" + argv[-1]])
+    assert code == 0, (argv, code)
+
+assert not loaded([special, *heavy]), "import quadenhance.cli loaded " + str(loaded([special, *heavy]))
 runs = [
     ["cost", "--preset", "layer-192"],
     ["train", "--config", "train.json"],
@@ -34,19 +46,35 @@ runs = [
     ["ablate-k", "--config", "ablate.json"],
 ]
 for argv in runs:
-    code = main(argv + ["--out", "out-" + argv[0]])
-    assert code == 0, (argv, code)
-    assert not loaded(), " ".join(argv) + " loaded " + str(loaded())
-assert main(["montecarlo", "--config", "mc.json", "--out", "out-montecarlo"]) == 0
+    run(argv)
+    assert not loaded([special, *heavy]), " ".join(argv) + " loaded " + str(loaded([special, *heavy]))
+run(["train", "--config", "train-gelu.json"])
+assert special in sys.modules, "a gelu model trained without " + special
+assert not loaded(heavy), "a gelu model loaded " + str(loaded(heavy))
+run(["montecarlo", "--config", "mc.json"])
 assert "scipy.integrate" in sys.modules, "montecarlo ran without scipy.integrate"
 """
 
+COLD = """
+import sys
+from quadenhance.cli import main
+
+assert "scipy.special" not in sys.modules
+assert main(sys.argv[1:]) == 0, sys.argv[1:]
+assert "scipy.special" in sys.modules, " ".join(sys.argv[1:]) + " ran without scipy.special"
+"""
+
+_TRAIN = {"model": {"type": "qe_mlp", "layer_dims": [2, 2], "activation": "identity"},
+          "dataset": {"name": "xor"}, "optimizer": {"algo": "sgd", "lr": 0.1},
+          "epochs": 2, "batch_size": 4, "seed": 3}
+
 CONFIGS = {
-    "train.json": {"model": {"type": "qe_mlp", "layer_dims": [2, 2], "activation": "identity"},
-                   "dataset": {"name": "xor"}, "optimizer": {"algo": "sgd", "lr": 0.1},
-                   "epochs": 2, "batch_size": 4, "seed": 3},
+    "train.json": _TRAIN,
+    "train-gelu.json": {**_TRAIN, "epochs": 1, "model": {
+        "type": "qe_mlp", "layer_dims": [2, 4, 2], "activation": "gelu"}},
     "oracle.json": {"instances": 2, "seed": 5},
     "gradcheck.json": {"instances": 1, "families": ["qe_layer"]},
+    "gradcheck-mlp.json": {"instances": 1, "families": ["qe_mlp"]},
     "ablate.json": {"k_sets": [[], [1]], "dims": [4], "seeds": [0, 1, 2],
                     "optimizer": {"algo": "sgd", "lr": 0.1},
                     "epochs": 1, "batch_size": 8, "dataset_size": 16},
@@ -54,12 +82,25 @@ CONFIGS = {
 }
 
 
-def test_only_montecarlo_loads_scipy_integrate(tmp_path):
+def _run_child(tmp_path, code, *args):
     for name, cfg in CONFIGS.items():
         (tmp_path / name).write_text(json.dumps(cfg))
     src = str(Path(quadenhance.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(HEAVY)], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+
+def test_only_montecarlo_loads_scipy_integrate(tmp_path):
+    _run_child(tmp_path, CHILD, json.dumps([SPECIAL, HEAVY]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "train-gelu.json"],
+    ["gradcheck", "--config", "gradcheck-mlp.json"],
+    ["montecarlo", "--config", "mc.json"],
+], ids=lambda argv: argv[0])
+def test_first_use_loads_scipy_special_from_cold(tmp_path, argv):
+    _run_child(tmp_path, COLD, *argv, "--out", "out")
