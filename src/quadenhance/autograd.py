@@ -22,11 +22,15 @@ plus a handful of activation and loss primitives the layer stack needs
 and the ``Layer`` protocol every model follows.  ``linear`` is the one
 place a single vector [n] runs as a one-row batch [1, n]; every other
 primitive is elementwise, rolls the last axis or sums over all axes, so
-a vector needs no batch axis there.
+a vector needs no batch axis there.  A *stacked* constant holds S values
+along a new leading axis; every primitive here and in ``enhancer`` runs
+each slice through the IEEE operations of its solo pass, so one pass
+evaluates S points, as ``gradcheck`` does with its ±h points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -47,13 +51,14 @@ class Node:
 class Variable:
     """A tensor value registered on a tape, addressable by node id."""
 
-    __slots__ = ("value", "node_id", "tape", "requires_grad")
+    __slots__ = ("value", "node_id", "tape", "requires_grad", "stacked")
 
-    def __init__(self, value: np.ndarray, node_id: int, tape: "Tape", requires_grad: bool):
+    def __init__(self, value: np.ndarray, node_id: int, tape: "Tape", requires_grad: bool, stacked=False):
         self.value = value
         self.node_id = node_id
         self.tape = tape
         self.requires_grad = requires_grad
+        self.stacked = stacked
 
     def __repr__(self):
         return f"Variable(node={self.node_id}, shape={self.value.shape}, grad={self.requires_grad})"
@@ -65,13 +70,13 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def _leaf(self, value: np.ndarray, requires_grad: bool, op: str) -> Variable:
+    def _leaf(self, value: np.ndarray, requires_grad: bool, op: str, stacked: bool = False) -> Variable:
         self.nodes.append(Node(op, (), None, requires_grad))
-        return Variable(value, len(self.nodes) - 1, self, requires_grad)
+        return Variable(value, len(self.nodes) - 1, self, requires_grad, stacked)
 
-    def const(self, value) -> Variable:
-        """Register a value gradients will not be tracked for."""
-        return self._leaf(np.asarray(value), False, "const")
+    def const(self, value, stacked: bool = False) -> Variable:
+        """Register a value gradients will not be tracked for (one per leading slice if ``stacked``)."""
+        return self._leaf(np.asarray(value), False, "const", stacked)
 
     def param(self, value, name: str | None = None) -> Variable:
         """Register a trainable leaf."""
@@ -84,15 +89,19 @@ class Tape:
         ``backward`` maps the upstream gradient to one gradient (or None)
         per input, in input order; it is dropped when no input requires a
         gradient, so a forward-only caller may pass None.  All inputs must
-        live on this tape.
+        live on this tape.  The output is stacked, ``value`` with its slice
+        axis, if an input is; a stacked input may not meet a grad-requiring one.
         """
+        requires = stacked = False
         for v in inputs:
             if v.tape is not self:
                 raise UsageError(f"variable from a different tape passed to {op}")
-        requires = any(v.requires_grad for v in inputs)
+            requires, stacked = requires or v.requires_grad, stacked or v.stacked
+        if requires and stacked:
+            raise UsageError(f"{op}: a stacked constant meets a grad-requiring input")
         self.nodes.append(Node(op, tuple(v.node_id for v in inputs),
                                backward if requires else None, requires))
-        return Variable(value, len(self.nodes) - 1, self, requires)
+        return Variable(value, len(self.nodes) - 1, self, requires, stacked)
 
     def backward(self, loss: Variable) -> dict[int, np.ndarray]:
         """Gradients of a scalar loss for every grad-requiring node.
@@ -125,11 +134,35 @@ class Tape:
 # differentiable primitives
 # ---------------------------------------------------------------------------
 
+def lift(*vs: Variable) -> list[np.ndarray]:
+    """The values of ``vs``, each unstacked one broadcast (a view) to one copy
+    per slice if another is stacked, so exact-shape checks see solo shapes."""
+    s = next((len(v.value) for v in vs if v.stacked), None)
+    return [v.value if s is None or v.stacked else np.broadcast_to(v.value, (s, *v.value.shape))
+            for v in vs]
+
+
+def slice_rows(v: np.ndarray, shape) -> np.ndarray:
+    """A stacked row vector [S, d] broadcast (a view) to a stacked [S, ..., d]."""
+    return np.broadcast_to(v.reshape(len(v), *(1,) * (len(shape) - 2), -1), shape)
+
+
 def linear(x: Variable, w: Variable) -> Variable:
-    """x @ W^T for x [batch, n] or [n] (run as one row) and W [d, n], as one node."""
+    """x @ W^T for x [batch, n] or [n] (run as one row) and W [d, n], as one node.
+
+    A stacked x folds its slices into the rows; a stacked W [S, d, n] runs as
+    one wide product of the slices' W^T side by side (per slice if x is too).
+    """
     xv, wv, need_gx = x.value, w.value, x.requires_grad
-    rows = xv.reshape(1, -1) if xv.ndim == 1 else xv
-    out = T.matmul(rows, wv.T).reshape(*xv.shape[:-1], -1)
+    rows = xv.reshape(math.prod(xv.shape[:-1]), xv.shape[-1]) if 0 < xv.ndim <= 2 + x.stacked else xv
+    if not w.stacked:
+        out = T.matmul(rows, wv.T).reshape(*xv.shape[:-1], -1)
+    elif not x.stacked:
+        wide = T.matmul(rows, wv.transpose(2, 0, 1).reshape(wv.shape[2], -1))
+        out = wide.reshape(-1, *wv.shape[:2]).swapaxes(0, 1).reshape(len(wv), *xv.shape[:-1], -1)
+    else:
+        out = np.concatenate([T.matmul(r, wi.T) for r, wi in zip(np.split(rows, len(wv)), wv)])
+        out = out.reshape(*xv.shape[:-1], -1)
 
     def bwd(g):
         # a constant input (layer 0's batch) needs no gradient, so skip its GEMM;
@@ -142,13 +175,13 @@ def linear(x: Variable, w: Variable) -> Variable:
 
 
 def hadamard(a: Variable, b: Variable) -> Variable:
-    out = T.hadamard(a.value, b.value)
-    av, bv = a.value, b.value
+    av, bv = lift(a, b)
+    out = T.hadamard(av, bv)
     return a.tape.record("hadamard", (a, b), out, lambda g: (g * bv, g * av))
 
 
 def add(a: Variable, b: Variable) -> Variable:
-    out = T.add(a.value, b.value)
+    out = T.add(*lift(a, b))
     return a.tape.record("add", (a, b), out, lambda g: (g, g))
 
 
@@ -160,7 +193,8 @@ def scale(a: Variable, s: float) -> Variable:
 
 def add_row(a: Variable, v: Variable) -> Variable:
     """Broadcast-add a d-vector across the leading axes of a [..., d]."""
-    out = T.add_row(a.value, v.value)
+    av, vv = lift(a, v)
+    out = T.add(av, slice_rows(vv, av.shape)) if a.stacked or v.stacked else T.add_row(av, vv)
     d = v.value.shape[0]
 
     def bwd(g):
@@ -172,7 +206,8 @@ def add_row(a: Variable, v: Variable) -> Variable:
 
 
 def reduce_sum(a: Variable) -> Variable:
-    out = T.reduce_sum(a.value)
+    """Sum of every element; a stacked a [S, ...] sums each slice, in the same order."""
+    out = T.reduce_sum(np.moveaxis(a.value, 0, -1), keep=1) if a.stacked else T.reduce_sum(a.value)
     shape, dtype = a.value.shape, a.value.dtype
     return a.tape.record("reduce_sum", (a,), out, lambda g: (np.full(shape, g, dtype=dtype),))
 
@@ -188,11 +223,12 @@ def gelu(a: Variable) -> Variable:
     from scipy import special
 
     x = a.value
-    cdf = special.ndtr(x.astype(np.float64)).astype(x.dtype)
+    x64 = x.astype(np.float64)
+    cdf = special.ndtr(x64).astype(x.dtype)
     out = x * cdf
     if not a.requires_grad:
         return a.tape.record("gelu", (a,), out, None)
-    pdf = (np.exp(-0.5 * x.astype(np.float64) ** 2) / np.sqrt(2.0 * np.pi)).astype(x.dtype)
+    pdf = (np.exp(-0.5 * x64 ** 2) / np.sqrt(2.0 * np.pi)).astype(x.dtype)
     local = cdf + x * pdf
     return a.tape.record("gelu", (a,), out, lambda g: (g * local,))
 
@@ -215,22 +251,23 @@ def sigmoid(a: Variable) -> Variable:
 def cross_entropy(logits: Variable, labels: np.ndarray) -> Variable:
     """Mean negative log-softmax at the label index, max-stabilized.
 
-    labels is an integer array of shape [B] with entries in [0, C).
+    labels is an integer array of shape [B] with entries in [0, C).  Each
+    step acts on the last axis: stacked logits give one loss per slice.
     """
     z = logits.value
-    if z.ndim != 2:
+    if z.ndim != 2 + logits.stacked:
         raise DimensionError(f"cross_entropy expects [batch, classes] logits, got {z.shape}")
+    b, c = z.shape[-2:]
     labels = np.asarray(labels)
-    if labels.shape != (z.shape[0],):
-        raise DimensionError(f"labels shape {labels.shape} does not match batch {z.shape[0]}")
-    if labels.size and (labels.min() < 0 or labels.max() >= z.shape[1]):
-        raise DataError(f"label out of range [0, {z.shape[1]})")
-    b = z.shape[0]
-    m = np.max(z, axis=1, keepdims=True)
+    if labels.shape != (b,):
+        raise DimensionError(f"labels shape {labels.shape} does not match batch {b}")
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
+        raise DataError(f"label out of range [0, {c})")
+    m = np.max(z, axis=-1, keepdims=True)
     shifted = z - m
-    lse = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    lse = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     logp = shifted - lse
-    loss = np.asarray(-np.mean(logp[np.arange(b), labels]), dtype=z.dtype)
+    loss = np.asarray(-np.mean(logp[..., np.arange(b), labels], axis=-1), dtype=z.dtype)
 
     def bwd(g):
         gz = np.exp(logp)
@@ -302,14 +339,47 @@ class GradCheckReport:
         return out
 
 
+# most slices in one stacked pass of ``central_differences`` (one +-h pair at least)
+_FD_SLICES = 64
+
+
+def central_differences(f, params: dict[str, np.ndarray], name: str, step: float) -> np.ndarray:
+    """(f(w + h e_i) - f(w - h e_i)) / 2h in float64 for every entry i of ``params[name]``.
+
+    ``params[name]`` binds as a stacked constant, slices 2i and 2i+1 holding
+    entry i at +h and -h, so the quotients are a per-entry loop's, bit for
+    bit.  A non-finite loss raises for the first entry that meets one.
+    """
+    point = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+    shape, flat = point[name].shape, point[name].reshape(-1)
+    numeric, pairs = np.empty(flat.size), max(1, _FD_SLICES // 2)
+    for lo in range(0, flat.size, pairs):
+        idx = np.arange(lo, min(lo + pairs, flat.size))
+        stack = np.repeat(flat[None], 2 * len(idx), axis=0).reshape(len(idx), 2, -1)
+        stack[np.arange(len(idx)), :, idx] = flat[idx, None] + [step, -step]
+        tape = Tape()
+        bound = {k: tape.const(stack.reshape(-1, *shape), stacked=True) if k == name else tape.const(v)
+                 for k, v in point.items()}
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            loss = np.asarray(f(tape, bound).value, dtype=np.float64)
+        pm = np.broadcast_to(loss, (2 * len(idx),)).reshape(-1, 2)
+        if not np.isfinite(pm).all():
+            at = np.unravel_index(idx[np.argmin(np.isfinite(pm).all(axis=1))], shape)
+            raise NumericError(f"non-finite loss while perturbing {name} at {at}")
+        numeric[idx] = (pm[:, 0] - pm[:, 1]) / (2.0 * step)
+    return numeric.reshape(shape)
+
+
 def gradcheck(f, params: dict[str, np.ndarray], step: float = 1e-6,
               tol: float = 1e-4) -> GradCheckReport:
     """Compare tape gradients of a scalar function against central differences.
 
     ``f(tape, bound)`` must build and return a scalar Variable from the
     bound parameter dict (and should cast any internal constants to the
-    bound dtype).  For every entry of every parameter the check evaluates
-    (f(w+h) - f(w-h)) / 2h and reports the relative error
+    bound dtype) from the package's primitives or ``record`` ops that act on
+    each leading slice alone: ``central_differences`` evaluates
+    (f(w+h) - f(w-h)) / 2h for all entries of a parameter in one stacked
+    pass.  The check reports the relative error
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
 
     The difference quotients always run in float64, whatever the dtype of
@@ -326,36 +396,16 @@ def gradcheck(f, params: dict[str, np.ndarray], step: float = 1e-6,
         raise UsageError("gradcheck target must be scalar-valued")
     grads = analytic_tape.backward(loss)
 
-    work = {k: np.array(v, copy=True, dtype=np.float64) for k, v in params.items()}
-
-    def evaluate() -> float:
-        tape = Tape()
-        fd_bound = {k: tape.const(v) for k, v in work.items()}
-        return float(f(tape, fd_bound).value)
-
     entries = []
     for name in params:
-        arr = work[name]
+        arr = np.asarray(params[name])
         analytic = grads.get(bound[name].node_id)
         if analytic is None:
-            analytic = np.zeros_like(arr)
+            analytic = np.zeros(arr.shape)
         if not np.all(np.isfinite(analytic)):
             idx = np.unravel_index(int(np.argmin(np.isfinite(analytic))), arr.shape)
             raise NumericError(f"non-finite analytic gradient for {name} at {idx}")
-        numeric = np.zeros(arr.shape, dtype=np.float64)
-        flat = arr.reshape(-1)
-        nflat = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            f_plus = evaluate()
-            flat[i] = orig - step
-            f_minus = evaluate()
-            flat[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                idx = np.unravel_index(i, arr.shape)
-                raise NumericError(f"non-finite loss while perturbing {name} at {idx}")
-            nflat[i] = (f_plus - f_minus) / (2.0 * step)
+        numeric = central_differences(f, params, name, step)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         rel = np.abs(analytic.astype(np.float64) - numeric) / denom
         widx = np.unravel_index(int(np.argmax(rel)), arr.shape) if arr.size else ()

@@ -90,7 +90,7 @@ def _band_sum(y: np.ndarray, shifts, vectors) -> np.ndarray | None:
     """sum_i vectors[i] * roll(y, shifts[i]), accumulated in shift order."""
     out = None
     for r, v in zip(shifts, vectors):
-        term = T.mul_row(T.roll(y, r), v)
+        term = T.mul_row(T.roll(y, r), v) if v.ndim == 1 else T.hadamard(T.roll(y, r), v)
         out = term if out is None else T.add(out, term)
     return out
 
@@ -112,10 +112,11 @@ def band_quadratic(y: ag.Variable, shifts, lams) -> ag.Variable:
     ``lams`` per shift; the adjoint is written out in ``autograd``.
 
     The backward pass adds its terms in the order the unfused
-    roll/row-product/sum tape did, so every bit matches it.
+    roll/row-product/sum tape did, so every bit matches it (per slice if stacked).
     """
-    yv = y.value
-    vecs = [v.value for v in lams]
+    yv, *vecs = ag.lift(y, *lams)
+    if any(v.stacked for v in (y, *lams)):
+        vecs = [ag.slice_rows(v, yv.shape) for v in vecs]
     acc = _band_sum(yv, shifts, vecs)
     out = T.add(T.hadamard(acc, yv), yv)
     d = yv.shape[-1]

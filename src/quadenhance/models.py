@@ -174,8 +174,8 @@ MODELS = {"qe_mlp": MLPConfig, "quadranet": QuadraNetLayer, "swiglu": SwiGLULaye
 
 
 def mse(pred: ag.Variable, target: np.ndarray) -> ag.Variable:
-    """Mean squared error over every element, built from taped primitives."""
-    if pred.value.shape != target.shape:
+    """Mean squared error over every element (of each slice if stacked), from taped primitives."""
+    if pred.value.shape[pred.stacked:] != target.shape:
         raise DimensionError(f"mse shape mismatch: {pred.value.shape} vs {target.shape}")
     neg = pred.tape.const(-target.astype(pred.value.dtype, copy=False))
     diff = ag.add(pred, neg)

@@ -185,14 +185,15 @@ def _sum_axis0(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def reduce_sum(a: np.ndarray) -> np.ndarray:
+def reduce_sum(a: np.ndarray, keep: int = 0) -> np.ndarray:
     """Sum of every element with a fixed sequential accumulation order.
 
     Leading axes are reduced one at a time, each sequentially in index
-    order, until a scalar remains.  The order is part of the contract:
-    identical inputs give bit-identical sums everywhere this runs.
+    order, until a scalar (or the last ``keep`` axes) remains.  The order
+    is part of the contract: identical inputs give bit-identical sums
+    everywhere this runs.
     """
     out = a
-    while out.ndim > 0:
+    while out.ndim > keep:
         out = _sum_axis0(out)
     return out

@@ -8,6 +8,7 @@ instead of sharing them.
 import numpy as np
 from scipy.optimize import linprog
 
+from quadenhance import autograd as ag
 from quadenhance.rng import Rng
 
 
@@ -158,3 +159,29 @@ def fisher_yates_loop(seed: int, n: int, counter: int = 0) -> np.ndarray:
         j = int(draws[n - 1 - i] % np.uint64(i + 1))
         perm[i], perm[j] = perm[j], perm[i]
     return perm
+
+
+def central_differences_loop(f, params: dict, name: str, step: float) -> np.ndarray:
+    """(f(w + h e_i) - f(w - h e_i)) / 2h, one solo float64 evaluation per side.
+
+    Entry i of ``params[name]`` moves to +h, then to -h, and back, and each
+    point binds every parameter as a plain constant on a fresh tape: the
+    per-entry loop ``gradcheck`` ran before it stacked its points.
+    """
+    work = {k: np.array(v, copy=True, dtype=np.float64) for k, v in params.items()}
+
+    def evaluate() -> float:
+        tape = ag.Tape()
+        return float(f(tape, {k: tape.const(v) for k, v in work.items()}).value)
+
+    flat = work[name].reshape(-1)
+    numeric = np.zeros(flat.size)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        f_plus = evaluate()
+        flat[i] = orig - step
+        f_minus = evaluate()
+        flat[i] = orig
+        numeric[i] = (f_plus - f_minus) / (2.0 * step)
+    return numeric.reshape(work[name].shape)
