@@ -14,12 +14,16 @@ Layout (all integers little-endian):
 
 Version 1, read but never written, differs only in its checksum: the
 FNV-1a 64 of the same bytes, as a u64.  A load checks the magic and the
-version, then that version's checksum before it parses any record, so
-truncation or corruption past the 8-byte header is a checksum error
-rather than a confusing parse failure.  Saving goes through
-``write_atomic``, so an interrupted save leaves any earlier checkpoint at
-that path untouched; the checksum reads the chunks handed to it, never a
-joined copy of the payload.
+version, then streams the rest of the file once: each payload is read
+straight into its own array (allocated only once it fits in the bytes
+left), and every byte read is fed to that version's hasher, so a load
+holds one copy of the payload.  A parse error is held until the rest of
+the body is hashed and the checksum compared, and trailing bytes are
+reported only after it, so truncation or corruption past the 8-byte
+header is a checksum error rather than a confusing parse failure.  Saving
+goes through ``write_atomic``, so an interrupted save leaves any earlier
+checkpoint at that path untouched; the checksum reads the chunks handed
+to it, never a joined copy of the payload.
 
 ``fnv1a64`` is the standard byte-at-a-time FNV-1a 64,
 ``h <- (h ^ b_i) * P mod 2**64`` with ``P = 0x100000001B3``, computed in
@@ -47,6 +51,7 @@ blocks of whole-array numpy passes instead of a loop over bytes:
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import secrets
 import struct
@@ -62,10 +67,6 @@ VERSION = 2
 
 _DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _TAG_FOR_KIND = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-# the 8-byte checksum of each readable version, of every preceding byte
-_CHECKSUMS = {1: lambda body: struct.pack("<Q", fnv1a64(body)),
-              2: lambda body: hashlib.blake2b(body, digest_size=8).digest()}
-
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -124,19 +125,41 @@ def _low_bytes(block: np.ndarray, low0: np.uint8) -> np.ndarray:
     return low[:m]
 
 
+class _Fnv1a64:
+    """FNV-1a 64 fed in pieces of any length, with hashlib's ``update`` and
+    ``digest``: the state carries across blocks, so a piece may end anywhere."""
+
+    def __init__(self):
+        self.h = _FNV_OFFSET
+
+    def update(self, data) -> None:
+        buf = np.frombuffer(data, dtype=np.uint8)
+        if len(buf) < 512:      # a record's header fields: the byte loop is faster
+            for byte in buf.tobytes():
+                self.h = ((self.h ^ byte) * _FNV_PRIME) & _MASK
+            return
+        for start in range(0, len(buf), _BLOCK):
+            block = buf[start:start + _BLOCK]
+            low = _low_bytes(block, np.uint8(self.h & 0xFF))
+            delta = (low ^ block).astype(np.int64)
+            delta -= low
+            powers = _POWERS[_BLOCK - len(block):]
+            tail = np.multiply(delta.view(_U64), powers).sum(dtype=_U64)
+            self.h = (self.h * int(powers[0]) + int(tail)) & _MASK
+
+    def digest(self) -> bytes:
+        return struct.pack("<Q", self.h)
+
+
 def fnv1a64(data: bytes | memoryview) -> int:
     """FNV-1a 64 of a bytes-like object."""
-    h = _FNV_OFFSET
-    buf = np.frombuffer(data, dtype=np.uint8)
-    for start in range(0, len(buf), _BLOCK):
-        block = buf[start:start + _BLOCK]
-        low = _low_bytes(block, np.uint8(h & 0xFF))
-        delta = (low ^ block).astype(np.int64)
-        delta -= low
-        powers = _POWERS[_BLOCK - len(block):]
-        tail = np.multiply(delta.view(_U64), powers).sum(dtype=_U64)
-        h = (h * int(powers[0]) + int(tail)) & _MASK
-    return h
+    fnv = _Fnv1a64()
+    fnv.update(data)
+    return fnv.h
+
+
+# a new hasher for each readable version's 8-byte checksum of every preceding byte
+_CHECKSUMS = {1: _Fnv1a64, 2: lambda: hashlib.blake2b(digest_size=8)}
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
@@ -157,7 +180,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
         raw = memoryview(np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]))
         chunks += [struct.pack("<H", len(name_b)), name_b, struct.pack("<BB", tag, arr.ndim),
                    struct.pack(f"<{arr.ndim}I", *arr.shape), raw]
-    digest = hashlib.blake2b(digest_size=8)
+    digest = _CHECKSUMS[VERSION]()
     for chunk in chunks:
         digest.update(chunk)
     write_atomic(path, *chunks, digest.digest())
@@ -187,49 +210,39 @@ def write_atomic(path, *chunks: bytes) -> None:
 
 
 class _Reader:
-    def __init__(self, data: memoryview, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
+    """The body of an open QEN1 file, read front to back into writable byte
+    buffers: every byte read goes to ``digest``, and no read may pass ``end``."""
 
-    def take(self, count: int) -> memoryview:
-        if self.pos + count > len(self.data):
-            raise CheckpointError(
-                f"{self.path}: record extends past end of file "
-                f"(wanted {count} bytes at offset {self.pos})")
-        out = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return out
+    def __init__(self, fh, end: int, path, digest):
+        self.fh, self.end, self.path, self.digest = fh, end, path, digest
+        self.pos = fh.tell()
+
+    def room(self, count: int) -> None:
+        if self.pos + count > self.end:
+            raise CheckpointError(f"{self.path}: record extends past end of file "
+                                  f"(wanted {count} bytes at offset {self.pos})")
+
+    def fill(self, buf) -> None:
+        self.room(len(buf))
+        if self.fh.readinto(buf) != len(buf):
+            raise CheckpointError(f"{self.path}: file shrank while being read")
+        self.digest.update(buf)
+        self.pos += len(buf)
 
     def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        buf = bytearray(struct.calcsize(fmt))
+        self.fill(buf)
+        return struct.unpack(fmt, buf)
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read back named arrays, verifying magic, version, then checksum."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MAGIC) + 4 + 4 + 8:
-        raise ChecksumError(f"{path}: file too short ({len(blob)} bytes) to be a checkpoint")
-    # slices of the view share the file's buffer: each payload is copied
-    # once, into its own array
-    body = memoryview(blob)[:-8]
-    rd = _Reader(body, path)
-    if rd.take(4) != MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a QEN1 checkpoint")
-    (version,) = rd.unpack("<I")
-    if version not in _CHECKSUMS:
-        raise CheckpointError(f"{path}: unknown format version {version} (supported: 1, 2)")
-    stored, actual = blob[-8:], _CHECKSUMS[version](body)
-    if actual != stored:
-        raise ChecksumError(f"{path}: checksum mismatch (stored {stored.hex()}, "
-                            f"computed {actual.hex()})")
+def _records(rd: _Reader) -> dict[str, np.ndarray]:
+    path = rd.path
     (count,) = rd.unpack("<I")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = rd.unpack("<H")
         try:
-            name = str(rd.take(name_len), "utf-8")
+            name = str(rd.unpack(f"{name_len}s")[0], "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: parameter name at offset {rd.pos - name_len} "
                                   f"is not valid UTF-8 ({exc.reason})") from None
@@ -240,16 +253,54 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             raise CheckpointError(f"{path}: unknown dtype tag {tag} for {name!r}")
         shape = rd.unpack(f"<{ndim}I")
         dtype = _DTYPE_TAGS[tag]
-        # Python ints: a product of u32 extents must not wrap
-        payload = rd.take(prod(shape) * dtype.itemsize)
+        # Python ints: a product of u32 extents must not wrap; a payload is
+        # allocated only once it fits in the rest of the body
+        rd.room(prod(shape) * dtype.itemsize)
         try:
-            arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+            arr = np.empty(shape, dtype=dtype)
         except ValueError as exc:
             raise CheckpointError(f"{path}: bad shape {shape} for {name!r}: {exc}") from None
-        # np.array copies exactly once and keeps 0-d scalars 0-d
-        out[name] = np.array(arr, dtype=dtype.newbyteorder("="))
-    if rd.pos != len(body):
-        raise CheckpointError(f"{path}: {len(body) - rd.pos} trailing bytes after last record")
+        # the file's bytes land in the array itself: each payload is read once
+        rd.fill(arr.reshape(-1).view(np.uint8))
+        out[name] = arr.astype(dtype.newbyteorder("="), copy=False)
+    return out
+
+
+def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read back named arrays, verifying magic, version, then checksum."""
+    with open(path, "rb") as fh:
+        if not fh.seekable():   # a pipe: where the trailer starts is known only once read
+            fh = io.BytesIO(fh.read())
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        if size < len(MAGIC) + 4 + 4 + 8:
+            raise ChecksumError(f"{path}: file too short ({size} bytes) to be a checkpoint")
+        head = fh.read(len(MAGIC) + 4)
+        if head[:4] != MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a QEN1 checkpoint")
+        (version,) = struct.unpack("<I", head[4:])
+        if version not in _CHECKSUMS:
+            raise CheckpointError(f"{path}: unknown format version {version} (supported: 1, 2)")
+        digest = _CHECKSUMS[version]()
+        digest.update(head)
+        rd = _Reader(fh, size - 8, path, digest)
+        error = None
+        try:
+            out = _records(rd)
+        except CheckpointError as exc:
+            error = exc
+        # a parse error or trailing bytes count only under a matching checksum
+        trailing = rd.end - rd.pos
+        while rd.pos < rd.end:
+            rd.fill(bytearray(min(rd.end - rd.pos, _BLOCK)))
+        stored, actual = fh.read(8), digest.digest()
+    if actual != stored:
+        raise ChecksumError(f"{path}: checksum mismatch (stored {stored.hex()}, "
+                            f"computed {actual.hex()})")
+    if error is not None:
+        raise error
+    if trailing:
+        raise CheckpointError(f"{path}: {trailing} trailing bytes after last record")
     return out
 
 

@@ -3,7 +3,7 @@
 For independent standard normals x1, x2 the square product x1^2 exceeds a
 level v with probability 2*(1 - Phi(sqrt(v))) (closed form), while the
 cross product x1*x2 follows the product-normal law with density
-K0(|z|)/pi, whose tail is obtained here by adaptive quadrature.  The
+K0(|z|)/pi, whose tail is summed here by the trapezoid rule.  The
 Monte Carlo estimator draws pairs from the package RNG so runs are
 reproducible from the seed alone.
 
@@ -11,11 +11,20 @@ The heavy square tails versus thin cross tails are the numerical reason
 self-coupling (shift 0) is excluded from the quadratic enhancer by
 default.
 
-SciPy loads on first use, not at import.  ``square_tail_analytic`` and
-``cross_tail_integral`` import ``scipy.special`` (~26 MB and ~0.25 s,
-shared with ``autograd.gelu``), and ``cross_tail_integral`` also imports
-``scipy.integrate``, which pulls in ``scipy.optimize``, ``scipy.sparse``
-and ``scipy.linalg`` (~26 MB and ~0.17 s) that no other command needs.
+The cross tail.  Integrating K0(t) = integral_0^inf exp(-t cosh u) du
+(DLMF 10.32.9) over t > v, with cosh u = 1 + 2 sinh^2(u/2), gives
+P(|x1 x2| > v) = (2/pi) e^-v integral_0^inf g, g(u) = exp(-2v sinh^2(u/2))
+/ cosh u.  g is even and analytic in a strip, where the trapezoid rule
+converges geometrically (Trefethen & Weideman, SIAM Review 2014), so
+``cross_tail_integral`` sums it with step h = min(1/16, 1/(2 sqrt(v))) up
+to the first term below 2^-60, by ``math.fsum`` over libm calls (numpy's
+SIMD dispatch cannot reach it).  The sqrt(v) step keeps the error at
+rounding level as g narrows (a fixed 1/16 loses 1.5e-11 at v = 200), and
+e^-v stays outside the sum so that no term overflows.  Against 40-digit
+values it is within 3e-16 relative for v in [1e-12, 700].
+
+SciPy loads on first use, not at import: ``square_tail_analytic`` imports
+``scipy.special`` (~26 MB and ~0.25 s, shared with ``autograd.gelu``).
 
 Memory is O(chunk), not O(samples): samples are drawn and counted
 ``_CHUNK`` at a time, and since each sample depends only on (seed, index)
@@ -34,6 +43,7 @@ samples a chunk peaks at 0.64 MB under tracemalloc.  On a 2-vCPU Xeon,
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +52,7 @@ from .rng import Rng
 
 _CHUNK = 1 << 14
 _TWO_NEG_53 = 2.0 ** -53
+_TWO_NEG_60 = 2.0 ** -60
 _S11, _ONE = np.uint64(11), np.uint64(1)
 
 
@@ -56,12 +67,18 @@ def cross_tail_integral(v: float) -> float:
     """P(|x1 x2| > v) for iid standard normals, via the product-normal density.
 
     The density of x1*x2 is K0(|z|)/pi, so the two-sided tail is
-    (2/pi) * integral_v^inf K0(t) dt.
+    (2/pi) * integral_v^inf K0(t) dt, summed as the module docstring derives.
     """
-    from scipy import integrate, special
-
-    val, _err = integrate.quad(lambda t: special.k0(t), v, np.inf, limit=200)
-    return float(2.0 * val / np.pi)
+    scale = math.exp(-v)
+    if scale == 0.0:        # v > ~745: the tail is below the smallest double
+        return 0.0
+    h = 0.5 / max(8.0, math.sqrt(v))
+    terms, k = [0.5], 1
+    while terms[-1] >= _TWO_NEG_60:
+        s = math.sinh(0.5 * k * h)
+        terms.append(math.exp(-2.0 * s * (v * s)) / math.cosh(k * h))
+        k += 1
+    return 2.0 / math.pi * h * math.fsum(terms) * scale
 
 
 @dataclass(frozen=True)

@@ -128,8 +128,11 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
 
     rows: list[EpochRow] = []
     timing: list[str] = []
-    best_score = best_params = None
+    best_score = None
     has_valid = len(ds.valid_idx) > 0
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -153,11 +156,11 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
             with _failing_as(f"epoch {epoch}, validation"):
                 valid_loss, valid_acc = evaluate(model, ds, ds.valid_idx, np_dtype)
         # "best" goes by validation loss, or train loss without a valid split;
-        # its snapshot, a parameter-sized copy, is kept only for best.qen1
+        # best.qen1 is written at each improvement, so no copy is held
         score = valid_loss if has_valid else train_loss
-        if out_dir is not None and (best_score is None or score < best_score):
+        if out is not None and (best_score is None or score < best_score):
             best_score = score
-            best_params = {k: v.copy() for k, v in model.parameters().items()}
+            save_checkpoint(out / "best.qen1", model.parameters())
         rows.append(EpochRow(epoch=epoch, train_loss=train_loss,
                              valid_loss=valid_loss, valid_accuracy=valid_acc))
         timing.append(f"epoch {epoch}: {time.perf_counter() - t0:.6f} s")
@@ -167,14 +170,11 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
     result = TrainResult(rows=rows, final_train_loss=final_loss,
                          final_train_accuracy=final_acc, model=model)
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         write_atomic(out / "metrics.csv", result.metrics_csv().encode())
         write_atomic(out / "timing.log", ("\n".join(timing) + "\n").encode())
         write_atomic(out / "run_config.json", canonical_json(cfg).encode())
         save_checkpoint(out / "final.qen1", model.parameters())
-        save_checkpoint(out / "best.qen1", best_params)
     return result
 
 

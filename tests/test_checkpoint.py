@@ -5,6 +5,7 @@ import hashlib
 import os
 import re
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,19 @@ def test_fnv1a64_matches_bytewise_oracle(length, fill, seed):
     assert fnv1a64(memoryview(data)) == expected
 
 
+@given(st.binary(max_size=3 * BLOCK // 2),
+       st.lists(st.integers(0, 3 * BLOCK // 2), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_fnv1a64_fed_in_pieces_matches_bytewise_oracle(data, cuts):
+    # the loader hashes a file in reads of every length; any split gives the
+    # byte-at-a-time value
+    fnv = checkpoint._Fnv1a64()
+    bounds = sorted({0, len(data), *(c for c in cuts if c <= len(data))})
+    for start, stop in zip(bounds, bounds[1:]):
+        fnv.update(memoryview(data)[start:stop])
+    assert fnv.digest() == struct.pack("<Q", fnv1a64_bytewise(data))
+
+
 # one of each record kind: f32 and f64, a 0-d and an empty array, a
 # non-ASCII name and a big-endian array that is stored little-endian
 _PINNED = {
@@ -210,6 +224,56 @@ def test_save_holds_no_copy_of_the_payload(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * payload, f"save peaked at {peak / payload:.3f}x its payload"
+
+
+def test_load_holds_one_payload(tmp_path):
+    # the same parameter set read back: each payload is read from the file
+    # straight into its own array, so the traced peak is the arrays alone
+    cfg = COST_PRESETS["vit-m-ffn"].options
+    params = MLP(MLPConfig(**cfg, dtype="f32")).parameters()
+    payload = sum(arr.nbytes for arr in params.values())
+    path = tmp_path / "m.qen1"
+    save_checkpoint(path, params)
+    tracemalloc.start()
+    try:
+        back = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(back[k].tobytes() == params[k].tobytes() for k in params)
+    assert peak < 1.1 * payload, f"load peaked at {peak / payload:.3f}x its payload"
+
+
+def test_loads_from_a_pipe(tmp_path):
+    # a pipe cannot seek, so its end is found by reading it whole
+    path, fifo = tmp_path / "m.qen1", tmp_path / "m.fifo"
+    save_checkpoint(path, _PINNED)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    back = load_checkpoint(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert [(k, v.tobytes()) for k, v in back.items()] == \
+        [(k, v.tobytes()) for k, v in load_checkpoint(path).items()]
+
+
+@pytest.mark.parametrize("version", VERSIONS)
+def test_corrupt_extent_is_checksum_error_unless_resealed(tmp_path, version):
+    # W's first extent 3 -> 1000: under the saved trailer the checksum fails
+    # first, and only under a recomputed trailer does the record parser speak
+    path = tmp_path / "m.qen1"
+    blob = bytearray(_save(path, _PINNED, version))
+    at = 12 + 2 + len("W") + 2             # header, name length, name, tag and ndim
+    assert struct.unpack_from("<2I", blob, at) == (3, 4)
+    struct.pack_into("<I", blob, at, 1000)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ChecksumError, match="checksum mismatch"):
+        load_checkpoint(path)
+    path.write_bytes(_sealed(bytes(blob[:-8])))
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: record extends past end of file (wanted 16000 bytes at offset {at + 8})")):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("params, match", [

@@ -33,16 +33,48 @@ def test_cross_tail_normalizes():
 
 @pytest.mark.parametrize("v", np.geomspace(1e-6, 5.0, 31))
 def test_cross_tail_against_closed_form(v):
-    """quad against the closed form 1 - (2/pi) * integral_0^v K0, an oracle
-    independent of the quadrature.
+    """The trapezoid sum against the closed form 1 - (2/pi) * integral_0^v K0,
+    an oracle independent of the sum.
 
-    Production keeps quad: the closed form's subtraction cancels as the
-    tail shrinks.  At v = 8 it is 2.6e-9 off relative, enough to change
+    Production does not use the closed form: its subtraction cancels as
+    the tail shrinks.  At v = 8 it is 2.6e-9 off relative, enough to change
     the .10e digits of the Monte Carlo CSV; at v = 40 it returns 0.0 where
-    the tail is 5.3e-19.  On [1e-6, 5] the two agreed within 4.4e-12.
+    the tail is 5.3e-19.  On [1e-6, 5] the two agreed within 4.1e-12.
     """
     closed = 1.0 - 2.0 / np.pi * special.iti0k0(v)[1]
     assert cross_tail_integral(v) == pytest.approx(closed, rel=1e-10, abs=0.0)
+
+
+# P(|x1 x2| > v) to 40 digits, from mpmath as 1 - (2/pi) * integral_0^v K0
+# with integral_0^v K0(t) dt = (pi v / 2) (K0(v) L_{-1}(v) + K1(v) L_0(v))
+# (L: modified Struve), evaluated at 60 + v/2.3 digits so the subtraction
+# leaves 40; for v = 1e-12 .. 40 a 40-digit mpmath quadrature of
+# integral_0^inf exp(-v cosh u) / cosh u du agreed to 1e-36
+CROSS_TAIL_40_DIGITS = {
+    1e-12: "0.9999999999816991215594174660059906801718",
+    1e-6: "0.9999904943487459697891210300244592851788",
+    1.0: "0.2089936630046523274365750272963450090087",
+    2.5: "0.03464642572957531463792508253067669483519",
+    4.0: "0.006459625615770474050729149509524765965605",
+    8.0: "8.838924759665938016367979874612453066104e-5",
+    16.0: "2.164730221913457992007195221527477807487e-8",
+    40.0: "5.279013045958213117543730602602414586016e-19",
+    100.0: "2.949931694521613759518057228764888107775e-45",
+    400.0: "7.628530923345030227176126941132158606566e-176",
+    700.0: "2.970753817162679783016132230612156677215e-306",
+}
+
+
+@pytest.mark.parametrize("v", sorted(CROSS_TAIL_40_DIGITS))
+def test_cross_tail_against_40_digit_values(v):
+    # a few rounding errors of the sum and its scale, nothing of the rule
+    truth = float(CROSS_TAIL_40_DIGITS[v])
+    assert cross_tail_integral(v) == pytest.approx(truth, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("v", [1e3, 1e6])
+def test_cross_tail_below_the_smallest_double_is_zero(v):
+    assert cross_tail_integral(v) == 0.0
 
 
 def test_cross_tail_against_variance_bound():
@@ -198,11 +230,14 @@ def test_working_set_does_not_grow_with_samples():
     assert abs(large - small) <= 0.1 * small
 
 
-# SHA-256 of rows_to_csv, recorded when the study drew 10^6 samples per chunk
+# SHA-256 of rows_to_csv, recorded when the study drew 10^6 samples per chunk;
+# the two with v = 16 re-recorded when the cross tail became a trapezoid sum,
+# whose 2.1647302219e-08 replaced quadrature's 2.1647064975e-08 (see
+# CROSS_TAIL_40_DIGITS)
 GOLDEN_CSV = [
-    ((4, 8, 16), 2_000_000, 7, "c052a694d510a7f1b902dce114b85e4dc9d5582c1beefd1f9bc422e1c9cb52d6"),
+    ((4, 8, 16), 2_000_000, 7, "463dcc69e204c1077ba14fb2ac1e82de6c24cfcbec7c39f7b408d566e615b184"),
     ((1, 2.5), 16385, 3, "7018d419614136d74e473543e6264579dfb93cfddd1535a8d1e28a2e82fc6299"),
-    ((4, 8, 16), 1, 0, "3dd08963a7895a874e6b8a4a81e8cfb571429cecd04482496d4bffb1f8089c29"),
+    ((4, 8, 16), 1, 0, "2c3e65e157931657ad4f05b4237fc32e3abd18cfe19476c35af7ba386dc04a03"),
 ]
 
 
