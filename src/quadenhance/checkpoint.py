@@ -14,13 +14,11 @@ Layout (all integers little-endian):
 
 Version 1, read but never written, differs only in its checksum: the
 FNV-1a 64 of the same bytes, as a u64.  A load checks the magic and the
-version, then streams the rest of the file once: each payload is read
-straight into its own array (allocated only once it fits in the bytes
-left), and every byte read is fed to that version's hasher, so a load
-holds one copy of the payload.  A parse error is held until the rest of
-the body is hashed and the checksum compared, and trailing bytes are
-reported only after it, so truncation or corruption past the 8-byte
-header is a checksum error rather than a confusing parse failure.  Saving
+version, then hashes the body in ``_BLOCK``-byte reads before it parses
+any record, so truncation or corruption past the 8-byte header is a
+checksum error rather than a confusing parse failure.  The parse reads the
+file again and each payload straight into its own array, allocated once
+it fits in the bytes left: a load holds one copy of the payload.  Saving
 goes through ``write_atomic``, so an interrupted save leaves any earlier
 checkpoint at that path untouched; the checksum reads the chunks handed
 to it, never a joined copy of the payload.
@@ -129,15 +127,12 @@ class _Fnv1a64:
     """FNV-1a 64 fed in pieces of any length, with hashlib's ``update`` and
     ``digest``: the state carries across blocks, so a piece may end anywhere."""
 
-    def __init__(self):
+    def __init__(self, data=b""):
         self.h = _FNV_OFFSET
+        self.update(data)
 
     def update(self, data) -> None:
         buf = np.frombuffer(data, dtype=np.uint8)
-        if len(buf) < 512:      # a record's header fields: the byte loop is faster
-            for byte in buf.tobytes():
-                self.h = ((self.h ^ byte) * _FNV_PRIME) & _MASK
-            return
         for start in range(0, len(buf), _BLOCK):
             block = buf[start:start + _BLOCK]
             low = _low_bytes(block, np.uint8(self.h & 0xFF))
@@ -153,16 +148,14 @@ class _Fnv1a64:
 
 def fnv1a64(data: bytes | memoryview) -> int:
     """FNV-1a 64 of a bytes-like object."""
-    fnv = _Fnv1a64()
-    fnv.update(data)
-    return fnv.h
+    return _Fnv1a64(data).h
 
 
 # a new hasher for each readable version's 8-byte checksum of every preceding byte
 _CHECKSUMS = {1: _Fnv1a64, 2: lambda: hashlib.blake2b(digest_size=8)}
 
 
-def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
+def save_checkpoint(path, params: dict[str, np.ndarray], sync: bool = True) -> None:
     """Serialize named arrays atomically; dict insertion order is kept."""
     chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(params))]
     for name, arr in params.items():
@@ -183,15 +176,17 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
     digest = _CHECKSUMS[VERSION]()
     for chunk in chunks:
         digest.update(chunk)
-    write_atomic(path, *chunks, digest.digest())
+    write_atomic(path, *chunks, digest.digest(), sync=sync)
 
 
-def write_atomic(path, *chunks: bytes) -> None:
+def write_atomic(path, *chunks: bytes, sync: bool = True) -> None:
     """Write the concatenated chunks to ``path`` whole or not at all.
 
     The bytes are written and synced under a temporary name in the same
     directory, then renamed over ``path``; on any failure the temporary
-    file is removed and an earlier file at ``path`` is untouched.
+    file is removed and an earlier file at ``path`` is untouched.  With
+    ``sync=False`` the bytes are not synced, for a private file that the
+    caller syncs before it renames it into place.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
@@ -202,7 +197,8 @@ def write_atomic(path, *chunks: bytes) -> None:
             for chunk in chunks:
                 fh.write(chunk)
             fh.flush()
-            os.fsync(fh.fileno())
+            if sync:
+                os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -211,10 +207,10 @@ def write_atomic(path, *chunks: bytes) -> None:
 
 class _Reader:
     """The body of an open QEN1 file, read front to back into writable byte
-    buffers: every byte read goes to ``digest``, and no read may pass ``end``."""
+    buffers; no read may pass ``end``."""
 
-    def __init__(self, fh, end: int, path, digest):
-        self.fh, self.end, self.path, self.digest = fh, end, path, digest
+    def __init__(self, fh, end: int, path):
+        self.fh, self.end, self.path = fh, end, path
         self.pos = fh.tell()
 
     def room(self, count: int) -> None:
@@ -226,7 +222,6 @@ class _Reader:
         self.room(len(buf))
         if self.fh.readinto(buf) != len(buf):
             raise CheckpointError(f"{self.path}: file shrank while being read")
-        self.digest.update(buf)
         self.pos += len(buf)
 
     def unpack(self, fmt: str):
@@ -235,46 +230,15 @@ class _Reader:
         return struct.unpack(fmt, buf)
 
 
-def _records(rd: _Reader) -> dict[str, np.ndarray]:
-    path = rd.path
-    (count,) = rd.unpack("<I")
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = rd.unpack("<H")
-        try:
-            name = str(rd.unpack(f"{name_len}s")[0], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: parameter name at offset {rd.pos - name_len} "
-                                  f"is not valid UTF-8 ({exc.reason})") from None
-        if name in out:
-            raise CheckpointError(f"{path}: parameter {name!r} appears twice")
-        tag, ndim = rd.unpack("<BB")
-        if tag not in _DTYPE_TAGS:
-            raise CheckpointError(f"{path}: unknown dtype tag {tag} for {name!r}")
-        shape = rd.unpack(f"<{ndim}I")
-        dtype = _DTYPE_TAGS[tag]
-        # Python ints: a product of u32 extents must not wrap; a payload is
-        # allocated only once it fits in the rest of the body
-        rd.room(prod(shape) * dtype.itemsize)
-        try:
-            arr = np.empty(shape, dtype=dtype)
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: bad shape {shape} for {name!r}: {exc}") from None
-        # the file's bytes land in the array itself: each payload is read once
-        rd.fill(arr.reshape(-1).view(np.uint8))
-        out[name] = arr.astype(dtype.newbyteorder("="), copy=False)
-    return out
-
-
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read back named arrays, verifying magic, version, then checksum."""
     with open(path, "rb") as fh:
         if not fh.seekable():   # a pipe: where the trailer starts is known only once read
             fh = io.BytesIO(fh.read())
-        size = fh.seek(0, os.SEEK_END)
+        body = fh.seek(0, os.SEEK_END) - 8
+        if body < len(MAGIC) + 4 + 4:
+            raise ChecksumError(f"{path}: file too short ({body + 8} bytes) to be a checkpoint")
         fh.seek(0)
-        if size < len(MAGIC) + 4 + 4 + 8:
-            raise ChecksumError(f"{path}: file too short ({size} bytes) to be a checkpoint")
         head = fh.read(len(MAGIC) + 4)
         if head[:4] != MAGIC:
             raise CheckpointError(f"{path}: bad magic, not a QEN1 checkpoint")
@@ -282,26 +246,44 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if version not in _CHECKSUMS:
             raise CheckpointError(f"{path}: unknown format version {version} (supported: 1, 2)")
         digest = _CHECKSUMS[version]()
-        digest.update(head)
-        rd = _Reader(fh, size - 8, path, digest)
-        error = None
-        try:
-            out = _records(rd)
-        except CheckpointError as exc:
-            error = exc
-        # a parse error or trailing bytes count only under a matching checksum
-        trailing = rd.end - rd.pos
-        while rd.pos < rd.end:
-            rd.fill(bytearray(min(rd.end - rd.pos, _BLOCK)))
+        fh.seek(0)
+        for start in range(0, body, _BLOCK):
+            digest.update(fh.read(min(_BLOCK, body - start)))
         stored, actual = fh.read(8), digest.digest()
-    if actual != stored:
-        raise ChecksumError(f"{path}: checksum mismatch (stored {stored.hex()}, "
-                            f"computed {actual.hex()})")
-    if error is not None:
-        raise error
-    if trailing:
-        raise CheckpointError(f"{path}: {trailing} trailing bytes after last record")
-    return out
+        if actual != stored:
+            raise ChecksumError(f"{path}: checksum mismatch (stored {stored.hex()}, "
+                                f"computed {actual.hex()})")
+        fh.seek(len(head))      # parse from the top again, out of the page cache
+        rd = _Reader(fh, body, path)
+        (count,) = rd.unpack("<I")
+        out: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = rd.unpack("<H")
+            try:
+                name = str(rd.unpack(f"{name_len}s")[0], "utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: parameter name at offset {rd.pos - name_len} "
+                                      f"is not valid UTF-8 ({exc.reason})") from None
+            if name in out:
+                raise CheckpointError(f"{path}: parameter {name!r} appears twice")
+            tag, ndim = rd.unpack("<BB")
+            if tag not in _DTYPE_TAGS:
+                raise CheckpointError(f"{path}: unknown dtype tag {tag} for {name!r}")
+            shape = rd.unpack(f"<{ndim}I")
+            dtype = _DTYPE_TAGS[tag]
+            # Python ints: a product of u32 extents must not wrap; a payload is
+            # allocated only once it fits in the rest of the body
+            rd.room(prod(shape) * dtype.itemsize)
+            try:
+                arr = np.empty(shape, dtype=dtype)
+            except ValueError as exc:
+                raise CheckpointError(f"{path}: bad shape {shape} for {name!r}: {exc}") from None
+            # the file's bytes land in the array itself: each payload is read once
+            rd.fill(arr.reshape(-1).view(np.uint8))
+            out[name] = arr.astype(dtype.newbyteorder("="), copy=False)
+        if rd.pos != rd.end:
+            raise CheckpointError(f"{path}: {rd.end - rd.pos} trailing bytes after last record")
+        return out
 
 
 def load_into_model(model, path, allow_missing_lambda: bool = False) -> None:

@@ -64,11 +64,7 @@ def square_tail_analytic(v: float) -> float:
 
 
 def cross_tail_integral(v: float) -> float:
-    """P(|x1 x2| > v) for iid standard normals, via the product-normal density.
-
-    The density of x1*x2 is K0(|z|)/pi, so the two-sided tail is
-    (2/pi) * integral_v^inf K0(t) dt, summed as the module docstring derives.
-    """
+    """P(|x1 x2| > v) for iid standard normals: the trapezoid sum derived above."""
     scale = math.exp(-v)
     if scale == 0.0:        # v > ~745: the tail is below the smallest double
         return 0.0

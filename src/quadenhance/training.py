@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import secrets
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,48 +135,57 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+        # renamed to best.qen1 once the run has succeeded, and removed if it fails
+        pending_best = out / f".best.qen1.{secrets.token_hex(8)}.pending"
 
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        epoch_seed = int(shuffle_base.split(epoch).seed)
-        total, count = 0.0, 0
-        for bi, (bx, by) in enumerate(data.batch_iter(ds, cfg.batch_size, epoch_seed)):
-            x = bx.astype(np_dtype)
-            target = by if ds.is_classification else by.astype(np_dtype)
-            with _failing_as(f"epoch {epoch}, batch {bi}"):
-                loss, grads = _loss_and_grads(model, x, target, ds.is_classification)
-                if not np.isfinite(loss):
-                    raise NumericError("non-finite loss")
-                model.load_parameters(opt.step(model.parameters(), grads))
-            # unbound now, so the next step's passes do not overlap this gradient set
-            del grads
-            total += loss * len(bx)
-            count += len(bx)
-        train_loss = total / count
-        valid_loss = valid_acc = None
-        if has_valid:
-            with _failing_as(f"epoch {epoch}, validation"):
-                valid_loss, valid_acc = evaluate(model, ds, ds.valid_idx, np_dtype)
-        # "best" goes by validation loss, or train loss without a valid split;
-        # best.qen1 is written at each improvement, so no copy is held
-        score = valid_loss if has_valid else train_loss
-        if out is not None and (best_score is None or score < best_score):
-            best_score = score
-            save_checkpoint(out / "best.qen1", model.parameters())
-        rows.append(EpochRow(epoch=epoch, train_loss=train_loss,
-                             valid_loss=valid_loss, valid_accuracy=valid_acc))
-        timing.append(f"epoch {epoch}: {time.perf_counter() - t0:.6f} s")
+    try:
+        for epoch in range(cfg.epochs):
+            t0 = time.perf_counter()
+            epoch_seed = int(shuffle_base.split(epoch).seed)
+            total, count = 0.0, 0
+            for bi, (bx, by) in enumerate(data.batch_iter(ds, cfg.batch_size, epoch_seed)):
+                x = bx.astype(np_dtype)
+                target = by if ds.is_classification else by.astype(np_dtype)
+                with _failing_as(f"epoch {epoch}, batch {bi}"):
+                    loss, grads = _loss_and_grads(model, x, target, ds.is_classification)
+                    if not np.isfinite(loss):
+                        raise NumericError("non-finite loss")
+                    model.load_parameters(opt.step(model.parameters(), grads))
+                # unbound now, so the next step's passes do not overlap this gradient set
+                del grads
+                total += loss * len(bx)
+                count += len(bx)
+            train_loss = total / count
+            valid_loss = valid_acc = None
+            if has_valid:
+                with _failing_as(f"epoch {epoch}, validation"):
+                    valid_loss, valid_acc = evaluate(model, ds, ds.valid_idx, np_dtype)
+            rows.append(EpochRow(epoch=epoch, train_loss=train_loss,
+                                 valid_loss=valid_loss, valid_accuracy=valid_acc))
+            timing.append(f"epoch {epoch}: {time.perf_counter() - t0:.6f} s")
+            # "best" goes by validation loss, or train loss without a valid split;
+            # it is saved at each improvement, so no copy is held
+            score = valid_loss if has_valid else train_loss
+            if out is not None and (best_score is None or score < best_score):
+                best_score = score
+                save_checkpoint(pending_best, model.parameters(), sync=False)
 
-    with _failing_as("final evaluation"):
-        final_loss, final_acc = evaluate(model, ds, ds.train_idx, np_dtype)
-    result = TrainResult(rows=rows, final_train_loss=final_loss,
-                         final_train_accuracy=final_acc, model=model)
+        with _failing_as("final evaluation"):
+            final_loss, final_acc = evaluate(model, ds, ds.train_idx, np_dtype)
+        result = TrainResult(rows=rows, final_train_loss=final_loss,
+                             final_train_accuracy=final_acc, model=model)
 
-    if out is not None:
-        write_atomic(out / "metrics.csv", result.metrics_csv().encode())
-        write_atomic(out / "timing.log", ("\n".join(timing) + "\n").encode())
-        write_atomic(out / "run_config.json", canonical_json(cfg).encode())
-        save_checkpoint(out / "final.qen1", model.parameters())
+        if out is not None:
+            write_atomic(out / "metrics.csv", result.metrics_csv().encode())
+            write_atomic(out / "timing.log", ("\n".join(timing) + "\n").encode())
+            write_atomic(out / "run_config.json", canonical_json(cfg).encode())
+            save_checkpoint(out / "final.qen1", model.parameters())
+            with open(pending_best, "rb") as fh:     # synced once, not at each improvement
+                os.fsync(fh.fileno())
+            os.replace(pending_best, out / "best.qen1")
+    finally:
+        if out is not None:
+            pending_best.unlink(missing_ok=True)
     return result
 
 

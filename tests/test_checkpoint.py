@@ -148,8 +148,7 @@ def test_fnv1a64_matches_bytewise_oracle(length, fill, seed):
        st.lists(st.integers(0, 3 * BLOCK // 2), max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_fnv1a64_fed_in_pieces_matches_bytewise_oracle(data, cuts):
-    # the loader hashes a file in reads of every length; any split gives the
-    # byte-at-a-time value
+    # as with hashlib, any split of the input gives the byte-at-a-time value
     fnv = checkpoint._Fnv1a64()
     bounds = sorted({0, len(data), *(c for c in cuts if c <= len(data))})
     for start, stop in zip(bounds, bounds[1:]):

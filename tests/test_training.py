@@ -144,6 +144,28 @@ def test_failed_output_write_keeps_earlier_outputs(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_failed_run_leaves_earlier_outputs_intact(tmp_path, capsys):
+    """A run that improves at epoch 0 and then fails its final evaluation
+    (SGD at lr 1e30, as above) leaves no file of its own: an earlier run's
+    outputs in the same directory stay byte for byte, best.qen1 included."""
+    raw = {"model": {"type": "qe_mlp", "layer_dims": [2, 4, 2], "activation": "relu"},
+           "dataset": {"name": "blobs", "classes": 2, "size": 64, "valid_fraction": 0.0},
+           "epochs": 1, "batch_size": 64, "dtype": "f32"}
+
+    def train(lr, out):
+        (tmp_path / "c.json").write_text(json.dumps({**raw, "optimizer": {"algo": "sgd", "lr": lr}}))
+        return main(["train", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / out)])
+
+    assert train(0.1, "o") == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()}
+    assert "best.qen1" in before
+    assert train(1e30, "o") == 1
+    assert "final evaluation" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (tmp_path / "o").iterdir()} == before
+    assert train(1e30, "fresh") == 1
+    assert list((tmp_path / "fresh").iterdir()) == []
+
+
 def test_build_model_kinds():
     assert isinstance(build_model(ModelSpec(kind="quadranet", options={"n": 3, "d": 2}),
                                   seed=0, dtype="f64"), QuadraNetLayer)
