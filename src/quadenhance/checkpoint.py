@@ -13,37 +13,16 @@ Layout (all integers little-endian):
                        preceding byte
 
 Version 1, read but never written, differs only in its checksum: the
-FNV-1a 64 of the same bytes, as a u64.  A load checks the magic and the
-version, then hashes the body in ``_BLOCK``-byte reads before it parses
-any record, so truncation or corruption past the 8-byte header is a
-checksum error rather than a confusing parse failure.  The parse reads the
-file again and each payload straight into its own array, allocated once
-it fits in the bytes left: a load holds one copy of the payload.  Saving
-goes through ``write_atomic``, so an interrupted save leaves any earlier
-checkpoint at that path untouched; the checksum reads the chunks handed
-to it, never a joined copy of the payload.
-
-``fnv1a64`` is the standard byte-at-a-time FNV-1a 64,
-``h <- (h ^ b_i) * P mod 2**64`` with ``P = 0x100000001B3``, computed in
-blocks of whole-array numpy passes instead of a loop over bytes:
-
-* Low byte.  Let ``l_i`` be the low byte of ``h`` before byte ``b_i`` and
-  ``x_i = l_i ^ b_i``.  The low byte of a product depends only on the low
-  bytes of its factors, so ``l_{i+1} = x_i * 0xB3 mod 256``.  Since 0xB3
-  is odd, bit k of ``x * 0xB3`` is bit k of ``x`` XOR bit k of
-  ``(x mod 2**k) * 0xB3``.  Hence, with the bits below k already known
-  for every i, bit k obeys ``l_{i+1,k} = l_{i,k} ^ d_{i,k}`` where
-  ``d_{i,k} = b_{i,k} ^ bit_k((x_i mod 2**k) * 0xB3)``, and the whole
-  bit plane is a prefix XOR of ``d`` (Blelloch, "Prefix Sums and Their
-  Applications", 1990).  Eight planes, lowest first, give every ``l_i``.
-  The scan runs on bytes packed eight to a little-endian u64 word: shifts
-  by 8, 16 and 32 scan inside each word, and one XOR accumulate over the
-  word parities carries between words.
-* Full state.  XOR with a byte changes only the low byte, so
-  ``h ^ b_i = h + delta_i`` with ``delta_i = x_i - l_i``.  An m-byte block
-  therefore maps ``h`` to ``h * P**m + sum_i delta_i * P**(m - i)`` (i
-  from 0) mod 2**64: a wrapping uint64 multiply-and-sum against a table
-  of powers of P built once at import.
+FNV-1a 64 of the same bytes, as a u64, hashed a byte at a time (~1 s
+for a 7.1 MB body; no command loads version 1).  A load checks the magic
+and the version, then hashes the body in ``_BLOCK``-byte reads before it
+parses any record, so truncation or corruption past the 8-byte header is
+a checksum error rather than a confusing parse failure.  The parse reads
+the file again and each payload straight into its own array, allocated
+once it fits in the bytes left: a load holds one copy of the payload.
+Saving goes through ``write_atomic``, so an interrupted save leaves any
+earlier checkpoint at that path untouched; the checksum reads the chunks
+handed to it, never a joined copy of the payload.
 """
 
 from __future__ import annotations
@@ -69,86 +48,25 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK = 0xFFFFFFFFFFFFFFFF
 
-# bytes hashed per numpy pass: bounds the per-block temporaries (a few
-# uint8 arrays and two uint64 arrays of this length)
+# bytes read per step of a load's hash pass
 _BLOCK = 1 << 16
-_U64 = np.uint64
-
-
-def _prime_powers() -> np.ndarray:
-    """``out[j] = P**(_BLOCK - j) mod 2**64``, as the outer product of
-    ``P**(256 a)`` and ``P**(b + 1)`` (two short scans), descending."""
-    low = np.multiply.accumulate(np.full(256, _FNV_PRIME, dtype=_U64))
-    high = np.multiply.accumulate(np.full(_BLOCK // 256, low[-1], dtype=_U64))
-    high = np.concatenate((np.ones(1, dtype=_U64), high[:-1]))
-    return np.multiply.outer(high[::-1], low[::-1]).ravel()
-
-
-# a block of m bytes uses the last m entries, the first of which is P**m
-_POWERS = _prime_powers()
-_PRIME_LOW = np.uint8(_FNV_PRIME & 0xFF)
-_SPREAD = _U64(0x0101010101010101)     # copies a byte into all eight lanes
-
-
-def _prefix_xor(plane: np.ndarray) -> None:
-    """Inclusive prefix XOR, in place, of a uint8 array whose length is a
-    multiple of 8."""
-    words = plane.view("<u8")
-    words ^= words << _U64(8)
-    words ^= words << _U64(16)
-    words ^= words << _U64(32)
-    # each word's top byte now holds the XOR of its eight bytes
-    carry = np.bitwise_xor.accumulate(words[:-1] >> _U64(56))
-    words[1:] ^= carry * _SPREAD
-
-
-def _low_bytes(block: np.ndarray, low0: np.uint8) -> np.ndarray:
-    """Low byte of the FNV state before each byte of ``block``."""
-    m = len(block)
-    width = (m + 8) & ~7        # m + 1 entries, padded to whole words
-    low = np.zeros(width, dtype=np.uint8)
-    t = np.empty(m, dtype=np.uint8)
-    for k in range(8):
-        bit = np.uint8(1 << k)
-        np.bitwise_xor(low[:m], block, out=t)
-        t &= np.uint8((1 << k) - 1)
-        t *= _PRIME_LOW
-        t ^= block
-        # plane[i] = bit k of l_i: the initial bit, then d_0 .. d_{m-1}
-        plane = np.zeros(width, dtype=np.uint8)
-        plane[0] = low0 & bit
-        np.bitwise_and(t, bit, out=plane[1:m + 1])
-        _prefix_xor(plane)
-        low |= plane
-    return low[:m]
 
 
 class _Fnv1a64:
-    """FNV-1a 64 fed in pieces of any length, with hashlib's ``update`` and
-    ``digest``: the state carries across blocks, so a piece may end anywhere."""
+    """FNV-1a 64, ``h <- (h ^ b) * P mod 2**64`` for each byte ``b``, with
+    hashlib's ``update`` and ``digest``: a piece may end anywhere."""
 
-    def __init__(self, data=b""):
+    def __init__(self):
         self.h = _FNV_OFFSET
-        self.update(data)
 
     def update(self, data) -> None:
-        buf = np.frombuffer(data, dtype=np.uint8)
-        for start in range(0, len(buf), _BLOCK):
-            block = buf[start:start + _BLOCK]
-            low = _low_bytes(block, np.uint8(self.h & 0xFF))
-            delta = (low ^ block).astype(np.int64)
-            delta -= low
-            powers = _POWERS[_BLOCK - len(block):]
-            tail = np.multiply(delta.view(_U64), powers).sum(dtype=_U64)
-            self.h = (self.h * int(powers[0]) + int(tail)) & _MASK
+        h = self.h
+        for byte in bytes(data):
+            h = ((h ^ byte) * _FNV_PRIME) & _MASK
+        self.h = h
 
     def digest(self) -> bytes:
         return struct.pack("<Q", self.h)
-
-
-def fnv1a64(data: bytes | memoryview) -> int:
-    """FNV-1a 64 of a bytes-like object."""
-    return _Fnv1a64(data).h
 
 
 # a new hasher for each readable version's 8-byte checksum of every preceding byte

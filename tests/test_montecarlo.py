@@ -1,6 +1,7 @@
 """Tail-probability estimator and its two analytic cross-checks."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,29 @@ def test_square_tail_closed_form():
 
 def test_square_tail_at_sixteen():
     assert abs(square_tail_analytic(16.0) / 6.334248e-05 - 1) < 1e-4
+
+
+# P(x^2 > v) = erfc(sqrt(v/2)) to 40 digits, from mpmath at 60 digits
+SQUARE_TAIL_40_DIGITS = {
+    1e-12: "0.9999992021154391972676329043083323750839",
+    1e-6: "0.9992021155721778748488722375455542035434",
+    1.0: "0.3173105078629141028295349087359241550442",
+    4.0: "0.04550026389635841440056527433306687494355",
+    16.0: "6.334248366623984250754151344430259688767e-5",
+    40.0: "2.539628589470864970653362077014451130605e-10",
+    69.0: "9.846344031425318686396421624426272306139e-17",
+    100.0: "1.523970604832105213194668650319861672701e-23",
+    400.0: "5.507248237212467390151245561714930665615e-89",
+    700.0: "2.990226975124620336911911626697340555697e-154",
+}
+
+
+@pytest.mark.parametrize("v", sorted(SQUARE_TAIL_40_DIGITS))
+def test_square_tail_against_40_digit_values(v):
+    # (v + 4) ulps: erfc's condition number at sqrt(v/2), so the rounding
+    # of sqrt(v/2) alone can use up the bound
+    truth = float(SQUARE_TAIL_40_DIGITS[v])
+    assert square_tail_analytic(v) == pytest.approx(truth, rel=(v + 4) * 2.0**-52, abs=0.0)
 
 
 def test_cross_tail_normalizes():
@@ -110,6 +134,17 @@ def test_csv_and_table():
     assert csv.splitlines()[0].startswith("v,samples,square_mc")
     assert len(csv.splitlines()) == 2
     assert "P(x^2>v)" in format_table(rows)
+
+
+def test_table_ratio_column_keeps_its_width():
+    # the ratio grows like e^(v/2): e notation above 1e6, and n/a once the
+    # cross tail has underflowed to 0
+    lines = format_table(run_montecarlo([16.0, 100.0, 800.0], 1000, 0)).splitlines()
+    assert all(line[-11] == " " for line in lines)
+    ratios = [line[-10:].strip() for line in lines[1:]]
+    assert ratios[0] == "2,926.1"
+    assert re.fullmatch(r"\d\.\d{3}e\+\d\d", ratios[1])
+    assert ratios[2] == "n/a"
 
 
 def test_ten_million_sample_run_within_three_sigma_of_oracles():
