@@ -6,7 +6,10 @@ the SHA-256 of that text is pinned.  The cases cover the defaults of
 every config class, the enhancer mask, quadranet, swiglu, csv and idx
 datasets, integer values given for float keys and GradcheckConfig's
 precision-dependent tolerance.  A few small train and ablate runs also
-pin the bytes of ``metrics.csv``, ``final.qen1`` and ``grid.csv``.  The
+pin the bytes of ``metrics.csv``, ``final.qen1`` and ``grid.csv``, and
+oracle-equiv and gradcheck runs through ``cli.main`` those of
+``oracle_equiv.csv`` and ``gradcheck.csv``, which depend on every
+integer the instance builders draw.  The
 digests were recorded with the hand-written parsers that the
 schema-driven one replaced; the ``final.qen1`` ones were re-recorded for
 QEN1 version 2, whose records are the bytes version 1 wrote under a new
@@ -14,8 +17,11 @@ checksum.
 """
 
 import hashlib
+import json
 
 import pytest
+
+from quadenhance.cli import main
 
 from quadenhance.config import (AblateConfig, CostConfig, GradcheckConfig,
                                 MonteCarloConfig, OracleEquivConfig, TrainConfig,
@@ -170,3 +176,31 @@ def test_ablate_outputs_are_pinned(tmp_path):
     ablate_run(cls.from_dict(raw), out_dir=tmp_path)
     assert _sha((tmp_path / "run_config.json").read_bytes()) == CONFIG_DIGESTS["ablate-defaults"]
     assert _sha((tmp_path / "grid.csv").read_bytes()) == RUN_DIGESTS["ablate-defaults/grid.csv"]
+
+
+CHECK_RUNS = {
+    "oracle-equiv-f64": ("oracle-equiv", {"instances": 300}, "oracle_equiv.csv"),
+    "oracle-equiv-f32": ("oracle-equiv", {"instances": 300, "precision": "f32", "max_dim": 8},
+                         "oracle_equiv.csv"),
+    "gradcheck-f64": ("gradcheck", {"instances": 8}, "gradcheck.csv"),
+    "gradcheck-f32": ("gradcheck", {"instances": 8, "precision": "f32"}, "gradcheck.csv"),
+}
+
+CHECK_DIGESTS = {
+    "oracle-equiv-f64":
+        "8b7266e670daca13114d779d47d0da47a97711d1e6112541259273286395143e",
+    "oracle-equiv-f32":
+        "43f7ef5deb5d364cb974cfda63255b83d395f789a66ef006dbe0d00ed30e5630",
+    "gradcheck-f64":
+        "384261b3c85d7443544a8c611e6b3177ac2c849953ff21629583dad203e6af96",
+    "gradcheck-f32":
+        "47e9bd90beaec489135fed83714069f12b222f254ab42eb9bc7117e815578201",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_RUNS))
+def test_check_outputs_are_pinned(case, tmp_path):
+    command, raw, name = CHECK_RUNS[case]
+    (tmp_path / "c.json").write_text(json.dumps(raw))
+    assert main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]) == 0
+    assert _sha((tmp_path / name).read_bytes()) == CHECK_DIGESTS[case]
