@@ -1,24 +1,3 @@
 """Band-sparse quadratic enhancement of linear layers, desk-scale toolkit."""
 
-from .enhancer import (
-    BandLambda,
-    QELayer,
-    apply_lambda,
-    dense_lambda_oracle,
-    init_qelayer,
-    qe_forward,
-    quadratic_reference,
-    rank1_reference,
-)
-from .models import MLP, MLPConfig, Adam, QuadraNetLayer, SGD, SwiGLULayer, mse
-from .autograd import Tape, Variable, cross_entropy, gradcheck
-from .rng import Rng
-
-__all__ = [
-    "BandLambda", "QELayer", "apply_lambda", "dense_lambda_oracle",
-    "init_qelayer", "qe_forward", "quadratic_reference", "rank1_reference",
-    "MLP", "MLPConfig", "Adam", "QuadraNetLayer", "SGD", "SwiGLULayer", "mse",
-    "Tape", "Variable", "cross_entropy", "gradcheck", "Rng",
-]
-
 __version__ = "0.1.0"

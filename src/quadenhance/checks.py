@@ -35,18 +35,16 @@ def _draw_shifts(rng: Rng, d: int) -> tuple[int, ...]:
     """Non-empty random subset of the +/-3 shift pool, skipping shifts that
     reduce to 0 mod d (those would reintroduce square terms)."""
     candidates = [r for r in _SHIFT_POOL if r % d != 0]
-    picks = [r for r in candidates if int(rng.next_u64(1)[0]) % 2 == 0]
-    if not picks:
-        picks = [candidates[int(rng.next_u64(1)[0]) % len(candidates)]]
-    return tuple(picks)
+    picks = [r for r, u in zip(candidates, rng.next_u64(len(candidates)).tolist()) if u % 2 == 0]
+    return tuple(picks or [candidates[int(rng.next_u64(1)[0]) % len(candidates)]])
 
 
 def make_sweep_instance(instance_seed: int, max_dim: int = 32, dtype=np.float64):
     """Seeded random (layer, x) pair with magnitudes kept moderate so the
     absolute tolerances hold headroom in both precisions."""
     rng = Rng(instance_seed)
-    d = 2 + int(rng.next_u64(1)[0]) % (max_dim - 1)
-    n = 1 + int(rng.next_u64(1)[0]) % max_dim
+    u, v = rng.next_u64(2).tolist()
+    d, n = 2 + u % (max_dim - 1), 1 + v % max_dim
     if instance_seed % 97 == 0:
         d = max(d, 5)
         shifts = _LARGEST_GRID_SET    # ensure coverage of the widest ablation set
@@ -152,10 +150,10 @@ def _weighted_sum(tape, out, u: np.ndarray):
 
 
 def _gc_layer_instance(rng: Rng, dtype) -> tuple[QELayer, np.ndarray]:
-    n = 2 + int(rng.next_u64(1)[0]) % 4
-    d = 2 + int(rng.next_u64(1)[0]) % 4
-    shifts = tuple(r for r in (-2, -1, 1, 2)
-                   if r % d != 0 and int(rng.next_u64(1)[0]) % 2 == 0) or (1,)
+    n, d = (2 + u % 4 for u in rng.next_u64(2).tolist())
+    candidates = [r for r in (-2, -1, 1, 2) if r % d != 0]
+    draws = rng.next_u64(len(candidates)).tolist()
+    shifts = tuple(r for r, u in zip(candidates, draws) if u % 2 == 0) or (1,)
     w = (_signed_uniform(rng.split(2), d * n) / np.sqrt(n)).reshape(d, n).astype(dtype)
     b = _signed_uniform(rng.split(3), d, 0.1, 0.5).astype(dtype)
     lam = BandLambda(d=d, shifts=shifts,
@@ -197,8 +195,7 @@ def _family_instance(family: str, inst_seed: int, precision: str):
     if family == "qe_layer":
         layer, x = _gc_layer_instance(rng, dtype)
     elif family in ("quadranet", "swiglu"):
-        n = 2 + int(rng.next_u64(1)[0]) % 4
-        d = 2 + int(rng.next_u64(1)[0]) % 4
+        n, d = (2 + u % 4 for u in rng.next_u64(2).tolist())
         layer = (QuadraNetLayer(n, d, seed=inst_seed, bias=True, dtype=dtype)
                  if family == "quadranet" else SwiGLULayer(n, d, seed=inst_seed, dtype=dtype))
         x = _signed_uniform(rng.split(1), n).astype(dtype)

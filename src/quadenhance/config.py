@@ -28,6 +28,7 @@ from types import NoneType
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .datasets import BUILDERS
+from .enhancer import check_shifts
 from .errors import ConfigError
 from .models import MODELS
 from .tensor import PRECISIONS
@@ -225,6 +226,10 @@ class AblateConfig:
         for i, d in enumerate(self.dims):
             if d < 2:
                 raise ConfigError(f"ablate.dims[{i}]: must be >= 2, got {d}")
+        for where, shifts in [*((f"ablate.k_sets[{i}]", ks) for i, ks in enumerate(self.k_sets)),
+                              ("ablate.target_shifts", self.target_shifts)]:
+            for d in self.dims:
+                check_shifts(shifts, d, where, f"drop it or the dim {d}")
         if self.input_dim is not None:
             _check_at_least("ablate", self, 2, "input_dim")
         _check_at_least("ablate", self, 1, "dataset_size", "epochs", "batch_size")

@@ -38,6 +38,17 @@ from .errors import ConfigError, DimensionError, NumericError
 from .rng import Rng
 
 
+def check_shifts(shifts, d: int, where: str, remedy: str) -> None:
+    """ConfigError naming ``where`` for a shift given twice, or for one that
+    is 0 mod d: it would couple each coordinate to itself, a square term."""
+    if len(set(shifts)) != len(shifts):
+        raise ConfigError(f"{where}: duplicate shifts in {list(shifts)}")
+    for r in shifts:
+        if r % d == 0:
+            raise ConfigError(f"{where}: shift {r} reduces to 0 mod {d} and would produce "
+                              f"square terms; {remedy}")
+
+
 def _canonical_shifts(shifts) -> tuple[int, ...]:
     out = tuple(int(r) for r in shifts)
     if len(set(out)) != len(out):
@@ -169,11 +180,8 @@ class QELayer(ag.Layer):
             raise DimensionError(f"b shape {self.b.shape} != ({d},)")
         if self.lam.d != d:
             raise DimensionError(f"coupling dimension {self.lam.d} != output dimension {d}")
-        for r in self.lam.shifts:
-            if r % d == 0 and not self.lam.allow_square_terms:
-                raise ConfigError(
-                    f"shift {r} reduces to 0 mod d={d} and would produce square terms; "
-                    "use allow_square_terms to override")
+        if not self.lam.allow_square_terms:
+            check_shifts(self.lam.shifts, d, self.name, "use allow_square_terms to override")
 
     @property
     def n(self) -> int:

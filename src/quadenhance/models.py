@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autograd as ag
-from .enhancer import QELayer, glorot, init_qelayer
+from .enhancer import QELayer, check_shifts, glorot, init_qelayer
 from .errors import ConfigError, DimensionError, NumericError
 from .rng import Rng
 from .tensor import PRECISIONS
@@ -55,13 +55,9 @@ class MLPConfig:
         if self.enhancer is not None and len(self.enhancer) != self.n_layers:
             raise ConfigError(
                 f"enhancer mask length {len(self.enhancer)} != layer count {self.n_layers}")
-        for i, enhanced in enumerate(self.mask()):
-            d = self.layer_dims[i + 1]
-            for r in self.shifts if enhanced else ():
-                if r % d == 0:
-                    raise ConfigError(
-                        f"layer {i} (width {d}): shift {r} reduces to 0 mod {d} and would produce "
-                        "square terms; set exempt_final, enhancer or shifts to avoid it")
+        for i, (d, enhanced) in enumerate(zip(self.layer_dims[1:], self.mask())):
+            check_shifts(self.shifts if enhanced else (), d, f"layer {i} (width {d})",
+                         "set exempt_final, enhancer or shifts to avoid it")
 
     @property
     def n_layers(self) -> int:

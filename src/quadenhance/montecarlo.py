@@ -156,14 +156,14 @@ def rows_to_csv(rows: list[TailRow]) -> str:
 
 def format_table(rows: list[TailRow]) -> str:
     # sq/cross: how many times heavier the analytic square tail is than the cross tail
-    lines = [f"{'v':>6} {'P(x^2>v) mc':>14} {'analytic':>12} "
-             f"{'P(|x1x2|>v) mc':>16} {'integral':>12} {'sq/cross':>10}"]
+    lines = [f"{'v':>6} {'P(x^2>v) mc':>14} {'analytic':>13} "
+             f"{'P(|x1x2|>v) mc':>16} {'integral':>13} {'sq/cross':>10}"]
     for r in rows:
         if r.cross_integral:
             ratio = r.square_analytic / r.cross_integral
             shown = f"{ratio:,.1f}" if ratio < 1e6 else f"{ratio:.3e}"
         else:       # the cross tail is below the smallest double
             shown = "n/a"
-        lines.append(f"{r.v:>6.3g} {r.square_mc:>14.6e} {r.square_analytic:>12.6e} "
-                     f"{r.cross_mc:>16.6e} {r.cross_integral:>12.6e} {shown:>10}")
+        lines.append(f"{r.v:>6.3g} {r.square_mc:>14.6e} {r.square_analytic:>13.6e} "
+                     f"{r.cross_mc:>16.6e} {r.cross_integral:>13.6e} {shown:>10}")
     return "\n".join(lines)

@@ -83,12 +83,6 @@ class Rng:
         """Next ``n`` raw 64-bit draws, advancing the counter."""
         c = self.counter
         self.counter += n
-        if n <= 2:
-            # the check instance builders draw one at a time: on Python ints a
-            # call takes ~1.5 us, through arrays ~5-9 us (2-vCPU Xeon)
-            s = int(self.seed)
-            return np.array([_finalize_int((s + (i + 1) * _GOLDEN) & _MASK) for i in range(c, c + n)],
-                            dtype=np.uint64)
         # an index array for ``at`` would cost a 147k-draw init ~0.4 ms more
         return self._draws(np.arange(c + 1, c + n + 1, dtype=np.uint64))
 

@@ -399,6 +399,19 @@ PROBES = {
                        "ablate.dims: must name at least one dim"),
     "ablate-dim-one": ("ablate-k", {**VALID["ablate-k"], "dims": [4, 1], "epochs": 200},
                        "ablate.dims[1]: must be >= 2, got 1"),
+    "ablate-k-set-square": ("ablate-k", {**VALID["ablate-k"], "k_sets": [[1], [4]], "epochs": 200},
+                            "ablate.k_sets[1]: shift 4 reduces to 0 mod 4"),
+    "ablate-k-set-square-second-dim": ("ablate-k", {**VALID["ablate-k"], "k_sets": [[1], [-6]],
+                                                    "dims": [4, 6], "epochs": 200},
+                                       "ablate.k_sets[1]: shift -6 reduces to 0 mod 6"),
+    "ablate-k-set-duplicate": ("ablate-k", {**VALID["ablate-k"], "k_sets": [[-1, 1, -1]],
+                                            "epochs": 200},
+                               "ablate.k_sets[0]: duplicate shifts in [-1, 1, -1]"),
+    "ablate-target-square": ("ablate-k", {**VALID["ablate-k"], "target_shifts": [4], "epochs": 200},
+                             "ablate.target_shifts: shift 4 reduces to 0 mod 4"),
+    "ablate-target-duplicate": ("ablate-k", {**VALID["ablate-k"], "target_shifts": [2, 2],
+                                             "epochs": 200},
+                                "ablate.target_shifts: duplicate shifts in [2, 2]"),
     "ablate-input-dim-zero": ("ablate-k", {**VALID["ablate-k"], "input_dim": 0},
                               "ablate.input_dim: must be >= 2, got 0"),
     "ablate-dataset-size-zero": ("ablate-k", {**VALID["ablate-k"], "dataset_size": 0},

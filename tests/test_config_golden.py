@@ -6,12 +6,13 @@ the SHA-256 of that text is pinned.  The cases cover the defaults of
 every config class, the enhancer mask, quadranet, swiglu, csv and idx
 datasets, integer values given for float keys and GradcheckConfig's
 precision-dependent tolerance.  A few small train and ablate runs also
-pin the bytes of ``metrics.csv``, ``final.qen1`` and ``grid.csv``, and
-oracle-equiv and gradcheck runs through ``cli.main`` those of
-``oracle_equiv.csv`` and ``gradcheck.csv``, which depend on every
-integer the instance builders draw.  The
-digests were recorded with the hand-written parsers that the
-schema-driven one replaced; the ``final.qen1`` ones were re-recorded for
+pin the bytes of ``metrics.csv``, ``final.qen1`` and ``grid.csv``.
+Oracle-equiv and gradcheck runs through ``cli.main`` pin
+``oracle_equiv.csv`` and ``gradcheck.csv``, whose bytes depend on every
+integer the check instance builders draw; they were recorded while the
+builders still drew one integer per call.  The config digests were
+recorded with the hand-written parsers that the schema-driven one
+replaced; the ``final.qen1`` ones were re-recorded for
 QEN1 version 2, whose records are the bytes version 1 wrote under a new
 checksum.
 """

@@ -1,9 +1,14 @@
-"""Run a test file in a child process with numpy's x86 SIMD dispatch off.
+"""Rerun bit-exactness tests in one child process with numpy's x86 SIMD
+dispatch off.
 
-Every x86 dispatch target of numpy 2.x is switched off in the child only:
-X86_V3 (AVX2, FMA3), X86_V4 (AVX-512) and the AVX512_ICL and AVX512_SPR
-targets, which stay on when only the first two are named.  A pass counts
-only if the child's numpy reports all four off; otherwise the test skips.
+``FILES`` pin the package kernels against the triple loop
+(``test_tensor``), the stacked difference quotients (``test_stacked``)
+and the Monte Carlo filter, which runs cos and sin on gathered subsets and
+log on whole chunks (``test_montecarlo``).  Every x86 dispatch target of
+numpy 2.x is switched off in the child only: X86_V3 (AVX2, FMA3), X86_V4
+(AVX-512) and the AVX512_ICL and AVX512_SPR targets, which stay on when
+only the first two are named.  A pass counts only if the child's numpy
+reports all four off; otherwise the test skips.
 """
 
 import json
@@ -18,6 +23,7 @@ import pytest
 import quadenhance
 
 NAMES = ("X86_V4", "X86_V3", "AVX512_ICL", "AVX512_SPR")
+FILES = ("test_tensor.py", "test_stacked.py", "test_montecarlo.py")
 
 
 def _cpu_features(env, names):
@@ -31,9 +37,9 @@ def _cpu_features(env, names):
     return json.loads(out.stdout)
 
 
-def assert_passes_without_cpu_dispatch(test_file) -> None:
-    """Run pytest on ``test_file``, less its ``cpu_dispatch`` tests, with every
-    target in ``NAMES`` off; fail with the child's output if it fails."""
+def test_kernels_stacked_and_montecarlo_independent_of_cpu_dispatch():
+    """pytest on ``FILES``, less any ``cpu_dispatch`` test, with every target
+    in ``NAMES`` off; fails with the child's output if the child fails."""
     if platform.machine().lower() not in ("x86_64", "amd64"):
         pytest.skip("names x86 CPU features")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(NAMES))
@@ -46,6 +52,6 @@ def assert_passes_without_cpu_dispatch(test_file) -> None:
                     + " off through the variable")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "-k", "not cpu_dispatch", str(test_file)],
+         "-k", "not cpu_dispatch", *(str(Path(__file__).parent / f) for f in FILES)],
         cwd=Path(__file__).parents[1], env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]

@@ -1,4 +1,4 @@
-"""Indexed draws: ``Rng.at`` and the two paths of ``next_u64`` agree."""
+"""Indexed draws: ``next_u64`` and ``Rng.at`` give the same draws."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -9,8 +9,8 @@ from quadenhance.rng import Rng
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2**63), st.integers(0, 3))
 @settings(max_examples=300, deadline=None)
 def test_next_u64_is_draws_at_the_counter(seed, counter, n):
-    """n <= 2 runs on Python ints, n = 3 on arrays: both give draws
-    counter .. counter+n-1 as the same uint64 bytes and shape."""
+    """n = 0-3, the sizes the check instance builders draw, counter near
+    2**63: draws counter .. counter+n-1 as the same uint64 bytes and shape."""
     r = Rng(seed, counter=counter)
     got = r.next_u64(n)
     want = Rng(seed).at(np.arange(counter, counter + n, dtype=np.uint64))
