@@ -12,6 +12,7 @@ import quadenhance.montecarlo as mc
 from quadenhance.montecarlo import (TailRow, cross_tail_integral, format_table, rows_to_csv,
                                     run_montecarlo, square_tail_analytic)
 
+from cpu_dispatch import assert_passes_without_cpu_dispatch
 from oracles import normal_pairs
 
 
@@ -243,6 +244,11 @@ def test_candidates_keep_the_full_draw_bits(seed, start, count, v_min):
 def test_empty_v_list_is_refused():
     with pytest.raises(ValueError, match="at least one threshold"):
         run_montecarlo([], 10, 0)
+
+
+def test_montecarlo_independent_of_cpu_dispatch():
+    # the filter runs cos and sin on gathered subsets and log on whole chunks
+    assert_passes_without_cpu_dispatch(__file__)
 
 
 def _traced_peak(samples):

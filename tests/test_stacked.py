@@ -18,6 +18,7 @@ from quadenhance.errors import DimensionError, UsageError
 from quadenhance.models import MLP, MLPConfig, mse
 from quadenhance.rng import Rng
 
+from cpu_dispatch import assert_passes_without_cpu_dispatch
 from oracles import central_differences_loop
 from test_autograd import _primitive_cases
 
@@ -144,3 +145,7 @@ def test_stacked_linear_keeps_its_dimension_checks():
         ag.linear(tape.const(np.ones((3, 2, 2, 2)), stacked=True), w)
     with pytest.raises(DimensionError):
         ag.linear(tape.const(np.ones((2, 2, 2))), tape.const(np.ones((4, 2))))
+
+
+def test_stacked_quotients_independent_of_cpu_dispatch():
+    assert_passes_without_cpu_dispatch(__file__)

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from quadenhance import tensor as T
 from quadenhance.errors import DimensionError
 
+from cpu_dispatch import assert_passes_without_cpu_dispatch
 from oracles import matmul_triple_loop, reduce_sum_sequential
 
 
@@ -189,6 +190,10 @@ class TestMatmulProbe:
             return (standin if a.dtype == dtype else T._rowblock_matmul)(a, b)
 
         assert not T._sums_in_order(kernel)
+
+
+def test_kernels_independent_of_cpu_dispatch():
+    assert_passes_without_cpu_dispatch(__file__)
 
 
 class TestElementwise:
