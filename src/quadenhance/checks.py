@@ -8,8 +8,8 @@ The oracle chain evaluates the same enhanced layer three ways:
 
 The last two run through plain numpy, independent of the package
 kernels, so agreement localizes faults rather than assuming them away.
-Each sweep instance is reconstructible from its own seed, which failure
-reports include for replay.
+Instances are drawn ``_BLOCK`` at a time in one vectorised pass, yet each
+is what ``make_sweep_instance`` rebuilds from the seed failure reports give.
 """
 
 from __future__ import annotations
@@ -25,39 +25,48 @@ from .enhancer import (BandLambda, QELayer, apply_lambda, dense_lambda_oracle,
                        layer_v_stack, qe_forward, quadratic_reference,
                        rank1_reference, rank1_v_stack)
 from .models import MLP, MLPConfig, QuadraNetLayer, SwiGLULayer
-from .rng import Rng
+from .rng import Rng, split_seeds, stream_draws, stream_uniform
 
-_SHIFT_POOL = (-3, -2, -1, 1, 2, 3)
-_LARGEST_GRID_SET = (-2, -1, 1, 2)
+_BLOCK = 256       # instances drawn together; memory is O(block), not O(instances)
 
 
-def _draw_shifts(rng: Rng, d: int) -> tuple[int, ...]:
-    """Non-empty random subset of the +/-3 shift pool, skipping shifts that
-    reduce to 0 mod d (those would reintroduce square terms)."""
-    candidates = [r for r in _SHIFT_POOL if r % d != 0]
-    picks = [r for r, u in zip(candidates, rng.next_u64(len(candidates)).tolist()) if u % 2 == 0]
-    return tuple(picks or [candidates[int(rng.next_u64(1)[0]) % len(candidates)]])
+def _sweep_block(seeds: list[int], max_dim: int, dtype):
+    """(layer, x, y) for each instance seed, every stream of the block drawn in
+    one pass: d, n from draws 0-1 of Rng(seed); from split(1), one draw per
+    shift of the +/-3 pool not 0 mod d (a square term), even to keep it, the
+    next picking one if none is kept; W, b, lambda_i, x and the band-vs-dense
+    probe y from split(2), (3), (10 + i), (4) and (77).  Magnitudes stay
+    moderate so the absolute tolerances hold headroom in both precisions."""
+    s = np.array(seeds, dtype=np.uint64)
+    ints = stream_draws(np.stack([s, split_seeds(s, 1)], 1), [2, 7] * len(seeds)).reshape(-1, 9)
+    shapes = []
+    for seed, (u, v, *draws) in zip(seeds, ints.tolist()):
+        d, n = 2 + u % (max_dim - 1), 1 + v % max_dim
+        if seed % 97 == 0:
+            d, shifts = max(d, 5), (-2, -1, 1, 2)    # the widest ablation set
+        else:
+            cands = [r for r in (-3, -2, -1, 1, 2, 3) if r % d != 0]
+            shifts = (tuple(r for r, u in zip(cands, draws) if u % 2 == 0)
+                      or (cands[draws[len(cands)] % len(cands)],))
+        shapes.append((d, n, shifts))
+    d, n, k = np.array([(d, n, len(shifts)) for d, n, shifts in shapes]).T[:, :, None]
+    # per instance W, y and lambda_0 .. lambda_5, the ones past k empty and skipped
+    wide = stream_uniform(np.stack([split_seeds(s, t) for t in (2, 77, *range(10, 16))], 1),
+                          np.hstack([d * n, d, d * (np.arange(6) < k)]).ravel(), -1.0, 1.0)
+    wide = (p for p in wide if p.size)
+    narrow = iter(stream_uniform(np.stack([split_seeds(s, 3), split_seeds(s, 4)], 1),
+                                 np.hstack([d, n]).ravel(), -0.5, 0.5))
+    for seed, (d, n, shifts) in zip(seeds, shapes):
+        w = (next(wide) / np.sqrt(n)).reshape(d, n).astype(dtype)
+        y = next(wide).astype(dtype)
+        lam = BandLambda(d=d, shifts=shifts, values={r: next(wide).astype(dtype) for r in shifts})
+        b, x = next(narrow).astype(dtype), next(narrow).astype(dtype)
+        yield QELayer(W=w, b=b, lam=lam, name=f"sweep-{seed}"), x, y
 
 
 def make_sweep_instance(instance_seed: int, max_dim: int = 32, dtype=np.float64):
-    """Seeded random (layer, x) pair with magnitudes kept moderate so the
-    absolute tolerances hold headroom in both precisions."""
-    rng = Rng(instance_seed)
-    u, v = rng.next_u64(2).tolist()
-    d, n = 2 + u % (max_dim - 1), 1 + v % max_dim
-    if instance_seed % 97 == 0:
-        d = max(d, 5)
-        shifts = _LARGEST_GRID_SET    # ensure coverage of the widest ablation set
-    else:
-        shifts = _draw_shifts(rng.split(1), d)
-    w = (rng.split(2).uniform(d * n, -1.0, 1.0) / np.sqrt(n)).reshape(d, n).astype(dtype)
-    b = rng.split(3).uniform(d, -0.5, 0.5).astype(dtype)
-    lam = BandLambda(d=d, shifts=shifts,
-                     values={r: rng.split(10 + i).uniform(d, -1.0, 1.0).astype(dtype)
-                             for i, r in enumerate(shifts)})
-    x = rng.split(4).uniform(n, -0.5, 0.5).astype(dtype)
-    layer = QELayer(W=w, b=b, lam=lam, name=f"sweep-{instance_seed}")
-    return layer, x
+    """The seeded random (layer, x) pair of one sweep instance."""
+    return next(_sweep_block([instance_seed], max_dim, dtype))[:2]
 
 
 @dataclass
@@ -89,23 +98,22 @@ def oracle_chain_sweep(cfg: OracleEquivConfig) -> SweepResult:
     max_lam = 0.0
     worst = cfg.seed
     base = Rng(cfg.seed)
-    for i in range(cfg.instances):
-        inst_seed = int(base.split(i).seed)
-        layer, x = make_sweep_instance(inst_seed, cfg.max_dim, dtype)
-        z_fast = qe_forward(layer, x)
-        p, q = layer_v_stack(layer)
-        z_rank1 = rank1_reference(x, p, q, layer.W, layer.b)
-        z_full = quadratic_reference(x, layer.W, layer.b, rank1_v_stack(p, q))
-        dev = max(float(np.abs(z_fast - z_rank1).max()),
-                  float(np.abs(z_rank1 - z_full).max()),
-                  float(np.abs(z_fast - z_full).max()))
-        y = Rng(inst_seed).split(77).uniform(layer.d, -1.0, 1.0).astype(dtype)
-        m = dense_lambda_oracle(layer.lam)
-        dev_lam = float(np.abs(apply_lambda(layer.lam, y) - m @ y).max())
-        if max(dev, dev_lam) > max(max_chain, max_lam):
-            worst = inst_seed
-        max_chain = max(max_chain, dev)
-        max_lam = max(max_lam, dev_lam)
+    for start in range(0, cfg.instances, _BLOCK):
+        seeds = [int(base.split(i).seed) for i in range(start, min(start + _BLOCK, cfg.instances))]
+        for inst_seed, (layer, x, y) in zip(seeds, _sweep_block(seeds, cfg.max_dim, dtype)):
+            z_fast = qe_forward(layer, x)
+            m = dense_lambda_oracle(layer.lam)
+            p, q = layer_v_stack(layer, m)
+            z_rank1 = rank1_reference(x, p, q, layer.W, layer.b)
+            z_full = quadratic_reference(x, layer.W, layer.b, rank1_v_stack(p, q))
+            dev = max(float(np.abs(z_fast - z_rank1).max()),
+                      float(np.abs(z_rank1 - z_full).max()),
+                      float(np.abs(z_fast - z_full).max()))
+            dev_lam = float(np.abs(apply_lambda(layer.lam, y) - m @ y).max())
+            if max(dev, dev_lam) > max(max_chain, max_lam):
+                worst = inst_seed
+            max_chain = max(max_chain, dev)
+            max_lam = max(max_lam, dev_lam)
     return SweepResult(instances=cfg.instances, seed=cfg.seed, precision=cfg.precision,
                        tol=cfg.tol, max_dev_chain=max_chain, max_dev_lambda=max_lam,
                        worst_seed=worst)

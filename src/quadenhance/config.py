@@ -134,7 +134,10 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "dataset") -> "DatasetSpec":
-        return cls(*_choice(d, where, "name", BUILDERS, "dataset"))
+        name, opts = _choice(d, where, "name", BUILDERS, "dataset")
+        if name == "quadratic_target" and "shifts" in opts and opts["d"] >= 2:
+            check_shifts(opts["shifts"], opts["d"], f"{where}.shifts", "drop it or change d")
+        return cls(name, opts)
 
 
 @dataclass(frozen=True)

@@ -276,10 +276,9 @@ def rank1_reference(x: np.ndarray, p: np.ndarray, q: np.ndarray,
 
 def rank1_v_stack(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per-output rank-1 matrices V_i = p_i q_i^T stacked as [d, n, n]."""
-    return np.einsum("in,im->inm", p, q)
+    return p[:, :, None] * q[:, None, :]
 
 
-def layer_v_stack(layer: QELayer) -> tuple[np.ndarray, np.ndarray]:
-    """(P, Q) realizing the layer's quadratic term: P = L W, Q = W."""
-    m = dense_lambda_oracle(layer.lam)
+def layer_v_stack(layer: QELayer, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, Q) = (m W, W) realizing the layer's quadratic term, m its dense coupling."""
     return m @ layer.W, layer.W

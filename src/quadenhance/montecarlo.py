@@ -27,14 +27,15 @@ Memory is O(chunk), not O(samples): samples are drawn and counted
 ``_CHUNK`` at a time, and since each sample depends only on (seed, index)
 the chunk size cannot change a result.
 
-Only samples that can hit are finished.  The radius r = sqrt(-2 log u1)
-is computed for the whole chunk; |fl(cos)|, |fl(sin)| <= 1 and rounding is
-monotone, so fl(x1*x1) and |fl(x1*x2)| never exceed fl(r*r), and a sample
-with fl(r*r) <= min(v) hits nothing: its angle is never drawn, nor its cos
-and sin taken (at v = 4, e^-2 ~ 13.5% of samples remain).  At 2^14
-samples a chunk peaks at 0.64 MB under tracemalloc.  On a 2-vCPU Xeon,
-2M samples at v = 4, 8, 16 took ~40-50 ms at 2^14 and 2^15, ~55-70 ms at
-2^16 and 10^6 (a 38 MB peak) and ~60-85 ms at 2^12 and 2^13.
+Only samples that can hit are finished.  |fl(cos)|, |fl(sin)| <= 1 and
+rounding is monotone, so fl(x1*x1) and |fl(x1*x2)| never exceed fl(r*r):
+a sample with fl(r*r) <= min(v) hits nothing, and its angle is never drawn
+(at v = 4, e^-2 ~ 13.5% of samples remain).  Most go as integers: with
+k = raw >> 11, u1 = (k + 1) 2^-53, and fl(r*r) > v needs u1 < e^(-v/2) up
+to roundings of ~1e-15, so only k < ceil(e^(-v/2) (1 + 2^-20) 2^53) get the
+log, sqrt and exact test.  A 2^14-sample chunk peaks at 0.49 MB under
+tracemalloc; on a 2-vCPU Xeon, 2M samples at v = 4, 8, 16 took ~28-45 ms at
+2^14 to 2^16, ~34-52 ms at 2^13 and ~45-76 ms at 2^12 and 10^6 (29 MB).
 """
 
 from __future__ import annotations
@@ -110,10 +111,12 @@ def _candidate_pairs(seed: int, start: int, count: int, v_min: float):
     """
     rng = Rng(seed)
     first = np.arange(2 * start, 2 * (start + count), 2, dtype=np.uint64)
-    u1 = ((rng.at(first) >> _S11).astype(np.float64) + 1.0) * _TWO_NEG_53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    keep = np.flatnonzero(radius * radius > v_min)
-    radius = radius[keep]
+    bound = math.ceil(math.exp(-0.5 * max(v_min, 0.0)) * (1.0 + 2.0 ** -20) * 2.0 ** 53)
+    k = rng.at(first) >> _S11
+    keep = np.flatnonzero(k < np.uint64(bound))
+    radius = np.sqrt(-2.0 * np.log((k[keep].astype(np.float64) + 1.0) * _TWO_NEG_53))
+    hit = radius * radius > v_min
+    keep, radius = keep[hit], radius[hit]
     u2 = (rng.at(first[keep] + _ONE) >> _S11).astype(np.float64) * _TWO_NEG_53
     angle = 2.0 * np.pi * u2
     return keep, radius * np.cos(angle), radius * np.sin(angle)

@@ -26,7 +26,7 @@ _MIX2 = 0x94D049BB133111EB
 _SPLIT_SALT = 0x5851F42D4C957F2D
 # built once: a np.uint64 made per call costs next_u64 ~1 us
 _GOLDEN_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
-_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
+_S11, _S27, _S30, _S31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
 _ONE_U64 = np.uint64(1)
 
 _TWO_NEG_53 = 2.0 ** -53
@@ -56,6 +56,36 @@ def _finalize_int(z: int) -> int:
     return z ^ z >> 31
 
 
+def _draws(seed, z: np.ndarray) -> np.ndarray:
+    """Draws i for z = i + 1 (overwritten and returned) of stream ``seed``, or of seed[j] at z[j]."""
+    z *= _GOLDEN_U64
+    z += seed
+    return _finalize(z)
+
+
+def _unit(raw: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Raw draws as doubles uniform in [low, high), 53-bit resolution."""
+    return low + (high - low) * ((raw >> _S11).astype(np.float64) * _TWO_NEG_53)
+
+
+def split_seeds(seeds: np.ndarray, tag: int) -> np.ndarray:
+    """``Rng(s).split(tag).seed`` for each s of a uint64 array, in a new array."""
+    tagged = _finalize_int((tag + _SPLIT_SALT) & _MASK)
+    return _finalize(seeds + np.uint64(_GOLDEN * (tagged | 1) & _MASK))
+
+
+def stream_draws(seeds: np.ndarray, counts) -> np.ndarray:
+    """``Rng(s).next_u64(c)`` for each (s, c) of ``seeds`` and ``counts``, concatenated."""
+    ends = np.cumsum(counts)
+    z = np.arange(1, ends[-1] + 1, dtype=np.int64) - np.repeat(ends - counts, counts)
+    return _draws(np.repeat(seeds, counts), z.view(np.uint64))
+
+
+def stream_uniform(seeds: np.ndarray, counts, low: float, high: float) -> list[np.ndarray]:
+    """``Rng(s).uniform(c, low, high)`` for each (s, c), drawn in one vectorised pass."""
+    return np.split(_unit(stream_draws(seeds, counts), low, high), np.cumsum(counts)[:-1])
+
+
 class Rng:
     """Counter-based generator; all draws are pure in (seed, counter)."""
 
@@ -68,35 +98,28 @@ class Rng:
         tagged = _finalize_int((tag + _SPLIT_SALT) & _MASK)
         return Rng(_finalize_int((int(self.seed) + _GOLDEN * (tagged | 1)) & _MASK))
 
-    def _draws(self, z: np.ndarray) -> np.ndarray:
-        """Draws i for z = i + 1, a uint64 array that is overwritten and returned."""
-        z *= _GOLDEN_U64
-        z += self.seed
-        return _finalize(z)
-
     def at(self, indices: np.ndarray) -> np.ndarray:
         """Draw ``i`` of this stream for each ``i`` of a uint64 array, in a new
         array; the counter does not move."""
-        return self._draws(indices + _ONE_U64)
+        return _draws(self.seed, indices + _ONE_U64)
 
     def next_u64(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit draws, advancing the counter."""
         c = self.counter
         self.counter += n
         # an index array for ``at`` would cost a 147k-draw init ~0.4 ms more
-        return self._draws(np.arange(c + 1, c + n + 1, dtype=np.uint64))
+        return _draws(self.seed, np.arange(c + 1, c + n + 1, dtype=np.uint64))
 
     def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """``n`` doubles uniform in [low, high), 53-bit resolution."""
-        u = (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
-        return low + (high - low) * u
+        return _unit(self.next_u64(n), low, high)
 
     def normal(self, n: int) -> np.ndarray:
         """``n`` standard normal doubles via Box-Muller."""
         m = (n + 1) // 2
         # u1 in (0, 1] so the log is always finite
-        u1 = ((self.next_u64(m) >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG_53
-        u2 = (self.next_u64(m) >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
+        u1 = ((self.next_u64(m) >> _S11).astype(np.float64) + 1.0) * _TWO_NEG_53
+        u2 = (self.next_u64(m) >> _S11).astype(np.float64) * _TWO_NEG_53
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])

@@ -185,3 +185,28 @@ def central_differences_loop(f, params: dict, name: str, step: float) -> np.ndar
         flat[i] = orig
         numeric[i] = (f_plus - f_minus) / (2.0 * step)
     return numeric.reshape(work[name].shape)
+
+
+def sweep_instance_streams(seed: int, max_dim: int, dtype):
+    """(d, n, shifts, W, b, {shift: lambda}, x) of one oracle-sweep instance,
+    each drawn from its own stream one call at a time: d, n from draws 0-1
+    of Rng(seed); one draw of split(1) per candidate shift (even keeps it),
+    the next one picking a candidate if none was kept; W, b, lambda_i, x
+    from split(2), (3), (10 + i) and (4).  Seeds 0 mod 97 take d >= 5 and
+    the shifts (-2, -1, 1, 2)."""
+    rng = Rng(seed)
+    u, v = (int(rng.next_u64(1)[0]) for _ in range(2))
+    d, n = 2 + u % (max_dim - 1), 1 + v % max_dim
+    if seed % 97 == 0:
+        d, shifts = max(d, 5), (-2, -1, 1, 2)
+    else:
+        picks = rng.split(1)
+        candidates = [r for r in (-3, -2, -1, 1, 2, 3) if r % d != 0]
+        shifts = tuple(r for r in candidates if int(picks.next_u64(1)[0]) % 2 == 0)
+        if not shifts:
+            shifts = (candidates[int(picks.next_u64(1)[0]) % len(candidates)],)
+    w = (rng.split(2).uniform(d * n, -1.0, 1.0) / np.sqrt(n)).reshape(d, n).astype(dtype)
+    b = rng.split(3).uniform(d, -0.5, 0.5).astype(dtype)
+    lam = {r: rng.split(10 + i).uniform(d, -1.0, 1.0).astype(dtype) for i, r in enumerate(shifts)}
+    x = rng.split(4).uniform(n, -0.5, 0.5).astype(dtype)
+    return d, n, shifts, w, b, lam, x

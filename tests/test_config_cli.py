@@ -455,6 +455,13 @@ PROBES = {
     "too-few-logits": ("train", {**_TRAIN, "model": {"type": "swiglu", "n": 2, "d": 2},
                                  "dataset": {"name": "blobs", "classes": 3}},
                        "model output width 2 < dataset class count 3"),
+    # a hidden-target shift set the target layer would refuse
+    "target-shift-square": ("train", _train(dataset__shifts=[4], dataset__d=4,
+                                            model__layer_dims=[4, 4]),
+                            "train.dataset.shifts: shift 4 reduces to 0 mod 4 and would produce "
+                            "square terms; drop it or change d"),
+    "target-shift-duplicate": ("train", _train(dataset__shifts=[1, 1]),
+                               "train.dataset.shifts: duplicate shifts in [1, 1]"),
     # an enhanced layer too narrow for its shift
     "width-one-output": ("train", {**_TRAIN, "model": {"type": "qe_mlp", "layer_dims": [4, 1]}},
                          "layer 0 (width 1): shift 1 reduces to 0 mod 1 and would produce square "

@@ -1,5 +1,7 @@
 """Band coupling, the enhanced layer, and the independent oracle chain."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +194,36 @@ class TestQEForward:
                 layer.apply(tape, layer.bind(tape), tape.const(np.ones(shape)))
                 assert [node.op for node in tape.nodes if node.inputs] == ops
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_unit_relabelling_conjugates_the_layer(self, data):
+        """Relabel output i as pi(i) = a*i mod d for a unit a of Z/d.  The
+        conjugate layer takes row pi^-1(j) of W and b as its row j (W' =
+        W[pi^-1]; the literal "rows permuted by pi", W[pi], is not it), the
+        shift a*r in the tuple position of r, and lambda'_{a r} =
+        lambda_r[pi^-1].  Since pi(i) + a*r = pi(i + r), output pi(i) of the
+        conjugate sums the terms of output i in the same order: z'[:, pi] == z
+        bit for bit."""
+        d = data.draw(st.integers(2, 31), label="d")
+        a = data.draw(st.sampled_from([u for u in range(1, d) if math.gcd(u, d) == 1]), label="a")
+        residues = data.draw(st.lists(st.integers(1, d - 1), min_size=1, max_size=min(4, d - 1),
+                                      unique=True), label="residues")
+        shifts = tuple(data.draw(st.sampled_from([r, r - d])) for r in residues)
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        n, batch = data.draw(st.integers(1, 8), label="n"), data.draw(st.integers(1, 4), label="batch")
+        rng = Rng(data.draw(st.integers(0, 2**64 - 1), label="seed"))
+        w = rng.split(0).uniform(d * n, -1, 1).reshape(d, n).astype(dtype)
+        b = rng.split(1).uniform(d, -1, 1).astype(dtype)
+        lam = {r: rng.split(10 + i).uniform(d, -1, 1).astype(dtype) for i, r in enumerate(shifts)}
+        x = rng.split(2).uniform(batch * n, -1, 1).reshape(batch, n).astype(dtype)
+        pi = a * np.arange(d) % d
+        inv = np.argsort(pi)
+        layer = QELayer(W=w, b=b, lam=BandLambda(d=d, shifts=shifts, values=lam))
+        conj = QELayer(W=w[inv], b=b[inv],
+                       lam=BandLambda(d=d, shifts=tuple(a * r for r in shifts),
+                                      values={a * r: lam[r][inv] for r in shifts}))
+        assert conj.forward(x)[:, pi].tobytes() == layer.forward(x).tobytes()
+
 
 class TestQELayerValidation:
     def test_d1_with_shifts_rejected(self):
@@ -270,7 +302,7 @@ class TestOracleChain:
         for seed in range(60):
             layer, x = self._instance(seed)
             z_fast = qe_forward(layer, x)
-            p, q = layer_v_stack(layer)
+            p, q = layer_v_stack(layer, dense_lambda_oracle(layer.lam))
             z_rank1 = rank1_reference(x, p, q, layer.W, layer.b)
             z_full = quadratic_reference(x, layer.W, layer.b, rank1_v_stack(p, q))
             assert np.abs(z_fast - z_rank1).max() <= 1e-12

@@ -227,10 +227,13 @@ def test_filtered_counts_equal_full_draw(monkeypatch, v_list, seed, samples, chu
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
 @pytest.mark.parametrize("start,count", [(0, 16_384), (11, 4097), (2**40 + 3, 999)])
-@pytest.mark.parametrize("v_min", [1e-12, 4.0, 9.0])
+@pytest.mark.parametrize("v_min", [1e-12, 4.0, 9.0, 80.0, 700.0])
 def test_candidates_keep_the_full_draw_bits(seed, start, count, v_min):
     """Each candidate has the reference's x1 and x2 bits at its index, and
-    every sample left out exceeds v_min in neither product."""
+    every sample left out exceeds v_min in neither product.  The integer
+    prefilter passes every draw at 1e-12; at 80 and 700, exp(-v/2) 2**53 is
+    below one draw step, so it passes k = 0 alone, where r*r = 106 ln 2 ~
+    73.5 hits nothing."""
     keep, x1, x2 = mc._candidate_pairs(seed, start, count, v_min)
     ref1, ref2 = normal_pairs(seed, start, count)
     assert x1.tobytes() == ref1[keep].tobytes()
@@ -247,7 +250,8 @@ def test_empty_v_list_is_refused():
 
 
 def test_montecarlo_independent_of_cpu_dispatch():
-    # the filter runs cos and sin on gathered subsets and log on whole chunks
+    # the filter runs log on the draws the integer prefilter keeps, and cos
+    # and sin on the samples whose fl(r*r) passes: gathered subsets all
     assert_passes_without_cpu_dispatch(__file__)
 
 
