@@ -25,7 +25,9 @@ primitive is elementwise, rolls the last axis or sums over all axes, so
 a vector needs no batch axis there.  A *stacked* constant holds S values
 along a new leading axis; every primitive here and in ``enhancer`` runs
 each slice through the IEEE operations of its solo pass, so one pass
-evaluates S points, as ``gradcheck`` does with its ±h points.
+evaluates S points, as ``gradcheck`` does with the ±h points of all its
+parameters.  A stacked W runs on ``tensor.batched_matmul``: one einsum
+call that an import-time probe finds gives one ``matmul`` per slice's bits.
 """
 
 from __future__ import annotations
@@ -151,18 +153,16 @@ def linear(x: Variable, w: Variable) -> Variable:
     """x @ W^T for x [batch, n] or [n] (run as one row) and W [d, n], as one node.
 
     A stacked x folds its slices into the rows; a stacked W [S, d, n] runs as
-    one wide product of the slices' W^T side by side (per slice if x is too).
+    one batched product of x[s] (or the solo x) and W[s]^T.
     """
     xv, wv, need_gx = x.value, w.value, x.requires_grad
     rows = xv.reshape(math.prod(xv.shape[:-1]), xv.shape[-1]) if 0 < xv.ndim <= 2 + x.stacked else xv
     if not w.stacked:
         out = T.matmul(rows, wv.T).reshape(*xv.shape[:-1], -1)
-    elif not x.stacked:
-        wide = T.matmul(rows, wv.transpose(2, 0, 1).reshape(wv.shape[2], -1))
-        out = wide.reshape(-1, *wv.shape[:2]).swapaxes(0, 1).reshape(len(wv), *xv.shape[:-1], -1)
     else:
-        out = np.concatenate([T.matmul(r, wi.T) for r, wi in zip(np.split(rows, len(wv)), wv)])
-        out = out.reshape(*xv.shape[:-1], -1)
+        xs = lift(x, w)[0]
+        out = T.batched_matmul(xs if xs.ndim == 3 else xs[:, None], wv.transpose(0, 2, 1))
+        out = out.reshape(*xs.shape[:-1], -1)
 
     def bwd(g):
         # a constant input (layer 0's batch) needs no gradient, so skip its GEMM;
@@ -330,44 +330,40 @@ class GradCheckReport:
     def worst(self) -> GradCheckEntry:
         return max(self.entries, key=lambda e: e.max_rel_err)
 
-    def lines(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            status = "ok" if e.max_rel_err <= self.tol else "FAIL"
-            out.append(f"{status:4s} {e.name:30s} max rel err {e.max_rel_err:.3e} "
-                       f"at {e.worst_index} (analytic {e.analytic:.6e}, numeric {e.numeric:.6e})")
-        return out
-
 
 # most slices in one stacked pass of ``central_differences`` (one +-h pair at least)
 _FD_SLICES = 64
 
 
-def central_differences(f, params: dict[str, np.ndarray], name: str, step: float) -> np.ndarray:
-    """(f(w + h e_i) - f(w - h e_i)) / 2h in float64 for every entry i of ``params[name]``.
+def central_differences(f, params: dict[str, np.ndarray], step: float) -> tuple[dict, dict]:
+    """(f(w + h e_i) - f(w - h e_i)) / 2h in float64 for every entry i of
+    every parameter, and whether both its losses were finite, per name.
 
-    ``params[name]`` binds as a stacked constant, slices 2i and 2i+1 holding
-    entry i at +h and -h, so the quotients are a per-entry loop's, bit for
-    bit.  A non-finite loss raises for the first entry that meets one.
+    The entries of all parameters, in dict and then C order, share stacked
+    passes of ``_FD_SLICES // 2``: every slice holds the whole point, slices
+    2i and 2i+1 with the pass's entry i at +h and -h.  A parameter owning
+    one of those entries binds as its columns of the stack, the rest bind
+    plain, so each quotient is a per-entry loop's, bit for bit.
     """
     point = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-    shape, flat = point[name].shape, point[name].reshape(-1)
-    numeric, pairs = np.empty(flat.size), max(1, _FD_SLICES // 2)
+    flat = np.concatenate([np.empty(0), *(v.reshape(-1) for v in point.values())])
+    starts = np.cumsum([0, *(v.size for v in point.values())]).tolist()
+    numeric, finite, pairs = np.empty(flat.size), np.empty(flat.size, dtype=bool), max(1, _FD_SLICES // 2)
     for lo in range(0, flat.size, pairs):
         idx = np.arange(lo, min(lo + pairs, flat.size))
         stack = np.repeat(flat[None], 2 * len(idx), axis=0).reshape(len(idx), 2, -1)
         stack[np.arange(len(idx)), :, idx] = flat[idx, None] + [step, -step]
-        tape = Tape()
-        bound = {k: tape.const(stack.reshape(-1, *shape), stacked=True) if k == name else tape.const(v)
-                 for k, v in point.items()}
+        stack, tape = stack.reshape(2 * len(idx), -1), Tape()
+        bound = {k: tape.const(stack[:, s0:s0 + v.size].reshape(-1, *v.shape), stacked=True)
+                 if v.size and s0 <= idx[-1] and lo < s0 + v.size else tape.const(v)
+                 for (k, v), s0 in zip(point.items(), starts)}
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             loss = np.asarray(f(tape, bound).value, dtype=np.float64)
-        pm = np.broadcast_to(loss, (2 * len(idx),)).reshape(-1, 2)
-        if not np.isfinite(pm).all():
-            at = np.unravel_index(idx[np.argmin(np.isfinite(pm).all(axis=1))], shape)
-            raise NumericError(f"non-finite loss while perturbing {name} at {at}")
-        numeric[idx] = (pm[:, 0] - pm[:, 1]) / (2.0 * step)
-    return numeric.reshape(shape)
+            pm = np.broadcast_to(loss, (2 * len(idx),)).reshape(-1, 2)
+            finite[idx] = np.isfinite(pm).all(axis=1)
+            numeric[idx] = (pm[:, 0] - pm[:, 1]) / (2.0 * step)
+    return tuple({k: a[s0:s0 + v.size].reshape(v.shape) for (k, v), s0 in zip(point.items(), starts)}
+                 for a in (numeric, finite))
 
 
 def gradcheck(f, params: dict[str, np.ndarray], step: float = 1e-6,
@@ -378,8 +374,10 @@ def gradcheck(f, params: dict[str, np.ndarray], step: float = 1e-6,
     bound parameter dict (and should cast any internal constants to the
     bound dtype) from the package's primitives or ``record`` ops that act on
     each leading slice alone: ``central_differences`` evaluates
-    (f(w+h) - f(w-h)) / 2h for all entries of a parameter in one stacked
-    pass.  The check reports the relative error
+    (f(w+h) - f(w-h)) / 2h for the entries of all parameters in shared
+    stacked passes.  Each parameter in turn must have a finite analytic
+    gradient, then finite losses at its +-h points, or the first non-finite
+    entry raises.  The check reports the relative error
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
 
     The difference quotients always run in float64, whatever the dtype of
@@ -395,25 +393,20 @@ def gradcheck(f, params: dict[str, np.ndarray], step: float = 1e-6,
     if loss.value.shape != ():
         raise UsageError("gradcheck target must be scalar-valued")
     grads = analytic_tape.backward(loss)
+    quotients, finite = central_differences(f, params, step)
 
     entries = []
-    for name in params:
-        arr = np.asarray(params[name])
-        analytic = grads.get(bound[name].node_id)
-        if analytic is None:
-            analytic = np.zeros(arr.shape)
+    for name, numeric in quotients.items():
+        analytic = grads.get(bound[name].node_id, np.zeros(numeric.shape))
         if not np.all(np.isfinite(analytic)):
-            idx = np.unravel_index(int(np.argmin(np.isfinite(analytic))), arr.shape)
+            idx = np.unravel_index(int(np.argmin(np.isfinite(analytic))), numeric.shape)
             raise NumericError(f"non-finite analytic gradient for {name} at {idx}")
-        numeric = central_differences(f, params, name, step)
+        if not finite[name].all():
+            at = np.unravel_index(int(np.argmin(finite[name])), numeric.shape)
+            raise NumericError(f"non-finite loss while perturbing {name} at {at}")
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         rel = np.abs(analytic.astype(np.float64) - numeric) / denom
-        widx = np.unravel_index(int(np.argmax(rel)), arr.shape) if arr.size else ()
-        entries.append(GradCheckEntry(
-            name=name,
-            max_rel_err=float(rel.max()) if arr.size else 0.0,
-            worst_index=widx,
-            analytic=float(analytic[widx]) if arr.size else 0.0,
-            numeric=float(numeric[widx]) if arr.size else 0.0,
-        ))
+        widx = np.unravel_index(int(np.argmax(rel)), numeric.shape) if numeric.size else ()
+        worst = [float(v[widx]) if numeric.size else 0.0 for v in (rel, analytic, numeric)]
+        entries.append(GradCheckEntry(name, worst[0], widx, *worst[1:]))
     return GradCheckReport(entries=entries, tol=tol, step=step)

@@ -83,7 +83,8 @@ def stream_draws(seeds: np.ndarray, counts) -> np.ndarray:
 
 def stream_uniform(seeds: np.ndarray, counts, low: float, high: float) -> list[np.ndarray]:
     """``Rng(s).uniform(c, low, high)`` for each (s, c), drawn in one vectorised pass."""
-    return np.split(_unit(stream_draws(seeds, counts), low, high), np.cumsum(counts)[:-1])
+    flat, ends = _unit(stream_draws(seeds, counts), low, high), np.cumsum(counts).tolist()
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
 class Rng:

@@ -2,19 +2,21 @@
 
 Values are plain numpy arrays in float32 or float64, in any memory
 layout: the kernels take transposed views and slices as they are, and
-only ``matmul`` copies an operand, its right one, into C order.
+only the products copy an operand, the right one, into C order.
 ``matmul`` and ``reduce_sum`` fix their accumulation order: each adds in
 index order along the summed axis, so repeated runs and independently
 coded references agree bit for bit, not just within rounding noise (a
 naive triple loop reproduces ``matmul`` exactly).  Neither loops over
 terms in Python.  ``matmul`` runs on numpy's einsum kernel where an
 import-time probe finds that it sums in that order, else on ordered
-``np.add.reduce`` sums over row blocks of products.  ``reduce_sum``, a
-full reduction, sums leading axes with ``np.add.accumulate``, which is
-sequential.  The other kernels are single elementwise ufunc calls or
-slice copies; there is no argmax kernel.  The differentiable layers also
-call numpy directly: activations, losses, and ``np.add.reduce`` in the
-bias and coupling gradients, which sums in numpy's own order.
+``np.add.reduce`` sums over row blocks of products; ``batched_matmul``,
+its bits per slice of a stack, likewise in one einsum call or per slice.
+``reduce_sum``, a full reduction, sums leading axes with
+``np.add.accumulate``, which is sequential.  The other kernels are
+single elementwise ufunc calls or slice copies; there is no argmax
+kernel.  The differentiable layers also call numpy directly:
+activations, losses, and ``np.add.reduce`` in the bias and coupling
+gradients, which sums in numpy's own order.
 """
 
 from __future__ import annotations
@@ -77,17 +79,34 @@ def _probe_operands(dtype) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _sums_in_order(kernel) -> bool:
-    """Whether ``kernel`` gives the row-block path's bits on both probe instances."""
+def _sums_in_order(kernel, stacked: bool = False) -> bool:
+    """Whether ``kernel`` gives the row-block path's bits on both probe instances
+    (if ``stacked``, per slice of a stacked pair, b a C-order copy of a W^T view)."""
     for dtype in PRECISIONS.values():
         a, b = _probe_operands(dtype)
-        if kernel(a, b).tobytes() != _rowblock_matmul(a, b).tobytes():
+        want = _rowblock_matmul(a, b)
+        if stacked:
+            a, b = np.stack([a, a[::-1]]), np.ascontiguousarray(np.stack([b.T] * 2).transpose(0, 2, 1))
+            want = np.stack([want, want[::-1]])
+        if kernel(a, b).tobytes() != want.tobytes():
             return False
     return True
 
 
 # chosen once per process from the numpy build; no setting selects it
 _kernel = _einsum_matmul if _sums_in_order(_einsum_matmul) else _rowblock_matmul
+
+
+def _einsum_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.empty((*a.shape[:2], b.shape[2]), dtype=a.dtype)
+    return np.einsum("sij,sjk->sik", a, b, out=out, optimize=False)
+
+
+def _slicewise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.array([_kernel(x, y) for x, y in zip(a, b)], a.dtype).reshape(*a.shape[:2], b.shape[2])
+
+
+_batched = _einsum_batched if _sums_in_order(_einsum_batched, stacked=True) else _slicewise_matmul
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,6 +139,17 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.shape[1] == 1:
         return matmul(a, np.repeat(b, 2, axis=1))[:, :1].copy()
     return _kernel(a, np.ascontiguousarray(b))
+
+
+def batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a [S, r, c] times b [S, c, k] as [S, r, k], slice s bit for bit ``matmul(a[s], b[s])``:
+    one einsum call where ``_sums_in_order(..., stacked=True)`` held at import, else per slice."""
+    if a.ndim != 3 or b.ndim != 3 or len(a) != len(b) or a.shape[2] != b.shape[1]:
+        raise DimensionError(f"batched_matmul needs [S, r, c] x [S, c, k], got {a.shape} and {b.shape}")
+    _require_same_dtype(a, b, "batched_matmul")
+    if b.shape[2] == 1:
+        return batched_matmul(a, np.repeat(b, 2, axis=2))[:, :, :1].copy()
+    return _batched(a, np.ascontiguousarray(b))
 
 
 def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:

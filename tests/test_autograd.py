@@ -254,7 +254,7 @@ def test_primitive_gradcheck_100_instances(name):
         params, f = build(Rng(9000 + i), np.float64)
         report = ag.gradcheck(f, params, step=1e-6, tol=1e-4)
         worst = max(worst, report.max_rel_err)
-        assert report.passed, f"{name} instance {i}: {report.lines()}"
+        assert report.passed, f"{name} instance {i}: {report.entries}"
     assert worst <= 1e-4
 
 
@@ -330,6 +330,28 @@ def test_gradcheck_nonfinite_loss_reported():
     with pytest.raises(NumericError) as err:
         ag.gradcheck(g, {"x": x}, step=1e-6, tol=1e-4)
     assert str(err.value) == f"non-finite loss while perturbing x at {np.unravel_index(2, (2, 2))}"
+
+
+def test_gradcheck_checks_parameters_in_order():
+    """x's analytic gradient is inf and y + h meets a pole.  One shared pass
+    evaluates both parameters' points, yet the error still names x, as when
+    each parameter was checked in full before the next one."""
+    pole = 2.0 + 1e-6
+
+    def f(tape, bound, steep=np.inf):
+        x, y = bound["x"], bound["y"]
+        bent = tape.record("steep", (x,), x.value, lambda g: (g * steep,))
+        near = tape.record("inverse_distance", (y,), y.value / (y.value - pole),
+                           lambda g: (g * -pole / (y.value - pole) ** 2,))
+        return ag.add(ag.reduce_sum(bent), ag.reduce_sum(near))
+
+    params = {"x": np.array([0.5, -1.0]), "y": np.array([1.5, 2.0])}
+    with pytest.raises(NumericError) as err:
+        ag.gradcheck(f, params, step=1e-6, tol=1e-4)
+    assert str(err.value) == f"non-finite analytic gradient for x at {np.unravel_index(0, (2,))}"
+    with pytest.raises(NumericError) as err:
+        ag.gradcheck(lambda tape, bound: f(tape, bound, 1.0), params, step=1e-6, tol=1e-4)
+    assert str(err.value) == f"non-finite loss while perturbing y at {np.unravel_index(1, (2,))}"
 
 
 class TestCrossEntropy:

@@ -355,7 +355,7 @@ class TestGradients:
             return ag.reduce_sum(ag.hadamard(out, tape.const(u)))
 
         report = ag.gradcheck(f, layer.parameters(), step=1e-6, tol=1e-4)
-        assert report.passed, report.lines()
+        assert report.passed, report.entries
 
     def test_input_gradient_matches_fused_oracle(self):
         """Tape backward through the quadratic stage equals the closed form."""

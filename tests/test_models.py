@@ -98,7 +98,7 @@ class TestMLPForward:
             return ag.cross_entropy(model.apply(tape, bound, tape.const(x)), labels)
 
         report = ag.gradcheck(f, params, step=1e-6, tol=1e-4)
-        assert report.passed, report.lines()
+        assert report.passed, report.entries
 
     def test_forward_and_evaluate_keep_no_backward_closures(self, monkeypatch):
         """Forward-only passes bind parameters as constants: equal outputs,
@@ -184,7 +184,7 @@ class TestBaselines:
             return ag.reduce_sum(ag.hadamard(out, tape.const(u)))
 
         report = ag.gradcheck(f, layer.parameters(), step=1e-6, tol=1e-4)
-        assert report.passed, report.lines()
+        assert report.passed, report.entries
 
     def test_quadranet_param_count(self):
         layer = QuadraNetLayer(5, 3, seed=0, bias=True)

@@ -12,8 +12,9 @@ import pytest
 
 from quadenhance import autograd as ag
 from quadenhance import tensor as T
+from quadenhance import checks
 from quadenhance.checks import _family_instance
-from quadenhance.config import FAMILIES
+from quadenhance.config import FAMILIES, GradcheckConfig
 from quadenhance.errors import DimensionError, UsageError
 from quadenhance.models import MLP, MLPConfig, mse
 from quadenhance.rng import Rng
@@ -26,11 +27,12 @@ STEP = 1e-6
 
 
 def _assert_quotients_equal_loop(f, params, step=STEP):
+    quotients, finite = ag.central_differences(f, params, step)
+    assert list(quotients) == list(finite) == list(params)
     for name in params:
-        stacked = ag.central_differences(f, params, name, step)
-        loop = central_differences_loop(f, params, name, step)
+        stacked, loop = quotients[name], central_differences_loop(f, params, name, step)
         assert stacked.dtype == loop.dtype == np.float64
-        assert stacked.shape == loop.shape == np.shape(params[name])
+        assert stacked.shape == loop.shape == finite[name].shape == np.shape(params[name])
         assert stacked.tobytes() == loop.tobytes(), name
 
 
@@ -77,7 +79,7 @@ def test_mse_quotients_equal_loop():
 
 def test_nested_linear_quotients_equal_loop(monkeypatch):
     """linear(linear(x, W), W): the outer product meets a stacked x and a
-    stacked W, and runs one matmul per slice."""
+    stacked W, and runs as one batched product."""
     rng = Rng(34)
     w = rng.uniform(9, -1, 1).reshape(3, 3)
     x = rng.split(1).uniform(6, -1, 1).reshape(2, 3)
@@ -87,11 +89,12 @@ def test_nested_linear_quotients_equal_loop(monkeypatch):
 
     _assert_quotients_equal_loop(f, {"W": w})
     calls = []
-    matmul = T.matmul
-    monkeypatch.setattr(T, "matmul", lambda a, b: calls.append(a.shape) or matmul(a, b))
-    ag.central_differences(f, {"W": w}, "W", STEP)
-    # the inner product is one wide call; the outer one runs per slice
-    assert calls == [(2, 3)] + [(2, 3)] * 18
+    for kernel in ("matmul", "batched_matmul"):
+        monkeypatch.setattr(T, kernel, lambda a, b, k=getattr(T, kernel), n=kernel:
+                            calls.append((n, a.shape)) or k(a, b))
+    ag.central_differences(f, {"W": w}, STEP)
+    # each product is one batched call, the inner one on x broadcast to every slice
+    assert calls == [("batched_matmul", (18, 2, 3))] * 2
 
 
 def test_unused_parameter_gives_zero_quotients():
@@ -100,13 +103,13 @@ def test_unused_parameter_gives_zero_quotients():
 
     params = {"x": Rng(35).uniform(3, -1, 1), "unused": np.ones((2, 2))}
     _assert_quotients_equal_loop(f, params)
-    assert not ag.central_differences(f, params, "unused", STEP).any()
+    assert not ag.central_differences(f, params, STEP)[0]["unused"].any()
 
 
 @pytest.mark.parametrize("slices", [1, 2, 5, 7])
 def test_lowered_slice_bound_keeps_quotients(monkeypatch, slices):
-    """A bound below 2P splits the points over several passes of at least
-    one +-h pair each."""
+    """A bound below 2P splits the points over several shared passes of at
+    least one +-h pair each, some of them spanning two parameters."""
     monkeypatch.setattr(ag, "_FD_SLICES", slices)
     passes = []
     params, f = _family_instance("qe_mlp", int(Rng(36).seed), "f64")
@@ -115,12 +118,27 @@ def test_lowered_slice_bound_keeps_quotients(monkeypatch, slices):
         passes.append(tape)
         return f(tape, bound)
 
-    for name, arr in params.items():
-        passes.clear()
-        assert (ag.central_differences(counted, params, name, STEP).tobytes()
-                == central_differences_loop(f, params, name, STEP).tobytes())
-        pairs = max(1, slices // 2)
-        assert len(passes) == -(-arr.size // pairs)
+    quotients, _ = ag.central_differences(counted, params, STEP)
+    for name in params:
+        assert quotients[name].tobytes() == central_differences_loop(f, params, name, STEP).tobytes()
+    pairs = max(1, slices // 2)
+    assert len(passes) == -(-sum(arr.size for arr in params.values()) // pairs)
+
+
+def test_gradcheck_families_share_passes_across_parameters(monkeypatch):
+    """8 instances per family at seed 0, the perfbench gradcheck config: 32
+    analytic passes and 51 shared stacked passes call f 83 times (186 with
+    one set of passes per parameter)."""
+    calls = []
+    build = checks._family_instance
+
+    def counted(*args):
+        params, f = build(*args)
+        return params, lambda tape, bound: calls.append(tape) or f(tape, bound)
+
+    monkeypatch.setattr(checks, "_family_instance", counted)
+    checks.gradcheck_families(GradcheckConfig(instances=8, seed=0))
+    assert len(calls) == 83
 
 
 def test_stacked_constant_meeting_a_parameter_is_rejected():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from quadenhance import autograd as ag
 from quadenhance import tensor as T
 from quadenhance.errors import DimensionError
 
@@ -190,6 +191,105 @@ class TestMatmulProbe:
             return (standin if a.dtype == dtype else T._rowblock_matmul)(a, b)
 
         assert not T._sums_in_order(kernel)
+
+
+def _slices_by_matmul(a, b):
+    """Both references for batched_matmul: one package matmul and one
+    triple loop per slice, which must agree with each other first."""
+    out = np.empty((*a.shape[:2], b.shape[2]), dtype=a.dtype)
+    loop = out.copy()
+    for s in range(len(a)):
+        out[s], loop[s] = T.matmul(a[s], b[s]), matmul_triple_loop(a[s], b[s])
+    _assert_same_bits(out, loop)
+    return out
+
+
+class TestBatchedMatmul:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("s", [0, 1, 2, 5])
+    @pytest.mark.parametrize("shape", [(4, 9, 6), (1, 12, 7), (3, 8, 1), (1, 33, 1), (2, 1, 3),
+                                       (0, 5, 3), (4, 0, 3), (3, 5, 0)])
+    def test_each_slice_is_its_matmul(self, dtype, s, shape):
+        r, c, k = shape
+        rng = np.random.default_rng(s * 1000 + r * 100 + c * 10 + k)
+        a = (rng.normal(size=(s, r, c)) * 10.0 ** rng.integers(-4, 5, size=c)).astype(dtype)
+        b = rng.normal(size=(s, c, k)).astype(dtype)
+        _assert_same_bits(T.batched_matmul(a, b), _slices_by_matmul(a, b))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_signed_zeros_infinities_and_nan(self, dtype, k):
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(2, 6, 10)).astype(dtype)
+        b = rng.normal(size=(2, 10, k)).astype(dtype)
+        a[0, 0] = -0.0                   # every product -0.0 or +0.0: sums to +0.0
+        b[0, :, 0] = np.abs(b[0, :, 0])
+        a[1, 1, 3] = np.inf              # inf + finite terms
+        a[1, 2, 4], a[1, 2, 6] = np.inf, -np.inf   # inf - inf = nan
+        a[0, 3, 0] = np.nan
+        b[1, 7] = 0.0                    # inf * 0 = nan only in slice 1, row 4
+        a[1, 4, 7] = np.inf
+        with np.errstate(invalid="ignore"):
+            got, want = T.batched_matmul(a, b), _slices_by_matmul(a, b)
+        assert not np.signbit(got[0, 0]).any()
+        _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_transposed_view_operands(self, dtype):
+        # W^T views as linear passes them, a transposed left operand, a solo x
+        # broadcast to every slice, and a strided single column (the k = 1 path)
+        rng = np.random.default_rng(5)
+        x, w = rng.normal(size=(3, 7, 12)).astype(dtype), rng.normal(size=(3, 9, 12)).astype(dtype)
+        for a, b in ((x, w.transpose(0, 2, 1)), (x.transpose(0, 2, 1)[:, :7, :], x[:, :, :5]),
+                     (x[:, ::2, ::-1], w[:, ::3, ::-1].transpose(0, 2, 1)),
+                     (np.broadcast_to(x[0], x.shape), w.transpose(0, 2, 1)),
+                     (x, w.transpose(0, 2, 1)[:, :, 4:5])):
+            assert not (a.flags.c_contiguous and b.flags.c_contiguous)
+            _assert_same_bits(T.batched_matmul(a, b), _slices_by_matmul(a, b))
+
+    @pytest.mark.parametrize("kernel", ["_einsum_matmul", "_rowblock_matmul"])
+    def test_per_slice_fallback_gives_the_same_bytes(self, monkeypatch, kernel):
+        rng = np.random.default_rng(6)
+        for dtype in (np.float32, np.float64):
+            for k in (1, 4):
+                a = rng.normal(size=(5, 3, 11)).astype(dtype)
+                b = rng.normal(size=(5, k, 11)).astype(dtype).transpose(0, 2, 1)
+                with monkeypatch.context() as mp:
+                    mp.setattr(T, "_batched", T._slicewise_matmul)
+                    mp.setattr(T, "_kernel", getattr(T, kernel))
+                    fallback = T.batched_matmul(a, b)
+                _assert_same_bits(T.batched_matmul(a, b), fallback)
+
+    def test_selection_follows_probe(self):
+        einsum_exact = T._sums_in_order(T._einsum_batched, stacked=True)
+        assert T._batched is (T._einsum_batched if einsum_exact else T._slicewise_matmul)
+        assert T._sums_in_order(T._slicewise_matmul, stacked=True)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_probe_rejects_non_sequential_kernel(self, dtype):
+        def kernel(a, b):
+            if a.dtype != dtype:
+                return T._slicewise_matmul(a, b)
+            return np.stack([_pairwise_kernel(x, y) for x, y in zip(a, b)])
+
+        assert not T._sums_in_order(kernel, stacked=True)
+
+    @pytest.mark.parametrize("a, b", [((2, 3, 4), (3, 4, 2)), ((2, 3, 4), (2, 5, 2)),
+                                      ((3, 4), (4, 2)), ((2, 2, 3, 4), (2, 4, 2))])
+    def test_shape_mismatch(self, a, b):
+        with pytest.raises(DimensionError):
+            T.batched_matmul(np.zeros(a), np.zeros(b))
+
+    def test_dtype_mismatch(self):
+        with pytest.raises(DimensionError):
+            T.batched_matmul(np.zeros((2, 2, 2), dtype=np.float32), np.zeros((2, 2, 2)))
+
+    def test_linear_still_rejects_a_three_dimensional_solo_x(self):
+        tape = ag.Tape()
+        x = tape.const(np.ones((2, 2, 3)))
+        for w in (tape.const(np.ones((4, 3))), tape.const(np.ones((5, 4, 3)), stacked=True)):
+            with pytest.raises(DimensionError):
+                ag.linear(x, w)
 
 
 def test_kernels_independent_of_cpu_dispatch():
