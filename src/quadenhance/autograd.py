@@ -26,8 +26,8 @@ a vector needs no batch axis there.  A *stacked* constant holds S values
 along a new leading axis; every primitive here and in ``enhancer`` runs
 each slice through the IEEE operations of its solo pass, so one pass
 evaluates S points, as ``gradcheck`` does with the ±h points of all its
-parameters.  A stacked W runs on ``tensor.batched_matmul``: one einsum
-call that an import-time probe finds gives one ``matmul`` per slice's bits.
+parameters.  A stacked W runs on ``tensor.batched_matmul``, whose slices
+get ``matmul``'s bits: both run the one exact kernel, ``matmul`` as one slice.
 """
 
 from __future__ import annotations

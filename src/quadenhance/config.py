@@ -226,6 +226,11 @@ class AblateConfig:
             raise ConfigError("ablate.seeds: need at least 3 seeds for a median")
         if not self.dims:
             raise ConfigError("ablate.dims: must name at least one dim")
+        for key in ("seeds", "dims", "k_sets"):
+            vals = getattr(self, key)
+            for i, v in enumerate(vals):
+                if v in vals[:i]:
+                    raise ConfigError(f"ablate.{key}[{i}]: repeats entry {vals.index(v)}")
         for i, d in enumerate(self.dims):
             if d < 2:
                 raise ConfigError(f"ablate.dims[{i}]: must be >= 2, got {d}")

@@ -184,6 +184,8 @@ def load_csv(path: str, label_column: int | str, has_header: bool = True,
             raise DataError(f"{path}:{lineno}: non-finite cell")
         labels.append(vals.pop(label_idx))
         rows.append(vals)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DataError(f"{path}: inconsistent column counts {sorted(widths)}")

@@ -7,10 +7,9 @@ only the products copy an operand, the right one, into C order.
 index order along the summed axis, so repeated runs and independently
 coded references agree bit for bit, not just within rounding noise (a
 naive triple loop reproduces ``matmul`` exactly).  Neither loops over
-terms in Python.  ``matmul`` runs on numpy's einsum kernel where an
-import-time probe finds that it sums in that order, else on ordered
-``np.add.reduce`` sums over row blocks of products; ``batched_matmul``,
-its bits per slice of a stack, likewise in one einsum call or per slice.
+terms in Python.  ``matmul`` is the one-slice case of ``batched_matmul``,
+which runs numpy's einsum where an import-time probe finds that it sums
+in that order, else ordered ``np.add.reduce`` sums over row blocks.
 ``reduce_sum``, a full reduction, sums leading axes with
 ``np.add.accumulate``, which is sequential.  The other kernels are
 single elementwise ufunc calls or slice copies; there is no argmax
@@ -28,7 +27,7 @@ from .errors import DimensionError
 # config precision names and the numpy dtypes they select
 PRECISIONS = {"f32": np.float32, "f64": np.float64}
 
-# products per row block of the fallback matmul's scratch buffer
+# products per row block of the fallback kernel's scratch buffer
 _BLOCK_PRODUCTS = 1 << 17
 
 
@@ -37,36 +36,38 @@ def _require_same_dtype(a: np.ndarray, b: np.ndarray, op: str) -> None:
         raise DimensionError(f"{op}: dtype mismatch {a.dtype} vs {b.dtype}")
 
 
-def _einsum_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # k has unit stride in the C-order b and out, so numpy's iterator makes it
     # the inner loop; optimize=False keeps the product away from BLAS
-    out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
-    return np.einsum("ij,jk->ik", a, b, out=out, optimize=False)
+    out = np.empty((*a.shape[:2], b.shape[2]), dtype=a.dtype)
+    return np.einsum("sij,sjk->sik", a, b, out=out, optimize=False)
 
 
-def _rowblock_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # the products of a block of rows go into one buffer [rows, c, k] whose
-    # strided middle axis np.add.reduce sums one term at a time in index order
-    (r, c), k = a.shape, b.shape[1]
-    out = np.empty((r, k), dtype=a.dtype)
+def _rowblock(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the products of a block of rows of a slice go into one buffer [rows, c, k]
+    # whose strided middle axis np.add.reduce sums one term at a time in index order
+    (s, r, c), k = a.shape, b.shape[2]
+    out = np.empty((s, r, k), dtype=a.dtype)
     rows = max(1, _BLOCK_PRODUCTS // max(c * k, 1))
     buf = np.empty((min(rows, r), c, k), dtype=a.dtype)
-    for i in range(0, r, rows):
-        blk = buf[: min(rows, r - i)]
-        np.copyto(blk, a[i : i + rows, :, None])
-        np.multiply(blk, b, out=blk)
-        np.add.reduce(blk, axis=1, initial=0, out=out[i : i + rows])
+    for x, y, o in zip(a, b, out):
+        for i in range(0, r, rows):
+            blk = buf[: min(rows, r - i)]
+            np.copyto(blk, x[i : i + rows, :, None])
+            np.multiply(blk, y, out=blk)
+            np.add.reduce(blk, axis=1, initial=0, out=o[i : i + rows])
     return out
 
 
 def _probe_operands(dtype) -> tuple[np.ndarray, np.ndarray]:
-    """a [3, 17] and b [17, 67] whose product bits betray a non-sequential sum.
+    """a [2, 3, 17] and b [2, 17, 67] whose product bits betray a non-sequential sum.
 
     All columns of b are equal, so a kernel's SIMD body and scalar tail
     see each case.  Row 0 is 0 - fl(x*y) + x*y: +0.0 in order, but
     x*y - fl(x*y) under a fused multiply-add.  Row 1 is
     1 + eps/2 + ... + eps/2: 1 in order, more once two halves are added
     first.  Row 2 has only -0.0 products: +0.0 only from a 0 start.
+    Slice 1 reverses the rows; b is a C-order copy of a W^T view.
     """
     eps = np.finfo(dtype).eps
     x, y = dtype(1 + 3 * eps), dtype(1 + 5 * eps)
@@ -76,37 +77,28 @@ def _probe_operands(dtype) -> tuple[np.ndarray, np.ndarray]:
     a[0, :2] = 1, x
     a[1, 2], a[1, 3:] = 1, eps / 2
     a[2, 1:] = -0.0
-    return a, b
+    return np.stack([a, a[::-1]]), np.ascontiguousarray(np.stack([b.T] * 2).transpose(0, 2, 1))
 
 
-def _sums_in_order(kernel, stacked: bool = False) -> bool:
-    """Whether ``kernel`` gives the row-block path's bits on both probe instances
-    (if ``stacked``, per slice of a stacked pair, b a C-order copy of a W^T view)."""
+def _sums_in_order(kernel) -> bool:
+    """Whether ``kernel`` gives the row-block kernel's bits on the probe pair in f32 and f64."""
     for dtype in PRECISIONS.values():
         a, b = _probe_operands(dtype)
-        want = _rowblock_matmul(a, b)
-        if stacked:
-            a, b = np.stack([a, a[::-1]]), np.ascontiguousarray(np.stack([b.T] * 2).transpose(0, 2, 1))
-            want = np.stack([want, want[::-1]])
-        if kernel(a, b).tobytes() != want.tobytes():
+        if kernel(a, b).tobytes() != _rowblock(a, b).tobytes():
             return False
     return True
 
 
 # chosen once per process from the numpy build; no setting selects it
-_kernel = _einsum_matmul if _sums_in_order(_einsum_matmul) else _rowblock_matmul
+_kernel = _einsum if _sums_in_order(_einsum) else _rowblock
 
 
-def _einsum_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty((*a.shape[:2], b.shape[2]), dtype=a.dtype)
-    return np.einsum("sij,sjk->sik", a, b, out=out, optimize=False)
-
-
-def _slicewise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.array([_kernel(x, y) for x, y in zip(a, b)], a.dtype).reshape(*a.shape[:2], b.shape[2])
-
-
-_batched = _einsum_batched if _sums_in_order(_einsum_batched, stacked=True) else _slicewise_matmul
+def _product(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
+    # b in C order, a one-column b doubled (see matmul)
+    _require_same_dtype(a, b, op)
+    if b.shape[2] == 1:
+        return _kernel(a, np.repeat(b, 2, axis=2))[:, :, :1].copy()
+    return _kernel(a, np.ascontiguousarray(b))
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,34 +114,27 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inner axis), and a one-column ``b`` runs with its column doubled and
     the copy dropped afterwards (with k = 1 einsum switches to its
     unrolled dot kernel, which regroups the sum).  A strided ``a`` costs
-    nothing.
+    nothing.  The product runs as the one-slice case of ``batched_matmul``.
 
     This order and rounding are properties of the numpy build, not
     documented API.  At import, ``_sums_in_order`` compares einsum bit for
-    bit with the row-block path on instances that an FMA, a regrouped sum
+    bit with the row-block kernel on instances that an FMA, a regrouped sum
     or a missing +0.0 start would each change.  Where they differ, as on
     builds whose einsum multiply-add is a fused instruction (aarch64
-    NEON), ``matmul`` keeps the row-block path, several times slower.
+    NEON), every product runs on the row-block kernel, several times slower.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
-    _require_same_dtype(a, b, "matmul")
-    if b.shape[1] == 1:
-        return matmul(a, np.repeat(b, 2, axis=1))[:, :1].copy()
-    return _kernel(a, np.ascontiguousarray(b))
+    return _product(a[None], b[None], "matmul")[0]
 
 
 def batched_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a [S, r, c] times b [S, c, k] as [S, r, k], slice s bit for bit ``matmul(a[s], b[s])``:
-    one einsum call where ``_sums_in_order(..., stacked=True)`` held at import, else per slice."""
+    """a [S, r, c] times b [S, c, k] as [S, r, k], slice s bit for bit ``matmul(a[s], b[s])``."""
     if a.ndim != 3 or b.ndim != 3 or len(a) != len(b) or a.shape[2] != b.shape[1]:
         raise DimensionError(f"batched_matmul needs [S, r, c] x [S, c, k], got {a.shape} and {b.shape}")
-    _require_same_dtype(a, b, "batched_matmul")
-    if b.shape[2] == 1:
-        return batched_matmul(a, np.repeat(b, 2, axis=2))[:, :, :1].copy()
-    return _batched(a, np.ascontiguousarray(b))
+    return _product(a, b, "batched_matmul")
 
 
 def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:

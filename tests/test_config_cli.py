@@ -407,6 +407,13 @@ PROBES = {
     "ablate-k-set-duplicate": ("ablate-k", {**VALID["ablate-k"], "k_sets": [[-1, 1, -1]],
                                             "epochs": 200},
                                "ablate.k_sets[0]: duplicate shifts in [-1, 1, -1]"),
+    "ablate-seeds-repeated": ("ablate-k", {**VALID["ablate-k"], "seeds": [0, 0, 0], "epochs": 200},
+                              "ablate.seeds[1]: repeats entry 0"),
+    "ablate-dims-repeated": ("ablate-k", {**VALID["ablate-k"], "dims": [4, 6, 4], "epochs": 200},
+                             "ablate.dims[2]: repeats entry 0"),
+    "ablate-k-sets-repeated": ("ablate-k", {**VALID["ablate-k"], "k_sets": [[1], [-1, 1], [-1, 1]],
+                                            "epochs": 200},
+                               "ablate.k_sets[2]: repeats entry 1"),
     "ablate-target-square": ("ablate-k", {**VALID["ablate-k"], "target_shifts": [4], "epochs": 200},
                              "ablate.target_shifts: shift 4 reduces to 0 mod 4"),
     "ablate-target-duplicate": ("ablate-k", {**VALID["ablate-k"], "target_shifts": [2, 2],

@@ -140,6 +140,20 @@ class TestCsv:
         with pytest.raises(DataError):
             data.load_csv(p, label_column=0, has_header=False)
 
+    @pytest.mark.parametrize("text, message", [
+        ("x1,x2,y\n", "d.csv: no data rows"),
+        ("y,x1,x2\n0,1,0\n1,0\n", "d.csv: inconsistent column counts [1, 2]")],
+        ids=["header-only", "ragged"])
+    def test_bad_rows_exit_3_through_train(self, tmp_path, capsys, text, message):
+        (tmp_path / "d.csv").write_text(text)
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps({
+            "model": {"type": "qe_mlp", "layer_dims": [2, 2], "activation": "identity"},
+            "dataset": {"name": "csv", "path": str(tmp_path / "d.csv"), "label_column": 0},
+            "optimizer": {"algo": "sgd", "lr": 0.1}, "epochs": 1, "batch_size": 4}))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert message in capsys.readouterr().err
+
     @given(values=st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
                            min_size=2, max_size=12))
     @settings(max_examples=25, deadline=None)

@@ -146,8 +146,23 @@ class TestMatmulRowBlock(TestMatmul):
     @pytest.fixture(autouse=True, scope="class")
     def _row_block_kernel(self):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(T, "_kernel", T._rowblock_matmul)
+            mp.setattr(T, "_kernel", T._rowblock)
             yield
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("s", [1, 3])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_several_row_blocks(self, monkeypatch, dtype, s, k):
+        # 60 products per block: 7 rows of 4 x 2 (k = 1 runs doubled) or 3 rows
+        # of 4 x 5, so 10 rows end in a short block either way
+        monkeypatch.setattr(T, "_BLOCK_PRODUCTS", 60)
+        r, c = 10, 4
+        rows = T._BLOCK_PRODUCTS // (c * max(k, 2))
+        assert 1 < rows < r and r % rows
+        rng = np.random.default_rng(s * 10 + k)
+        a = (rng.normal(size=(s, r, c)) * 10.0 ** rng.integers(-4, 5, size=c)).astype(dtype)
+        b = rng.normal(size=(s, c, k)).astype(dtype)
+        _assert_same_bits(T.batched_matmul(a, b), _slices_by_matmul(a, b))
 
 
 def _fused_kernel(a, b):
@@ -175,20 +190,24 @@ def _first_product_start_kernel(a, b):
     return np.add.accumulate(a[:, :, None] * b, axis=1)[:, -1]
 
 
+def _per_slice(kernel):
+    """A stacked kernel running the 2-d ``kernel`` on each slice."""
+    return lambda a, b: np.stack([kernel(x, y) for x, y in zip(a, b)])
+
+
 class TestMatmulProbe:
     def test_accepts_the_triple_loop(self):
-        assert T._sums_in_order(matmul_triple_loop)
+        assert T._sums_in_order(_per_slice(matmul_triple_loop))
 
     def test_selection_follows_probe(self):
-        einsum_exact = T._sums_in_order(T._einsum_matmul)
-        assert T._kernel is (T._einsum_matmul if einsum_exact else T._rowblock_matmul)
+        assert T._kernel is (T._einsum if T._sums_in_order(T._einsum) else T._rowblock)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("standin", [_fused_kernel, _pairwise_kernel,
                                          _first_product_start_kernel])
     def test_rejects_non_sequential_kernel(self, dtype, standin):
         def kernel(a, b):
-            return (standin if a.dtype == dtype else T._rowblock_matmul)(a, b)
+            return (_per_slice(standin) if a.dtype == dtype else T._rowblock)(a, b)
 
         assert not T._sums_in_order(kernel)
 
@@ -247,32 +266,17 @@ class TestBatchedMatmul:
             assert not (a.flags.c_contiguous and b.flags.c_contiguous)
             _assert_same_bits(T.batched_matmul(a, b), _slices_by_matmul(a, b))
 
-    @pytest.mark.parametrize("kernel", ["_einsum_matmul", "_rowblock_matmul"])
-    def test_per_slice_fallback_gives_the_same_bytes(self, monkeypatch, kernel):
+    @pytest.mark.parametrize("kernel", ["_einsum", "_rowblock"])
+    def test_either_kernel_gives_the_same_bytes(self, monkeypatch, kernel):
         rng = np.random.default_rng(6)
         for dtype in (np.float32, np.float64):
             for k in (1, 4):
                 a = rng.normal(size=(5, 3, 11)).astype(dtype)
                 b = rng.normal(size=(5, k, 11)).astype(dtype).transpose(0, 2, 1)
                 with monkeypatch.context() as mp:
-                    mp.setattr(T, "_batched", T._slicewise_matmul)
                     mp.setattr(T, "_kernel", getattr(T, kernel))
-                    fallback = T.batched_matmul(a, b)
-                _assert_same_bits(T.batched_matmul(a, b), fallback)
-
-    def test_selection_follows_probe(self):
-        einsum_exact = T._sums_in_order(T._einsum_batched, stacked=True)
-        assert T._batched is (T._einsum_batched if einsum_exact else T._slicewise_matmul)
-        assert T._sums_in_order(T._slicewise_matmul, stacked=True)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_probe_rejects_non_sequential_kernel(self, dtype):
-        def kernel(a, b):
-            if a.dtype != dtype:
-                return T._slicewise_matmul(a, b)
-            return np.stack([_pairwise_kernel(x, y) for x, y in zip(a, b)])
-
-        assert not T._sums_in_order(kernel, stacked=True)
+                    got = T.batched_matmul(a, b)
+                _assert_same_bits(got, _slices_by_matmul(a, b))
 
     @pytest.mark.parametrize("a, b", [((2, 3, 4), (3, 4, 2)), ((2, 3, 4), (2, 5, 2)),
                                       ((3, 4), (4, 2)), ((2, 2, 3, 4), (2, 4, 2))])
