@@ -137,16 +137,15 @@ class Tape:
 # ---------------------------------------------------------------------------
 
 def lift(*vs: Variable) -> list[np.ndarray]:
-    """The values of ``vs``, each unstacked one broadcast (a view) to one copy
-    per slice if another is stacked, so exact-shape checks see solo shapes."""
+    """The values of ``vs``, each unstacked one repeated to one copy per slice
+    if another is stacked, so exact-shape checks see solo shapes."""
     s = next((len(v.value) for v in vs if v.stacked), None)
-    return [v.value if s is None or v.stacked else np.broadcast_to(v.value, (s, *v.value.shape))
-            for v in vs]
+    return [v.value if s is None or v.stacked else v.value[None].repeat(s, 0) for v in vs]
 
 
 def slice_rows(v: np.ndarray, shape) -> np.ndarray:
-    """A stacked row vector [S, d] broadcast (a view) to a stacked [S, ..., d]."""
-    return np.broadcast_to(v.reshape(len(v), *(1,) * (len(shape) - 2), -1), shape)
+    """A stacked row vector [S, d] repeated to a stacked [S, ..., d]."""
+    return v[:, None].repeat(math.prod(shape[1:-1]), 1).reshape(shape)
 
 
 def linear(x: Variable, w: Variable) -> Variable:

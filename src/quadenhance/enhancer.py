@@ -257,15 +257,17 @@ def quadratic_reference(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     """Unfactored quadratic transform: z_i = x^T V_i x + (W x)_i + b_i.
 
     ``vs`` stacks the d per-output matrices as [d, n, n].  Evaluation goes
-    through numpy's own matmul, independent of the package kernels.
+    through numpy's own matmul, independent of the package kernels: one
+    batched ``x @ vs`` gives every row x^T V_i, and ``np.vecdot`` dots each
+    with x, the same bits as the per-output ``x @ vs[i] @ x`` (a matrix-vector
+    ``(x @ vs) @ x`` would not be).
     """
     d, n = w.shape
     if vs.shape != (d, n, n):
         raise DimensionError(f"expected V stack of shape {(d, n, n)}, got {vs.shape}")
     if x.shape != (n,):
         raise DimensionError(f"expected input of shape ({n},), got {x.shape}")
-    quad = np.array([x @ vs[i] @ x for i in range(d)], dtype=x.dtype)
-    return quad + w @ x + b
+    return np.vecdot(x @ vs, x) + w @ x + b
 
 
 def rank1_reference(x: np.ndarray, p: np.ndarray, q: np.ndarray,

@@ -121,6 +121,13 @@ def fused_qe_input_grad(shifts, lam_values: dict, y: np.ndarray, g: np.ndarray) 
     return g * ly + adj + g
 
 
+def quadratic_reference_loop(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                             vs: np.ndarray) -> np.ndarray:
+    """z_i = x^T V_i x + (W x)_i + b_i, one ``x @ vs[i] @ x`` per output."""
+    quad = np.array([x @ vs[i] @ x for i in range(len(vs))], dtype=x.dtype)
+    return quad + w @ x + b
+
+
 def fnv1a64_bytewise(data: bytes) -> int:
     """FNV-1a 64, one byte at a time in Python integers (the definition)."""
     h = 0xCBF29CE484222325

@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import fnv1a64_bytewise
 from quadenhance import checkpoint
-from quadenhance.checkpoint import (MAGIC, load_checkpoint, load_into_model,
-                                    save_checkpoint)
+from quadenhance.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from quadenhance.config import COST_PRESETS
 from quadenhance.errors import CheckpointError, ChecksumError
 from quadenhance.models import MLP, MLPConfig
@@ -36,9 +35,12 @@ def _params(seed=0, dtype=np.float64):
 
 # every readable version and its trailer over the preceding bytes, built
 # here from hashlib and the bytewise oracle rather than taken from the loader
-VERSIONS = (1, 2)
+VERSIONS = (1, 2, 3)
 _TRAILERS = {1: lambda body: struct.pack("<Q", fnv1a64_bytewise(body)),
-             2: lambda body: hashlib.blake2b(body, digest_size=8).digest()}
+             2: lambda body: hashlib.blake2b(body, digest_size=8).digest(),
+             3: lambda body: hashlib.sha256(body).digest()[:8]}
+# the one version save_checkpoint writes
+WRITER = 3
 
 
 def _as_version(body: bytes, version: int) -> bytes:
@@ -53,11 +55,11 @@ def _sealed(body: bytes, trailer: int | None = None) -> bytes:
 
 
 def _save(path, params, version: int) -> bytes:
-    """Save ``params`` as ``version``: there is no version 1 writer, so a
-    version 1 file is the version 2 records under the FNV-1a 64 trailer."""
+    """Save ``params`` as ``version``: only ``WRITER`` has a writer, so any
+    other version is the writer's records re-sealed under that version."""
     save_checkpoint(path, params)
-    if version == 1:
-        path.write_bytes(_sealed(_as_version(path.read_bytes()[:-8], 1)))
+    if version != WRITER:
+        path.write_bytes(_sealed(_as_version(path.read_bytes()[:-8], version)))
     return path.read_bytes()
 
 
@@ -116,7 +118,8 @@ def test_unknown_version_rejected(tmp_path):
     path = tmp_path / "m.qen1"
     for trailer in VERSIONS:
         path.write_bytes(_sealed(MAGIC + struct.pack("<II", 99, 0), trailer))
-        with pytest.raises(CheckpointError, match="version 99"):
+        with pytest.raises(CheckpointError, match=re.escape(
+                "unknown format version 99 (supported: 1, 2, 3)")):
             load_checkpoint(path)
 
 
@@ -151,16 +154,27 @@ _PINNED = {
 }
 
 
+def _assert_loads_pinned(path) -> None:
+    back = load_checkpoint(path)
+    assert list(back) == list(_PINNED)
+    for name, arr in _PINNED.items():
+        assert back[name].dtype == arr.dtype.newbyteorder("=")
+        assert back[name].shape == arr.shape
+        assert back[name].tobytes() == arr.astype(back[name].dtype).tobytes()
+
+
 def test_file_bytes_are_pinned(tmp_path):
-    # the bytes version 2 writes for this parameter set: the format must not drift
+    # the bytes version 3 writes for this parameter set: the format must not drift
     path = tmp_path / "golden.qen1"
     save_checkpoint(path, _PINNED)
     blob = path.read_bytes()
     assert len(blob) == 214
-    assert blob[4:8] == struct.pack("<I", 2)
-    assert blob[-8:] == bytes.fromhex("dd62414b0bb118db")
+    assert blob[4:8] == struct.pack("<I", 3)
+    assert blob[-8:] == bytes.fromhex("81760473cdacdd01")
+    assert blob[-8:] == hashlib.sha256(blob[:-8]).digest()[:8]
     assert hashlib.sha256(blob).hexdigest() == \
-        "fbb104b4fde6d9d2197ab293736e4e65e65cc2f52ff86bb0cc0c26f466103794"
+        "552cc33c0315cd952c4f01f942b4071aa3a4260bd37f240c9fc8435936e851f8"
+    _assert_loads_pinned(path)
 
 
 def test_version_1_file_still_loads(tmp_path):
@@ -173,12 +187,20 @@ def test_version_1_file_still_loads(tmp_path):
     assert struct.unpack("<Q", blob[-8:])[0] == fnv1a64_bytewise(blob[:-8])
     assert hashlib.sha256(blob).hexdigest() == \
         "831763493336d28b2e31cf38cb58cd0201ca76feec878c6edd8cb2f4a92bd881"
-    back = load_checkpoint(path)
-    assert list(back) == list(_PINNED)
-    for name, arr in _PINNED.items():
-        assert back[name].dtype == arr.dtype.newbyteorder("=")
-        assert back[name].shape == arr.shape
-        assert back[name].tobytes() == arr.astype(back[name].dtype).tobytes()
+    _assert_loads_pinned(path)
+
+
+def test_version_2_file_still_loads(tmp_path):
+    # the bytes version 2 always wrote for this parameter set, under its
+    # BLAKE2b-64 trailer; they must load bit for bit
+    path = tmp_path / "golden-v2.qen1"
+    blob = _save(path, _PINNED, 2)
+    assert len(blob) == 214
+    assert blob[4:8] == struct.pack("<I", 2)
+    assert blob[-8:] == bytes.fromhex("dd62414b0bb118db")
+    assert hashlib.sha256(blob).hexdigest() == \
+        "fbb104b4fde6d9d2197ab293736e4e65e65cc2f52ff86bb0cc0c26f466103794"
+    _assert_loads_pinned(path)
 
 
 @pytest.mark.parametrize("version", VERSIONS)
@@ -402,36 +424,5 @@ class TestModelRoundTrip:
         fresh = MLP(cfg)
         for arr in fresh.parameters().values():
             arr += 1.0          # scribble so the load visibly matters
-        load_into_model(fresh, path)
+        fresh.load_parameters(load_checkpoint(path))
         assert fresh.forward(x).tobytes() == before.tobytes()
-
-    def test_shape_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "m.qen1"
-        save_checkpoint(path, MLP(MLPConfig(layer_dims=(4, 6, 3), seed=0)).parameters())
-        other = MLP(MLPConfig(layer_dims=(4, 5, 3), seed=0))
-        with pytest.raises(CheckpointError, match="shape mismatch"):
-            load_into_model(other, path)
-
-    def test_plain_checkpoint_into_enhanced_model_needs_flag(self, tmp_path):
-        cfg = MLPConfig(layer_dims=(3, 4, 2), seed=5)
-        plain = MLP(cfg.plain())
-        path = tmp_path / "plain.qen1"
-        save_checkpoint(path, plain.parameters())
-        enhanced = MLP(cfg)
-        with pytest.raises(CheckpointError, match="missing"):
-            load_into_model(enhanced, path)
-        load_into_model(enhanced, path, allow_missing_lambda=True)
-        for name, arr in enhanced.parameters().items():
-            if "lam[" in name:
-                assert np.all(arr == 0.0)
-        x = Rng(6).uniform(3, -1, 1)
-        assert enhanced.forward(x).tobytes() == plain.forward(x).tobytes()
-
-    def test_extra_checkpoint_params_rejected(self, tmp_path):
-        cfg = MLPConfig(layer_dims=(3, 4, 2), seed=5)
-        enhanced = MLP(cfg)
-        path = tmp_path / "qe.qen1"
-        save_checkpoint(path, enhanced.parameters())
-        plain = MLP(cfg.plain())
-        with pytest.raises(CheckpointError, match="lacks"):
-            load_into_model(plain, path)

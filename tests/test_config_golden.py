@@ -13,8 +13,8 @@ integer the check instance builders draw; they were recorded while the
 builders still drew one integer per call.  The config digests were
 recorded with the hand-written parsers that the schema-driven one
 replaced; the ``final.qen1`` ones were re-recorded for
-QEN1 version 2, whose records are the bytes version 1 wrote under a new
-checksum.
+QEN1 versions 2 and 3, whose records are the bytes version 1 wrote under
+a new version number and checksum.
 """
 
 import hashlib
@@ -139,15 +139,15 @@ RUN_DIGESTS = {
     "train-defaults/metrics.csv":
         "2831c5bd896c9dc9da31e2848d9dc4710b0aa52d32f177db0bc2fbb1a8ce719c",
     "train-defaults/final.qen1":
-        "8fab56c4fa6797c5ec93b83c3efb5c426be69b29bfda3de41a8ebb5da9936cf9",
+        "7a5e9717508ed07751fd2f9252647425be925b8de905eef451c706fca49fec34",
     "train-mask/metrics.csv":
         "7fe90af79bb086dcb67f26a86e625a3db0b9319c5f608f4df7cd23d781ce7218",
     "train-mask/final.qen1":
-        "df1d39ddb46ca5ec001f35cedfabe5efcb6d22bb70e1d3bf3f265369bcc17f6f",
+        "5df03217bdd4e6be1caf457bbb01daf953d89203c5d0472b6dbd99d40cab09cb",
     "train-quadranet/metrics.csv":
         "3670cb1c77cb94b120be9db801fb2f8cb5c93dbc5c1a8a09762c17da35c705ee",
     "train-quadranet/final.qen1":
-        "984e2faaf40c56c2a9e6392987090786fd45f9d80deb8934b1c15362b6f57814",
+        "fb68b4a0049bbfd03b147fe38dabea232988ce6a4abb065c1fcefecaecd3c2f4",
     "ablate-defaults/grid.csv":
         "fd6a336e90877864be47545f6ba44e635c1a53a800e5d029323d81d0b63d2571",
 }

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadenhance import autograd as ag
+from quadenhance import checks
 from quadenhance import tensor as T
 from quadenhance.enhancer import (BandLambda, QELayer, apply_lambda, band_quadratic,
                                   dense_lambda_oracle, init_qelayer,
@@ -16,7 +17,7 @@ from quadenhance.enhancer import (BandLambda, QELayer, apply_lambda, band_quadra
 from quadenhance.errors import ConfigError, DimensionError, NumericError
 from quadenhance.rng import Rng
 
-from oracles import fused_qe_input_grad
+from oracles import fused_qe_input_grad, quadratic_reference_loop
 
 
 def _random_lambda(rng: Rng, d: int, shifts, dtype=np.float64) -> BandLambda:
@@ -307,6 +308,24 @@ class TestOracleChain:
             z_full = quadratic_reference(x, layer.W, layer.b, rank1_v_stack(p, q))
             assert np.abs(z_fast - z_rank1).max() <= 1e-12
             assert np.abs(z_rank1 - z_full).max() <= 1e-12
+
+    @pytest.mark.parametrize("dtype,max_dim", [(np.float64, 32), (np.float32, 8),
+                                               (np.float32, 32)])
+    def test_batched_reference_equals_per_output_loop(self, dtype, max_dim):
+        # one batched x @ vs and a vecdot per row must keep every bit of the
+        # per-output x @ vs[i] @ x, on the sweep's own instances: a numpy or
+        # BLAS build that breaks the identity fails here, by name.  Seeds 0,
+        # 97, ... are the sweep's 0 mod 97 instances, d >= 5 with four shifts
+        seeds = range(1000)
+        shapes = set()
+        for seed, (layer, x, _y) in zip(seeds, checks._sweep_block(list(seeds), max_dim, dtype)):
+            vs = rank1_v_stack(*layer_v_stack(layer, dense_lambda_oracle(layer.lam)))
+            got = quadratic_reference(x, layer.W, layer.b, vs)
+            want = quadratic_reference_loop(x, layer.W, layer.b, vs)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), seed
+            shapes.add(layer.W.shape)
+        # the edge shapes n = 1 and d = 2 are among them
+        assert any(n == 1 for _, n in shapes) and any(d == 2 for d, _ in shapes)
 
     def test_all_zero_v_reduces_to_linear(self):
         rng = Rng(3)
