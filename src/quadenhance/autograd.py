@@ -3,7 +3,11 @@
 A ``Tape`` is an append-only list of nodes; recording happens during the
 forward pass and ``backward`` walks the list once in reverse, so the
 visit order is topological by construction and gradient accumulation
-order is fixed (bit-reproducible runs).
+order is fixed (bit-reproducible runs).  ``backward`` returns the
+gradients of the grad-requiring leaves only and uses its tape up: each
+operation node's closure, with the activations it saved, and its
+gradient go as soon as the node has run, and a second ``backward`` on
+the same tape raises.
 
 Each differentiable operation here wraps the corresponding pure kernel
 from :mod:`quadenhance.tensor` and attaches its adjoint rule:
@@ -71,6 +75,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.used = False
 
     def _leaf(self, value: np.ndarray, requires_grad: bool, op: str, stacked: bool = False) -> Variable:
         self.nodes.append(Node(op, (), None, requires_grad))
@@ -106,30 +111,38 @@ class Tape:
         return Variable(value, len(self.nodes) - 1, self, requires, stacked)
 
     def backward(self, loss: Variable) -> dict[int, np.ndarray]:
-        """Gradients of a scalar loss for every grad-requiring node.
+        """Gradients of a scalar loss for every grad-requiring leaf, by node id.
 
         Nodes are visited exactly once, in reverse recording order; a
         variable feeding several nodes accumulates its gradient by
-        summation in that fixed order.
+        summation in that fixed order.  Backward uses the tape up: once an
+        operation node has run, its closure, with the activations it
+        saved, and its own gradient are dropped, so the pass holds no more
+        than the gradients still flowing and the activations still to be
+        used.  A second call raises ``UsageError``.
         """
+        if self.used:
+            raise UsageError("this tape's backward has already run; record a new tape")
         if loss.tape is not self:
             raise UsageError("loss lives on a different tape")
         if loss.value.shape != ():
             raise UsageError(f"backward needs a scalar loss, got shape {loss.value.shape}")
+        self.used = True
         grads: list[np.ndarray | None] = [None] * len(self.nodes)
         grads[loss.node_id] = np.ones((), dtype=loss.value.dtype)
         for nid in range(loss.node_id, -1, -1):
             node = self.nodes[nid]
-            g = grads[nid]
-            if g is None or node.backward is None:
+            if not node.inputs:
+                continue            # a leaf keeps its gradient
+            backward, node.backward = node.backward, None
+            g, grads[nid] = grads[nid], None
+            if g is None or backward is None:
                 continue
-            contributions = node.backward(g)
-            for iid, gin in zip(node.inputs, contributions):
+            for iid, gin in zip(node.inputs, backward(g)):
                 if gin is None or not self.nodes[iid].requires_grad:
                     continue
                 grads[iid] = gin if grads[iid] is None else grads[iid] + gin
-        return {nid: g for nid, g in enumerate(grads)
-                if g is not None and self.nodes[nid].requires_grad}
+        return {nid: g for nid, g in enumerate(grads) if g is not None}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -133,36 +134,42 @@ def cmd_ablate_k(args) -> int:
     return EXIT_PASS
 
 
+# subcommand -> handler; ``main`` looks the handler up on each call, so the
+# cached parser holds names, not functions
+COMMANDS = {
+    "gradcheck": cmd_gradcheck,
+    "oracle-equiv": cmd_oracle_equiv,
+    "montecarlo": cmd_montecarlo,
+    "cost": cmd_cost,
+    "train": cmd_train,
+    "ablate-k": cmd_ablate_k,
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (~1 ms); parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="quadenhance",
         description="experiments on band-sparse quadratic layer enhancement")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, extra in (
-        ("gradcheck", cmd_gradcheck, {}),
-        ("oracle-equiv", cmd_oracle_equiv, {}),
-        ("montecarlo", cmd_montecarlo, {}),
-        ("cost", cmd_cost, {"preset": True}),
-        ("train", cmd_train, {}),
-        ("ablate-k", cmd_ablate_k, {}),
-    ):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        if extra.get("preset"):
+        if name == "cost":
             # cost builds its model at seed 0 and has no seed to override
             p.add_argument("--preset", type=str, default=None,
                            help=f"named preset: {', '.join(sorted(COST_PRESETS))}")
         else:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -183,6 +183,10 @@ def mse(pred: ag.Variable, target: np.ndarray) -> ag.Variable:
 # optimizers
 # ---------------------------------------------------------------------------
 
+# elements per pass of Adam's ufunc chain: its scratch is two chunks, not two
+# parameter-sized temporaries, and at 2^16 the step is no slower than unchunked
+_ADAM_CHUNK = 1 << 16
+
 def _checked_grads(params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Every gradient cast to its parameter's dtype, once all have passed the
     shape and finiteness checks, so a step that raises changes nothing."""
@@ -232,28 +236,43 @@ class Adam:
             raise ConfigError("eps must be positive")
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """One update, written into the arrays of ``params``; returns ``params``."""
+        """One update, written into the arrays of ``params``; returns ``params``.
+
+        Each parameter's flat view is walked ``_ADAM_CHUNK`` elements at a
+        time through two chunk-sized scratch buffers, so the step needs no
+        parameter-sized temporary; every element gets the same ufunc chain.
+        """
         grads = _checked_grads(params, grads)
         self._t += 1
         t = self._t
+        width = min(_ADAM_CHUNK, max((w.size for w in params.values()), default=0))
+        scratch = {}
         for name, w in params.items():
-            g = grads[name]
             dt = w.dtype.type
             if name not in self._m:
-                self._m[name], self._v[name] = np.zeros_like(w), np.zeros_like(w)
-            # w, m and v update in place; each step below rounds as the
-            # expression w - lr * (m / c1) / (sqrt(v / c2) + eps) does
-            m, v, s = self._m[name], self._v[name], np.empty_like(w)
-            np.multiply(m, dt(self.beta1), out=m)
-            np.add(m, np.multiply(g, dt(1 - self.beta1), out=s), out=m)
-            np.multiply(v, dt(self.beta2), out=v)
-            np.multiply(g, g, out=s)
-            np.add(v, np.multiply(s, dt(1 - self.beta2), out=s), out=v)
-            np.sqrt(np.divide(v, dt(1 - self.beta2 ** t), out=s), out=s)
-            np.add(s, dt(self.eps), out=s)
-            step = np.divide(m, dt(1 - self.beta1 ** t))
-            np.multiply(step, dt(self.lr), out=step)
-            np.divide(step, s, out=step)
-            np.subtract(w, step, out=w)
+                self._m[name], self._v[name] = np.zeros(w.size, w.dtype), np.zeros(w.size, w.dtype)
+            if w.dtype not in scratch:
+                scratch[w.dtype] = np.empty((2, width), w.dtype)
+            b1, b1c, b2, b2c = dt(self.beta1), dt(1 - self.beta1), dt(self.beta2), dt(1 - self.beta2)
+            c1, c2, lr, eps = dt(1 - self.beta1 ** t), dt(1 - self.beta2 ** t), dt(self.lr), dt(self.eps)
+            flat, g_all = w.reshape(-1), grads[name].reshape(-1)
+            for lo in range(0, w.size, _ADAM_CHUNK):
+                hi = min(lo + _ADAM_CHUNK, w.size)
+                wc, g, m, v = flat[lo:hi], g_all[lo:hi], self._m[name][lo:hi], self._v[name][lo:hi]
+                s, step = scratch[w.dtype][:, :hi - lo]
+                # w, m and v update in place; each step below rounds as the
+                # expression w - lr * (m / c1) / (sqrt(v / c2) + eps) does
+                np.multiply(m, b1, out=m)
+                np.add(m, np.multiply(g, b1c, out=s), out=m)
+                np.multiply(v, b2, out=v)
+                np.multiply(g, g, out=s)
+                np.add(v, np.multiply(s, b2c, out=s), out=v)
+                np.sqrt(np.divide(v, c2, out=s), out=s)
+                np.add(s, eps, out=s)
+                np.divide(m, c1, out=step)
+                np.multiply(step, lr, out=step)
+                np.divide(step, s, out=step)
+                np.subtract(wc, step, out=wc)
+            if not np.may_share_memory(flat, w):
+                w[...] = flat.reshape(w.shape)      # a non-contiguous w was walked as a copy
         return params
-

@@ -33,9 +33,12 @@ a sample with fl(r*r) <= min(v) hits nothing, and its angle is never drawn
 (at v = 4, e^-2 ~ 13.5% of samples remain).  Most go as integers: with
 k = raw >> 11, u1 = (k + 1) 2^-53, and fl(r*r) > v needs u1 < e^(-v/2) up
 to roundings of ~1e-15, so only k < ceil(e^(-v/2) (1 + 2^-20) 2^53) get the
-log, sqrt and exact test.  A 2^14-sample chunk peaks at 0.49 MB under
-tracemalloc; on a 2-vCPU Xeon, 2M samples at v = 4, 8, 16 took ~28-45 ms at
-2^14 to 2^16, ~34-52 ms at 2^13 and ~45-76 ms at 2^12 and 10^6 (29 MB).
+log, sqrt and exact test; the sift compares the raw draws with that bound
+shifted left by 11, so only the kept draws are shifted.  A 2^16-sample
+chunk, its draws finalized in place, peaks at 1.5 MB under tracemalloc.  On
+a 2-vCPU Xeon, 2M samples at v = 4, 8, 16 took 30-41 ms (best of 15;
+medians 38-44 ms) at 2^16, 31-46 ms at 2^14, 56-60 ms at 2^12 and 2^13, and
+56 ms at 10^6 (21 MB).
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Rng
+from .rng import Rng, _draws
 
-_CHUNK = 1 << 14
+_CHUNK = 1 << 16
 _TWO_NEG_53 = 2.0 ** -53
 _TWO_NEG_60 = 2.0 ** -60
 _S11, _ONE = np.uint64(11), np.uint64(1)
@@ -110,14 +113,15 @@ def _candidate_pairs(seed: int, start: int, count: int, v_min: float):
     depend only on (seed, j), never on how the total is chunked.
     """
     rng = Rng(seed)
-    first = np.arange(2 * start, 2 * (start + count), 2, dtype=np.uint64)
+    raw = _draws(rng.seed, np.arange(2 * start + 1, 2 * (start + count), 2, dtype=np.uint64))
     bound = math.ceil(math.exp(-0.5 * max(v_min, 0.0)) * (1.0 + 2.0 ** -20) * 2.0 ** 53)
-    k = rng.at(first) >> _S11
-    keep = np.flatnonzero(k < np.uint64(bound))
-    radius = np.sqrt(-2.0 * np.log((k[keep].astype(np.float64) + 1.0) * _TWO_NEG_53))
+    # raw >> 11 < bound exactly when raw < bound << 11; every draw passes from 2^53
+    keep = np.flatnonzero(raw < np.uint64(bound << 11)) if bound < 2 ** 53 else np.arange(count)
+    u1 = ((raw[keep] >> _S11).astype(np.float64) + 1.0) * _TWO_NEG_53
+    radius = np.sqrt(-2.0 * np.log(u1))
     hit = radius * radius > v_min
     keep, radius = keep[hit], radius[hit]
-    u2 = (rng.at(first[keep] + _ONE) >> _S11).astype(np.float64) * _TWO_NEG_53
+    u2 = (rng.at(2 * (start + keep).astype(np.uint64) + _ONE) >> _S11).astype(np.float64) * _TWO_NEG_53
     angle = 2.0 * np.pi * u2
     return keep, radius * np.cos(angle), radius * np.sin(angle)
 

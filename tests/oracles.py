@@ -217,3 +217,64 @@ def sweep_instance_streams(seed: int, max_dim: int, dtype):
     lam = {r: rng.split(10 + i).uniform(d, -1.0, 1.0).astype(dtype) for i, r in enumerate(shifts)}
     x = rng.split(4).uniform(n, -0.5, 0.5).astype(dtype)
     return d, n, shifts, w, b, lam, x
+
+
+def _identity_mlp_pass(params: dict, n_layers: int, x, neg):
+    """``exact_identity_mlp_mse``'s pass with the negated target ``neg``, and
+    the largest magnitude among all the arrays it computes."""
+    arrays = []
+
+    def keep(a):
+        arrays.append(a)
+        return a
+
+    def roll(v, r):                 # the package's roll: out[..., i] = v[..., (i + r) % d]
+        return v[..., (np.arange(v.shape[-1]) + r) % v.shape[-1]]
+
+    def shifts(i):
+        return sorted(int(k[len(f"layers.{i}.lam["):-1]) for k in params
+                      if k.startswith(f"layers.{i}.lam["))
+
+    h, saved = x, []
+    for i in range(n_layers):
+        w, lams = params[f"layers.{i}.W"], {r: params[f"layers.{i}.lam[{r}]"] for r in shifts(i)}
+        y = keep(h @ w.T)
+        acc = keep(sum((keep(lams[r] * roll(y, r)) for r in lams), np.zeros_like(y)))
+        z = keep(acc * y) + y if lams else y
+        saved.append((h, y, acc, lams))
+        h = keep(keep(z) + params[f"layers.{i}.b"])
+    diff = keep(h + neg)
+    total = keep(diff * diff).sum()
+    grads, g = {}, keep(2 * diff)
+    for i in reversed(range(n_layers)):
+        h, y, acc, lams = saved[i]
+        grads[f"layers.{i}.b"] = keep(g.sum(axis=0))
+        gy = keep(g + keep(g * acc))
+        for r in lams:
+            gacc = keep(g * y)
+            grads[f"layers.{i}.lam[{r}]"] = keep(keep(gacc * roll(y, r)).sum(axis=0))
+            gy = keep(gy + roll(keep(gacc * lams[r]), -r))
+        grads[f"layers.{i}.W"] = keep(gy.T @ h)
+        g = keep(gy @ params[f"layers.{i}.W"])
+    grads["x"] = g
+    return total, grads, max(int(np.abs(a).max(initial=0)) for a in [*arrays, np.array([total])])
+
+
+def exact_identity_mlp_mse(params: dict, n_layers: int, x: np.ndarray, target: np.ndarray):
+    """The mse of an identity-activation MLP on a batch x [B, n] and its
+    reverse mode, exactly, in int64.
+
+    ``params`` maps the MLP's parameter names (``layers.{i}.W``, ``.b`` and
+    ``.lam[r]``) to integer arrays; x and target are integer arrays.
+    Returns (S, grads, bound): the loss is S / target.size, and each
+    gradient, keyed by parameter name and ``"x"``, is its integer array over
+    target.size.  ``bound`` is the largest magnitude the same pass reaches
+    on the absolute values of every input, with the target added: no value,
+    product or partial sum of the signed pass, in any summation order, is
+    larger.  Below 2^53 it shows that int64 never wrapped and that a float64
+    pass that scales by a power of two is exact too.
+    """
+    total, grads, _ = _identity_mlp_pass(params, n_layers, x, -target)
+    bound = _identity_mlp_pass({k: np.abs(v) for k, v in params.items()}, n_layers,
+                               np.abs(x), np.abs(target))[2]
+    return total, grads, bound

@@ -6,15 +6,16 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quadenhance import autograd as ag
 from quadenhance import tensor as T
 from quadenhance.enhancer import band_quadratic
 from quadenhance.errors import DataError, NumericError, UsageError
-from quadenhance.models import MLP, MLPConfig
+from quadenhance.models import MLP, MLPConfig, mse
 from quadenhance.rng import Rng
 
-from oracles import naive_cross_entropy
+from oracles import exact_identity_mlp_mse, naive_cross_entropy
 
 
 def _grad_of(tape, loss, var):
@@ -118,12 +119,93 @@ class TestTapeContracts:
         assert c.node_id not in grads
         assert x.node_id in grads
 
-    def test_gradient_map_covers_intermediates(self):
+    def test_gradient_map_holds_grad_requiring_leaves_only(self):
         tape = ag.Tape()
         x = tape.param(np.array([1.0, 2.0]))
-        mid = ag.scale(x, 3.0)
+        w = tape.param(np.array([0.5, -1.0]), name="w")
+        c = tape.const(np.array([4.0, 5.0]))
+        mid = ag.scale(ag.hadamard(ag.add(x, c), w), 3.0)
         grads = tape.backward(ag.reduce_sum(mid))
-        np.testing.assert_array_equal(grads[mid.node_id], np.ones(2))
+        assert sorted(grads) == [x.node_id, w.node_id]
+        np.testing.assert_array_equal(grads[x.node_id], [1.5, -3.0])
+        np.testing.assert_array_equal(grads[w.node_id], [15.0, 21.0])
+
+    def test_second_backward_raises(self):
+        tape = ag.Tape()
+        x = tape.param(np.array([1.0, 2.0]))
+        loss = ag.reduce_sum(ag.hadamard(x, x))
+        tape.backward(loss)
+        with pytest.raises(UsageError, match="already run"):
+            tape.backward(loss)
+
+    def test_rejected_loss_leaves_the_tape_usable(self):
+        tape = ag.Tape()
+        x = tape.param(np.ones(3))
+        with pytest.raises(UsageError):
+            tape.backward(x)
+        np.testing.assert_array_equal(tape.backward(ag.reduce_sum(x))[x.node_id], np.ones(3))
+
+    def test_backward_frees_each_node_state_while_the_tape_lives(self):
+        # an array only a closure holds goes once its node has run, and so
+        # does every closure of a model's pass
+        tape = ag.Tape()
+        x = tape.param(np.array([1.0, -2.0]))
+        saved = np.array([3.0, 4.0])
+        ref = weakref.ref(saved)
+        y = tape.record("times_saved", (x,), x.value * saved, lambda g, s=saved: (g * s,))
+        del saved
+        model = MLP(MLPConfig(layer_dims=(2, 4, 3), activation="relu", seed=0))
+        out = model.apply(tape, model.bind(tape), y)
+        assert ref() is not None
+        grads = tape.backward(ag.reduce_sum(out))
+        assert ref() is None
+        assert all(node.backward is None for node in tape.nodes)
+        assert x.node_id in grads
+
+
+EXACT_KINDS = {
+    "plain": {"enhancer": (False, False)},
+    "shifts_1": {"shifts": (1,)},
+    "shifts_1_-1": {"shifts": (1, -1)},
+    "exempt_final": {"shifts": (1,), "exempt_final": True},
+}
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_identity_mlp_gradients_are_integer_exact(data):
+    """On integer inputs and parameters, a two-layer identity MLP's mse and
+    every leaf gradient, x's included, equal an int64 reverse pass with no
+    tolerance: float64 is exact below 2^53, whatever the summation order,
+    and mse's 1/size is a power of two at B = 4.  This pins the backward
+    rules of linear, band_quadratic, add_row, add, hadamard, reduce_sum and
+    scale.  A quadratic output layer squares what the first layer gives, so
+    its draws stay in [-1, 1] (worst case 1.9e14) and the others in [-2, 2]
+    (worst case 1.4e11); the bound is asserted on every draw."""
+    kind = data.draw(st.sampled_from(sorted(EXACT_KINDS)), label="kind")
+    dims = (data.draw(st.integers(2, 8)), data.draw(st.integers(2, 8)), data.draw(st.sampled_from([2, 4, 8])))
+    model = MLP(MLPConfig(layer_dims=dims, activation="identity", **EXACT_KINDS[kind]))
+    top = 1 if model.config.mask()[-1] else 2
+
+    def ints(shape):
+        return data.draw(hnp.arrays(np.int64, shape, elements=st.integers(-top, top)))
+
+    params = {k: ints(v.shape) for k, v in model.parameters().items()}
+    x, target = ints((4, dims[0])), ints((4, dims[-1]))
+    total, exact, bound = exact_identity_mlp_mse(params, 2, x, target)
+    assert bound < 2 ** 53
+
+    model.load_parameters({k: v.astype(np.float64) for k, v in params.items()})
+    tape = ag.Tape()
+    leaves = {**model.bind(tape), "x": tape.param(x.astype(np.float64))}
+    loss = mse(model.apply(tape, leaves, leaves["x"]), target.astype(np.float64))
+    grads = tape.backward(loss)
+    # the exact values are integers over a power of two; exact arithmetic has
+    # one zero, so + 0.0 turns a tape's -0.0 into it before the bytes compare
+    assert (loss.value + 0.0).tobytes() == np.float64(total / target.size).tobytes()
+    assert sorted(grads) == sorted(v.node_id for v in leaves.values())
+    for name, var in leaves.items():
+        assert (grads[var.node_id] + 0.0).tobytes() == (exact[name] / target.size).tobytes(), name
 
 
 def test_linearity_of_backward():
@@ -422,13 +504,15 @@ def test_forward_only_primitive_keeps_no_backward_state(op, dtype):
 
 
 def test_gradcheck_difference_quotients_record_no_backward():
-    tapes = []
+    # read inside f, before backward drops the analytic pass's closures
+    closures = []
 
     def f(tape, bound):
-        tapes.append(tape)
-        return ag.reduce_sum(ag.gelu(bound["x"]))
+        loss = ag.reduce_sum(ag.gelu(bound["x"]))
+        closures.append([node.backward is not None for node in tape.nodes])
+        return loss
 
     ag.gradcheck(f, {"x": Rng(42).normal(3)})
-    assert len(tapes) == 1 + 1          # the analytic pass, then one stacked pass for x
-    assert any(node.backward is not None for node in tapes[0].nodes)
-    assert all(node.backward is None for tape in tapes[1:] for node in tape.nodes)
+    assert len(closures) == 1 + 1       # the analytic pass, then one stacked pass for x
+    assert any(closures[0])
+    assert not any(has for pass_ in closures[1:] for has in pass_)

@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from quadenhance import cli
 from quadenhance.cli import main
 from quadenhance.config import (AblateConfig, CostConfig, DatasetSpec, GradcheckConfig,
                                 ModelSpec, MonteCarloConfig, OptimizerSpec,
@@ -140,6 +141,16 @@ class TestExitCodes:
         # the config need not exist: giving both is refused before any read
         assert main(["cost", "--preset", "layer-192", "--config", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path)]) == 2
+
+
+def test_parser_is_built_once_and_looks_handlers_up_per_call(monkeypatch):
+    """The cached parser maps a subcommand to its name, so a handler
+    re-bound after the parser was built (as a tracer does) is the one run."""
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+    monkeypatch.setitem(cli.COMMANDS, "montecarlo", lambda args: calls.append(args.seed) or 0)
+    assert main(["montecarlo", "--seed", "4"]) == 0
+    assert calls == [4]
 
 
 class TestOutputDeterminism:

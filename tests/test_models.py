@@ -21,6 +21,29 @@ ADAM_DIGESTS = {
 }
 
 
+def _five_adam_steps(dtype: str) -> str:
+    """The digest of two parameters after five Adam steps, each checked to
+    write into the arrays passed in."""
+    np_dtype = np.dtype(np.float32 if dtype == "f32" else np.float64)
+    rng = Rng(31)
+    params = {"W": rng.split(0).uniform(12, -1, 1).reshape(3, 4).astype(np_dtype),
+              "b": rng.split(1).uniform(5, -0.5, 0.5).astype(np_dtype)}
+    opt = Adam(lr=0.01)
+    for step in range(5):
+        grads = {name: rng.split(10 + 2 * step + j).uniform(w.size, -1, 1).reshape(w.shape)
+                 * 10.0 ** (step - 2) for j, (name, w) in enumerate(params.items())}
+        new = opt.step(params, grads)
+        for k, w in params.items():
+            assert new[k] is w
+            assert new[k].dtype == np_dtype and new[k].shape == w.shape
+        params = new
+    h = hashlib.sha256()
+    for name, arr in sorted(params.items()):
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 class TestMLPConfig:
     def test_needs_two_dims(self):
         with pytest.raises(ConfigError):
@@ -210,15 +233,14 @@ def _relu_mlp_with_couplings(seed):
 
 
 def _taped_pass(model, x0, u):
-    """The tape, its gradients of sum(out * u), and the arrays to compare:
-    the output, then the gradient of every parameter and of x."""
+    """The arrays to compare from one pass of sum(out * u): the output, then
+    the gradient of every parameter and of x."""
     tape = ag.Tape()
     bound = model.bind(tape)
     x = tape.param(x0)
     out = model.apply(tape, bound, x)
     grads = tape.backward(ag.reduce_sum(ag.hadamard(out, tape.const(u))))
-    arrays = [out.value, *(grads[bound[k].node_id] for k in sorted(bound)), grads[x.node_id]]
-    return tape, grads, arrays
+    return [out.value, *(grads[bound[k].node_id] for k in sorted(bound)), grads[x.node_id]]
 
 
 class TestSingleVectorInputs:
@@ -236,15 +258,20 @@ class TestSingleVectorInputs:
         rng = Rng(5)
         x = rng.uniform(4, -1, 1)
         u = rng.split(1).uniform(model.d, -1, 1)
-        tape, grads, single = _taped_pass(model, x, u)
-        batch = _taped_pass(model, x[None], u[None])[2]
+        single = _taped_pass(model, x, u)
+        batch = _taped_pass(model, x[None], u[None])
         assert [a.tobytes() for a in single] == [a.tobytes() for a in batch]
         assert single[0].shape == (model.d,) and single[-1].shape == (4,)
         if kind == "mlp":
             # the relu masks a negative upstream gradient, so -0.0 reaches
-            # layer 0, where a row sum that kept it would differ from the batch
-            relu = next(n for n in tape.nodes if n.op == "relu")
-            g0 = grads[relu.inputs[0]]
+            # layer 0, where a row sum that kept it would differ from the batch.
+            # backward keeps no gradient at layer 0's output, so a second tape
+            # binds that output as a param and runs the same ops downstream
+            head = ag.Tape()
+            h0 = head.param(model.layers[0].forward(x))
+            out = model.layers[1].apply(head, model.layers[1].bind(head), ag.relu(h0))
+            assert out.value.tobytes() == single[0].tobytes()
+            g0 = head.backward(ag.reduce_sum(ag.hadamard(out, head.const(u))))[h0.node_id]
             assert np.any((g0 == 0) & np.signbit(g0))
 
 
@@ -314,24 +341,22 @@ class TestLossesAndOptimizers:
         the arrays passed in.  The gradients are f64, so the f32 set's go
         through Adam's cast; their scale moves 10x per step, so the moments
         and the bias corrections both matter."""
-        np_dtype = np.dtype(np.float32 if dtype == "f32" else np.float64)
-        rng = Rng(31)
-        params = {"W": rng.split(0).uniform(12, -1, 1).reshape(3, 4).astype(np_dtype),
-                  "b": rng.split(1).uniform(5, -0.5, 0.5).astype(np_dtype)}
-        opt = Adam(lr=0.01)
-        for step in range(5):
-            grads = {name: rng.split(10 + 2 * step + j).uniform(w.size, -1, 1).reshape(w.shape)
-                     * 10.0 ** (step - 2) for j, (name, w) in enumerate(params.items())}
-            new = opt.step(params, grads)
-            for k, w in params.items():
-                assert new[k] is w
-                assert new[k].dtype == np_dtype and new[k].shape == w.shape
-            params = new
-        h = hashlib.sha256()
-        for name, arr in sorted(params.items()):
-            h.update(name.encode())
-            h.update(arr.tobytes())
-        assert h.hexdigest() == ADAM_DIGESTS[dtype]
+        assert _five_adam_steps(dtype) == ADAM_DIGESTS[dtype]
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_adam_chunks_keep_every_bit(self, monkeypatch, dtype):
+        """Chunks of 5 split the 12-element W across three passes and the
+        5-element b into one, and the pinned bits still hold."""
+        monkeypatch.setattr(models, "_ADAM_CHUNK", 5)
+        assert _five_adam_steps(dtype) == ADAM_DIGESTS[dtype]
+
+    def test_adam_updates_a_non_contiguous_parameter_in_place(self):
+        base = Rng(32).uniform(12, -1, 1).reshape(3, 4)
+        grad = Rng(33).uniform(12, -1, 1).reshape(4, 3)
+        flat, strided = base.T.copy(), base.T
+        Adam(lr=0.01).step({"w": flat}, {"w": grad})
+        Adam(lr=0.01).step({"w": strided}, {"w": grad})
+        assert strided.tobytes() == flat.tobytes()
 
     def test_adam_hyperparameter_validation(self):
         with pytest.raises(ConfigError):

@@ -211,7 +211,7 @@ V_LISTS = {
 
 @pytest.mark.parametrize("v_list", sorted(V_LISTS))
 @pytest.mark.parametrize("seed,samples,chunk", [
-    (0, 50_001, mc._CHUNK), (5, 20_000, 4097), (2**64 - 1, 16_385, 1000)])
+    (0, 50_001, 16_384), (5, 20_000, 4097), (2**64 - 1, 16_385, 1000)])
 def test_filtered_counts_equal_full_draw(monkeypatch, v_list, seed, samples, chunk):
     """Drawing angles only where fl(r*r) > min(v) counts the same hits as
     drawing every pair; the chunk sizes start chunks at many offsets."""
