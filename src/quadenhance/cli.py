@@ -23,7 +23,7 @@ from .checks import gradcheck_families, oracle_chain_sweep
 from .config import (COST_PRESETS, AblateConfig, CostConfig, GradcheckConfig,
                      MonteCarloConfig, OracleEquivConfig, TrainConfig, load_json)
 from .cost import count_model
-from .errors import ConfigError, DataError, NumericError, QuadEnhanceError
+from .errors import ConfigError, DataError, NumericError, QuadEnhanceError, prefixed
 from .montecarlo import format_table, rows_to_csv, run_montecarlo
 from .training import ablate_run, build_model, train_run
 
@@ -99,7 +99,8 @@ def cmd_cost(args) -> int:
     cfg = (CostConfig(preset=args.preset) if args.config is None
            else CostConfig.from_dict(load_json(args.config)))
     spec = cfg.model if cfg.preset is None else COST_PRESETS[cfg.preset]
-    model = build_model(spec, seed=0, dtype="f64")
+    with prefixed("cost.model", ConfigError):
+        model = build_model(spec, seed=0, dtype="f64")
     report = count_model(model)
     print(report.format_table())
     out = _out_dir(args, "cost")

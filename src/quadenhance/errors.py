@@ -5,6 +5,8 @@ non-finite values) exit 1, configuration problems exit 2, data/I-O
 problems exit 3.
 """
 
+import contextlib
+
 
 class QuadEnhanceError(Exception):
     """Base class for all errors raised by this package."""
@@ -37,3 +39,12 @@ class CheckpointError(DataError):
 class ChecksumError(CheckpointError):
     """Stored checksum does not match the file contents."""
 
+
+@contextlib.contextmanager
+def prefixed(where: str, kind: type[QuadEnhanceError]):
+    """A ``kind`` error raised inside comes out as the same type, its message
+    prefixed with ``where: `` (a config section, or a place in a run)."""
+    try:
+        yield
+    except kind as exc:
+        raise type(exc)(f"{where}: {exc}") from None

@@ -4,7 +4,9 @@ Everything here is built from the differentiable primitives, so one
 gradient checker covers the whole zoo.  Every model is an
 ``autograd.Layer``: it defines ``parameters()`` / ``load_parameters()``
 for the raw arrays and ``apply(tape, bound, x)`` for a differentiable
-pass, and inherits ``bind(tape)`` and ``forward(x)``.
+pass, and inherits ``bind(tape)`` and ``forward(x)``.  ``SGD`` and ``Adam``
+update the parameter arrays in place through one checked walk over chunks
+of their flat views, so neither step makes a parameter-sized temporary.
 """
 
 from __future__ import annotations
@@ -183,22 +185,36 @@ def mse(pred: ag.Variable, target: np.ndarray) -> ag.Variable:
 # optimizers
 # ---------------------------------------------------------------------------
 
-# elements per pass of Adam's ufunc chain: its scratch is two chunks, not two
-# parameter-sized temporaries, and at 2^16 the step is no slower than unchunked
-_ADAM_CHUNK = 1 << 16
+# elements per pass of an optimizer's ufunc chain; at 2^16 a step is no slower than unchunked
+_STEP_CHUNK = 1 << 16
 
-def _checked_grads(params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Every gradient cast to its parameter's dtype, once all have passed the
-    shape and finiteness checks, so a step that raises changes nothing."""
-    out = {}
+def _checked_chunks(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], rows: int):
+    """(name, span, w, g, *scratch) for each ``_STEP_CHUNK`` elements of each
+    parameter's flat view: w and g are that span of the parameter and of its
+    gradient, and scratch is ``rows`` chunk-sized rows, made once per dtype.
+
+    Every gradient is cast to its parameter's dtype, then checked for shape and
+    finiteness, before the first chunk, so a step that raises changes nothing.
+    A non-contiguous parameter is walked as a copy, written back after its last chunk.
+    """
+    cast = {}
     for name, w in params.items():
-        g = grads[name].astype(w.dtype, copy=False)
+        with np.errstate(over="ignore"):    # an overflowing cast gives inf, named below
+            g = grads[name].astype(w.dtype, copy=False)
         if g.shape != w.shape:
             raise DimensionError(f"gradient shape {g.shape} != param shape {w.shape} for {name!r}")
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for parameter {name!r}")
-        out[name] = g
-    return out
+        cast[name] = g.reshape(-1)
+    width = min(_STEP_CHUNK, max((w.size for w in params.values()), default=0))
+    scratch = {dt: np.empty((rows, width), dt) for dt in {w.dtype for w in params.values()}}
+    for name, w in params.items():
+        flat = w.reshape(-1)
+        for lo in range(0, w.size, _STEP_CHUNK):
+            span = slice(lo, min(lo + _STEP_CHUNK, w.size))
+            yield name, span, flat[span], cast[name][span], *scratch[w.dtype][:, :span.stop - lo]
+        if not np.may_share_memory(flat, w):
+            w[...] = flat.reshape(w.shape)      # a non-contiguous w was walked as a copy
 
 
 @dataclass
@@ -211,9 +227,8 @@ class SGD:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """w - lr * g, written into the arrays of ``params``; returns ``params``."""
-        grads = _checked_grads(params, grads)
-        for name, w in params.items():
-            np.subtract(w, w.dtype.type(self.lr) * grads[name], out=w)
+        for _, _, w, g, s in _checked_chunks(params, grads, 1):
+            np.subtract(w, np.multiply(w.dtype.type(self.lr), g, out=s), out=w)
         return params
 
 
@@ -236,43 +251,26 @@ class Adam:
             raise ConfigError("eps must be positive")
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """One update, written into the arrays of ``params``; returns ``params``.
-
-        Each parameter's flat view is walked ``_ADAM_CHUNK`` elements at a
-        time through two chunk-sized scratch buffers, so the step needs no
-        parameter-sized temporary; every element gets the same ufunc chain.
-        """
-        grads = _checked_grads(params, grads)
-        self._t += 1
-        t = self._t
-        width = min(_ADAM_CHUNK, max((w.size for w in params.values()), default=0))
-        scratch = {}
-        for name, w in params.items():
-            dt = w.dtype.type
-            if name not in self._m:
-                self._m[name], self._v[name] = np.zeros(w.size, w.dtype), np.zeros(w.size, w.dtype)
-            if w.dtype not in scratch:
-                scratch[w.dtype] = np.empty((2, width), w.dtype)
+        """One update, written into the arrays of ``params``; returns ``params``."""
+        t = self._t + 1
+        for name, span, w, g, s, step in _checked_chunks(params, grads, 2):
+            if name not in self._m:         # after the walk's checks, so a failed step adds none
+                self._m[name], self._v[name] = np.zeros((2, params[name].size), w.dtype)
+            dt, m, v = w.dtype.type, self._m[name][span], self._v[name][span]
             b1, b1c, b2, b2c = dt(self.beta1), dt(1 - self.beta1), dt(self.beta2), dt(1 - self.beta2)
             c1, c2, lr, eps = dt(1 - self.beta1 ** t), dt(1 - self.beta2 ** t), dt(self.lr), dt(self.eps)
-            flat, g_all = w.reshape(-1), grads[name].reshape(-1)
-            for lo in range(0, w.size, _ADAM_CHUNK):
-                hi = min(lo + _ADAM_CHUNK, w.size)
-                wc, g, m, v = flat[lo:hi], g_all[lo:hi], self._m[name][lo:hi], self._v[name][lo:hi]
-                s, step = scratch[w.dtype][:, :hi - lo]
-                # w, m and v update in place; each step below rounds as the
-                # expression w - lr * (m / c1) / (sqrt(v / c2) + eps) does
-                np.multiply(m, b1, out=m)
-                np.add(m, np.multiply(g, b1c, out=s), out=m)
-                np.multiply(v, b2, out=v)
-                np.multiply(g, g, out=s)
-                np.add(v, np.multiply(s, b2c, out=s), out=v)
-                np.sqrt(np.divide(v, c2, out=s), out=s)
-                np.add(s, eps, out=s)
-                np.divide(m, c1, out=step)
-                np.multiply(step, lr, out=step)
-                np.divide(step, s, out=step)
-                np.subtract(wc, step, out=wc)
-            if not np.may_share_memory(flat, w):
-                w[...] = flat.reshape(w.shape)      # a non-contiguous w was walked as a copy
+            # w, m and v update in place; each step below rounds as the
+            # expression w - lr * (m / c1) / (sqrt(v / c2) + eps) does
+            np.multiply(m, b1, out=m)
+            np.add(m, np.multiply(g, b1c, out=s), out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, g, out=s)
+            np.add(v, np.multiply(s, b2c, out=s), out=v)
+            np.sqrt(np.divide(v, c2, out=s), out=s)
+            np.add(s, eps, out=s)
+            np.divide(m, c1, out=step)
+            np.multiply(step, lr, out=step)
+            np.divide(step, s, out=step)
+            np.subtract(w, step, out=w)
+        self._t = t
         return params

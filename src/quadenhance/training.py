@@ -23,7 +23,7 @@ from . import datasets as data
 from . import tensor as T
 from .checkpoint import save_checkpoint, write_atomic
 from .config import AblateConfig, DatasetSpec, ModelSpec, TrainConfig, canonical_json
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, prefixed
 from .models import MLP, MODELS, MLPConfig, Adam, SGD, mse
 from .rng import Rng
 
@@ -54,11 +54,16 @@ def build_optimizer(spec):
     return Adam(lr=spec.lr, beta1=spec.beta1, beta2=spec.beta2, eps=spec.eps)
 
 
+def _loss(out: ag.Variable, labels: np.ndarray, classification: bool) -> ag.Variable:
+    """The training loss: cross-entropy on class labels, or mse, which casts its target."""
+    return ag.cross_entropy(out, labels) if classification else mse(out, labels)
+
+
 def _loss_and_grads(model, x, target, classification: bool):
     tape = ag.Tape()
     bound = model.bind(tape)
     out = model.apply(tape, bound, tape.const(x))
-    loss = ag.cross_entropy(out, target) if classification else mse(out, target)
+    loss = _loss(out, target, classification)
     grads = tape.backward(loss)
     named = {name: grads[var.node_id] if var.node_id in grads else np.zeros_like(var.value)
              for name, var in bound.items()}
@@ -68,13 +73,9 @@ def _loss_and_grads(model, x, target, classification: bool):
 def evaluate(model, ds: data.Dataset, indices: np.ndarray, dtype) -> tuple[float, float | None]:
     """(loss, accuracy) over an index set; accuracy is None for regression."""
     out = ag.Tape().const(model.forward(ds.features[indices].astype(dtype)))
-    acc = None
-    if ds.is_classification:
-        labels = ds.labels[indices]
-        loss = ag.cross_entropy(out, labels)
-        acc = float(np.mean(np.argmax(out.value, axis=-1) == labels))
-    else:
-        loss = mse(out, ds.labels[indices].astype(dtype))
+    labels = ds.labels[indices]
+    loss = _loss(out, labels, ds.is_classification)
+    acc = float(np.mean(np.argmax(out.value, axis=-1) == labels)) if ds.is_classification else None
     if not np.isfinite(loss.value):
         raise NumericError("non-finite loss")
     return float(loss.value), acc
@@ -87,11 +88,8 @@ def _failing_as(where: str):
     Layer outputs, losses and gradients are all checked for finiteness,
     so a diverging run ends in the package's own error, not a warning.
     """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            yield
-    except NumericError as exc:
-        raise NumericError(f"{where}: {exc}") from None
+    with np.errstate(over="ignore", invalid="ignore"), prefixed(where, NumericError):
+        yield
 
 
 @dataclass
@@ -121,9 +119,12 @@ class TrainResult:
 
 def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResult:
     """Train per config; optionally write metrics, checkpoints, and config echo."""
-    ds = build_dataset(cfg.dataset)
-    model = build_model(cfg.model, seed=cfg.seed, dtype=cfg.dtype)
-    _check_widths(model, ds)
+    # a builder's range error names the config section it came from
+    with prefixed("train.dataset", ConfigError):
+        ds = build_dataset(cfg.dataset)
+    with prefixed("train.model", ConfigError):
+        model = build_model(cfg.model, seed=cfg.seed, dtype=cfg.dtype)
+        _check_widths(model, ds)
     opt = build_optimizer(cfg.optimizer)
     np_dtype = T.PRECISIONS[cfg.dtype]
     shuffle_base = Rng(cfg.seed).split(0xBA7C)
@@ -144,10 +145,8 @@ def train_run(cfg: TrainConfig, out_dir: str | Path | None = None) -> TrainResul
             epoch_seed = int(shuffle_base.split(epoch).seed)
             total, count = 0.0, 0
             for bi, (bx, by) in enumerate(data.batch_iter(ds, cfg.batch_size, epoch_seed)):
-                x = bx.astype(np_dtype)
-                target = by if ds.is_classification else by.astype(np_dtype)
                 with _failing_as(f"epoch {epoch}, batch {bi}"):
-                    loss, grads = _loss_and_grads(model, x, target, ds.is_classification)
+                    loss, grads = _loss_and_grads(model, bx.astype(np_dtype), by, ds.is_classification)
                     if not np.isfinite(loss):
                         raise NumericError("non-finite loss")
                     model.load_parameters(opt.step(model.parameters(), grads))

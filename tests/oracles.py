@@ -5,6 +5,8 @@ with its own conventions, so agreement with the package localizes bugs
 instead of sharing them.
 """
 
+import functools
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -219,15 +221,9 @@ def sweep_instance_streams(seed: int, max_dim: int, dtype):
     return d, n, shifts, w, b, lam, x
 
 
-def _identity_mlp_pass(params: dict, n_layers: int, x, neg):
-    """``exact_identity_mlp_mse``'s pass with the negated target ``neg``, and
-    the largest magnitude among all the arrays it computes."""
-    arrays = []
-
-    def keep(a):
-        arrays.append(a)
-        return a
-
+def _identity_mlp(params: dict, x, keep, n_layers: int):
+    """An identity-activation MLP's output on x and its reverse mode, the
+    map from the output's gradient to every parameter's and x's."""
     def roll(v, r):                 # the package's roll: out[..., i] = v[..., (i + r) % d]
         return v[..., (np.arange(v.shape[-1]) + r) % v.shape[-1]]
 
@@ -243,38 +239,81 @@ def _identity_mlp_pass(params: dict, n_layers: int, x, neg):
         z = keep(acc * y) + y if lams else y
         saved.append((h, y, acc, lams))
         h = keep(keep(z) + params[f"layers.{i}.b"])
-    diff = keep(h + neg)
-    total = keep(diff * diff).sum()
-    grads, g = {}, keep(2 * diff)
-    for i in reversed(range(n_layers)):
-        h, y, acc, lams = saved[i]
-        grads[f"layers.{i}.b"] = keep(g.sum(axis=0))
-        gy = keep(g + keep(g * acc))
-        for r in lams:
-            gacc = keep(g * y)
-            grads[f"layers.{i}.lam[{r}]"] = keep(keep(gacc * roll(y, r)).sum(axis=0))
-            gy = keep(gy + roll(keep(gacc * lams[r]), -r))
-        grads[f"layers.{i}.W"] = keep(gy.T @ h)
-        g = keep(gy @ params[f"layers.{i}.W"])
-    grads["x"] = g
-    return total, grads, max(int(np.abs(a).max(initial=0)) for a in [*arrays, np.array([total])])
+
+    def backward(g):
+        grads = {}
+        for i in reversed(range(n_layers)):
+            h, y, acc, lams = saved[i]
+            grads[f"layers.{i}.b"] = keep(g.sum(axis=0))
+            gy = keep(g + keep(g * acc))
+            for r in lams:
+                gacc = keep(g * y)
+                grads[f"layers.{i}.lam[{r}]"] = keep(keep(gacc * roll(y, r)).sum(axis=0))
+                gy = keep(gy + roll(keep(gacc * lams[r]), -r))
+            grads[f"layers.{i}.W"] = keep(gy.T @ h)
+            g = keep(gy @ params[f"layers.{i}.W"])
+        grads["x"] = g
+        return grads
+
+    return h, backward
+
+
+def _quadranet(params: dict, x, keep):
+    """z = (Wa x) * (Wb x) + Wc x [+ b] on x and its reverse mode, as ``_identity_mlp``."""
+    ha, hb = keep(x @ params["Wa"].T), keep(x @ params["Wb"].T)
+    z = keep(keep(ha * hb) + keep(x @ params["Wc"].T))
+    if "b" in params:
+        z = keep(z + params["b"])
+
+    def backward(g):
+        ga, gb = keep(g * hb), keep(g * ha)
+        grads = {"Wa": keep(ga.T @ x), "Wb": keep(gb.T @ x), "Wc": keep(g.T @ x),
+                 "x": keep(keep(keep(ga @ params["Wa"]) + keep(gb @ params["Wb"]))
+                           + keep(g @ params["Wc"]))}
+        if "b" in params:
+            grads["b"] = keep(g.sum(axis=0))
+        return grads
+
+    return z, backward
+
+
+def _exact_mse(model, params: dict, x: np.ndarray, target: np.ndarray):
+    """(out, S, grads, bound) of ``model``'s mse on an integer batch, in int64.
+
+    ``model(params, x, keep)`` returns the output and its reverse mode, and
+    passes every array it computes through ``keep``.  The loss is S /
+    target.size, and each gradient, keyed by parameter name and ``"x"``, is
+    its integer array over target.size.  ``bound`` is the largest magnitude
+    the same pass reaches on the absolute values of every input, with the
+    target added: no value, product or partial sum of the signed pass, in
+    any summation order, is larger.  Below 2^53 it shows that int64 never
+    wrapped and that a float64 pass that scales by a power of two is exact too.
+    """
+    def run(params, x, neg):
+        arrays = []
+
+        def keep(a):
+            arrays.append(a)
+            return a
+
+        out, backward = model(params, x, keep)
+        diff = keep(out + neg)
+        total = keep(diff * diff).sum()
+        grads = backward(keep(2 * diff))
+        return out, total, grads, max(int(np.abs(a).max(initial=0)) for a in [*arrays, np.array([total])])
+
+    out, total, grads, _ = run(params, x, -target)
+    bound = run({k: np.abs(v) for k, v in params.items()}, np.abs(x), np.abs(target))[3]
+    return out, total, grads, bound
 
 
 def exact_identity_mlp_mse(params: dict, n_layers: int, x: np.ndarray, target: np.ndarray):
-    """The mse of an identity-activation MLP on a batch x [B, n] and its
-    reverse mode, exactly, in int64.
+    """``_exact_mse`` of an identity-activation MLP on a batch x [B, n], with
+    ``params`` keyed by the MLP's names (``layers.{i}.W``, ``.b`` and ``.lam[r]``)."""
+    return _exact_mse(functools.partial(_identity_mlp, n_layers=n_layers), params, x, target)
 
-    ``params`` maps the MLP's parameter names (``layers.{i}.W``, ``.b`` and
-    ``.lam[r]``) to integer arrays; x and target are integer arrays.
-    Returns (S, grads, bound): the loss is S / target.size, and each
-    gradient, keyed by parameter name and ``"x"``, is its integer array over
-    target.size.  ``bound`` is the largest magnitude the same pass reaches
-    on the absolute values of every input, with the target added: no value,
-    product or partial sum of the signed pass, in any summation order, is
-    larger.  Below 2^53 it shows that int64 never wrapped and that a float64
-    pass that scales by a power of two is exact too.
-    """
-    total, grads, _ = _identity_mlp_pass(params, n_layers, x, -target)
-    bound = _identity_mlp_pass({k: np.abs(v) for k, v in params.items()}, n_layers,
-                               np.abs(x), np.abs(target))[2]
-    return total, grads, bound
+
+def exact_quadranet_mse(params: dict, x: np.ndarray, target: np.ndarray):
+    """``_exact_mse`` of a QuadraNet layer (``Wa``, ``Wb``, ``Wc`` and, with a
+    bias, ``b``) on a batch x [B, n]."""
+    return _exact_mse(_quadranet, params, x, target)

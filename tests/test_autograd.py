@@ -12,10 +12,10 @@ from quadenhance import autograd as ag
 from quadenhance import tensor as T
 from quadenhance.enhancer import band_quadratic
 from quadenhance.errors import DataError, NumericError, UsageError
-from quadenhance.models import MLP, MLPConfig, mse
+from quadenhance.models import MLP, MLPConfig, QuadraNetLayer, mse
 from quadenhance.rng import Rng
 
-from oracles import exact_identity_mlp_mse, naive_cross_entropy
+from oracles import exact_identity_mlp_mse, exact_quadranet_mse, naive_cross_entropy
 
 
 def _grad_of(tape, loss, var):
@@ -171,30 +171,26 @@ EXACT_KINDS = {
 }
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_identity_mlp_gradients_are_integer_exact(data):
-    """On integer inputs and parameters, a two-layer identity MLP's mse and
-    every leaf gradient, x's included, equal an int64 reverse pass with no
-    tolerance: float64 is exact below 2^53, whatever the summation order,
-    and mse's 1/size is a power of two at B = 4.  This pins the backward
-    rules of linear, band_quadratic, add_row, add, hadamard, reduce_sum and
-    scale.  A quadratic output layer squares what the first layer gives, so
-    its draws stay in [-1, 1] (worst case 1.9e14) and the others in [-2, 2]
-    (worst case 1.4e11); the bound is asserted on every draw."""
+def _exact_ints(data, top):
+    return lambda shape: data.draw(hnp.arrays(np.int64, shape, elements=st.integers(-top, top)))
+
+
+def _exact_mlp(data):
+    """A two-layer identity MLP of a drawn kind, and a draw of integers in
+    [-1, 1] when its output layer is quadratic (worst case 1.9e14), since
+    it squares what the first layer gives, and in [-2, 2] otherwise (worst
+    case 1.4e11)."""
     kind = data.draw(st.sampled_from(sorted(EXACT_KINDS)), label="kind")
     dims = (data.draw(st.integers(2, 8)), data.draw(st.integers(2, 8)), data.draw(st.sampled_from([2, 4, 8])))
     model = MLP(MLPConfig(layer_dims=dims, activation="identity", **EXACT_KINDS[kind]))
-    top = 1 if model.config.mask()[-1] else 2
+    return model, _exact_ints(data, 1 if model.config.mask()[-1] else 2)
 
-    def ints(shape):
-        return data.draw(hnp.arrays(np.int64, shape, elements=st.integers(-top, top)))
 
-    params = {k: ints(v.shape) for k, v in model.parameters().items()}
-    x, target = ints((4, dims[0])), ints((4, dims[-1]))
-    total, exact, bound = exact_identity_mlp_mse(params, 2, x, target)
+def _assert_tape_is_exact(model, params, x, target, exact):
+    """The tape's mse and every leaf gradient, x's included, equal the exact
+    (out, S, grads, bound) of an int64 pass, whose bound is below 2^53."""
+    _, total, grads_exact, bound = exact
     assert bound < 2 ** 53
-
     model.load_parameters({k: v.astype(np.float64) for k, v in params.items()})
     tape = ag.Tape()
     leaves = {**model.bind(tape), "x": tape.param(x.astype(np.float64))}
@@ -205,7 +201,59 @@ def test_identity_mlp_gradients_are_integer_exact(data):
     assert (loss.value + 0.0).tobytes() == np.float64(total / target.size).tobytes()
     assert sorted(grads) == sorted(v.node_id for v in leaves.values())
     for name, var in leaves.items():
-        assert (grads[var.node_id] + 0.0).tobytes() == (exact[name] / target.size).tobytes(), name
+        assert (grads[var.node_id] + 0.0).tobytes() == (grads_exact[name] / target.size).tobytes(), name
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_identity_mlp_gradients_are_integer_exact(data):
+    """On integer inputs and parameters, a two-layer identity MLP's mse and
+    every leaf gradient, x's included, equal an int64 reverse pass with no
+    tolerance: float64 is exact below 2^53, whatever the summation order,
+    and mse's 1/size is a power of two at B = 4.  This pins the backward
+    rules of linear, band_quadratic, add_row, add, hadamard, reduce_sum and
+    scale; the bound is asserted on every draw."""
+    model, ints = _exact_mlp(data)
+    params = {k: ints(v.shape) for k, v in model.parameters().items()}
+    x, target = ints((4, model.n)), ints((4, model.d))
+    _assert_tape_is_exact(model, params, x, target, exact_identity_mlp_mse(params, 2, x, target))
+
+
+@given(st.data(), st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_quadranet_gradients_are_integer_exact(data, bias):
+    """QuadraNet's (Wa x) * (Wb x) + Wc x [+ b], the same way: integers in
+    [-2, 2] reach at most 3.6e7 (n = d = 8, with a bias)."""
+    n, d = data.draw(st.integers(2, 8)), data.draw(st.sampled_from([2, 4, 8]))
+    model, ints = QuadraNetLayer(n, d, bias=bias), _exact_ints(data, 2)
+    params = {k: ints(v.shape) for k, v in model.parameters().items()}
+    x, target = ints((4, n)), ints((4, d))
+    _assert_tape_is_exact(model, params, x, target, exact_quadranet_mse(params, x, target))
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_stacked_identity_mlp_passes_are_integer_exact(data):
+    """One parameter bound as a stacked constant of S integer points: each
+    slice's output and mse equal the int64 pass at that point, which pins
+    the stacked forms of linear, band_quadratic, add_row, add, hadamard,
+    reduce_sum and scale."""
+    model, ints = _exact_mlp(data)
+    params = {k: ints(v.shape) for k, v in model.parameters().items()}
+    x, target = ints((4, model.n)), ints((4, model.d))
+    name = data.draw(st.sampled_from(sorted(params)), label="stacked")
+    points = ints((data.draw(st.integers(1, 3), label="S"), *params[name].shape))
+    tape = ag.Tape()
+    bound = {k: tape.const(v.astype(np.float64)) for k, v in params.items()}
+    bound[name] = tape.const(points.astype(np.float64), stacked=True)
+    out = model.apply(tape, bound, tape.const(x.astype(np.float64)))
+    loss = mse(out, target.astype(np.float64))
+    assert out.value.shape == (len(points), 4, model.d) and loss.value.shape == (len(points),)
+    for s, point in enumerate(points):
+        want, total, _, bound_s = exact_identity_mlp_mse({**params, name: point}, 2, x, target)
+        assert bound_s < 2 ** 53
+        assert (out.value[s] + 0.0).tobytes() == want.astype(np.float64).tobytes(), s
+        assert (loss.value[s] + 0.0).tobytes() == np.float64(total / target.size).tobytes(), s
 
 
 def test_linearity_of_backward():

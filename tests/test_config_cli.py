@@ -393,9 +393,9 @@ PROBES = {
     "dataset-name-list": ("train", _train(dataset__name=["xor"]), "unknown dataset"),
     # out-of-range values
     "valid-fraction-one": ("train", _train(dataset__valid_fraction=1.0),
-                           "valid_fraction must lie in [0, 1)"),
+                           "train.dataset: valid_fraction must lie in [0, 1)"),
     "valid-fraction-negative": ("train", _train(dataset__valid_fraction=-0.5),
-                                "valid_fraction must lie in [0, 1)"),
+                                "train.dataset: valid_fraction must lie in [0, 1)"),
     "max-dim-one": ("oracle-equiv", {"max_dim": 1}, "oracle_equiv.max_dim: must be >= 2, got 1"),
     "oracle-instances-zero": ("oracle-equiv", {"instances": 0},
                               "oracle_equiv.instances: must be >= 1, got 0"),
@@ -446,9 +446,22 @@ PROBES = {
                        "ablate.optimizer.lr: must be positive, got 0.0"),
     "valid-fraction-no-train-rows": ("train", {**_TRAIN, "dataset": {
         "name": "blobs", "classes": 2, "size": 4, "valid_fraction": 0.9}},
-        "valid_fraction 0.9 leaves none of 4 rows"),
+        "train.dataset: valid_fraction 0.9 leaves none of 4 rows"),
     "blobs-zero-classes": ("train", {**_TRAIN, "dataset": {"name": "blobs", "classes": 0}},
-                           "got classes=0"),
+                           "train.dataset: need 1 <= classes <= size, got classes=0"),
+    # the builders' range errors, named by the section that was built
+    "blobs-valid-fraction-above-one": ("train", {**_TRAIN, "dataset": {
+        "name": "blobs", "valid_fraction": 1.5}},
+        "train.dataset: valid_fraction must lie in [0, 1), got 1.5"),
+    "target-n-one": ("train", _train(dataset__n=1), "train.dataset: need n, d >= 2, got n=1, d=3"),
+    "blobs-negative-noise": ("train", {**_TRAIN, "dataset": {"name": "blobs", "noise": -1}},
+                             "train.dataset: noise must be >= 0"),
+    "xor-encoding-three": ("train", {**_TRAIN, "dataset": {"name": "xor", "encoding": 3}},
+                           "train.dataset: encoding must be +1 or -1"),
+    "zero-width-layer": ("train", _train(model__layer_dims=[2, 0]),
+                         "train.model: all dims must be >= 1, got (2, 0)"),
+    "cost-zero-width-layer": ("cost", {"model": {"type": "qe_mlp", "layer_dims": [2, 0]}},
+                              "cost.model: all dims must be >= 1, got (2, 0)"),
     "gradcheck-no-families": ("gradcheck", {"families": []}, "gradcheck.families: must name"),
     "montecarlo-samples-zero": ("montecarlo", {"samples": 0},
                                 "montecarlo.samples: must be >= 1, got 0"),
@@ -467,12 +480,12 @@ PROBES = {
     # model widths that do not fit the dataset
     "input-width": ("train", {**_TRAIN, "model": {"type": "qe_mlp", "layer_dims": [3, 2]},
                               "dataset": {"name": "xor"}},
-                    "model input width 3 != dataset feature width 2"),
+                    "train.model: model input width 3 != dataset feature width 2"),
     "label-width": ("train", _train(model__layer_dims=[4, 2]),
-                    "model output width 2 != dataset label width 3"),
+                    "train.model: model output width 2 != dataset label width 3"),
     "too-few-logits": ("train", {**_TRAIN, "model": {"type": "swiglu", "n": 2, "d": 2},
                                  "dataset": {"name": "blobs", "classes": 3}},
-                       "model output width 2 < dataset class count 3"),
+                       "train.model: model output width 2 < dataset class count 3"),
     # a hidden-target shift set the target layer would refuse
     "target-shift-square": ("train", _train(dataset__shifts=[4], dataset__d=4,
                                             model__layer_dims=[4, 4]),
@@ -482,8 +495,8 @@ PROBES = {
                                "train.dataset.shifts: duplicate shifts in [1, 1]"),
     # an enhanced layer too narrow for its shift
     "width-one-output": ("train", {**_TRAIN, "model": {"type": "qe_mlp", "layer_dims": [4, 1]}},
-                         "layer 0 (width 1): shift 1 reduces to 0 mod 1 and would produce square "
-                         "terms; set exempt_final, enhancer or shifts to avoid it"),
+                         "train.model: layer 0 (width 1): shift 1 reduces to 0 mod 1 and would "
+                         "produce square terms; set exempt_final, enhancer or shifts to avoid it"),
 }
 
 

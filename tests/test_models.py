@@ -2,6 +2,8 @@
 
 import hashlib
 import inspect
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +44,12 @@ def _five_adam_steps(dtype: str) -> str:
         h.update(name.encode())
         h.update(arr.tobytes())
     return h.hexdigest()
+
+
+def _optimizer_state(opt, params: dict) -> tuple:
+    """The bytes of the weights and of Adam's moments, and Adam's step count."""
+    arrays = [params, getattr(opt, "_m", {}), getattr(opt, "_v", {})]
+    return [(k, a.tobytes()) for d in arrays for k, a in d.items()], getattr(opt, "_t", None)
 
 
 class TestMLPConfig:
@@ -325,15 +333,10 @@ class TestLossesAndOptimizers:
         step count moves, although the updates write in place."""
         params = {"a": np.array([1.0, -2.0]), "b": np.array([0.5])}
         opt.step(params, {"a": np.array([0.3, 0.1]), "b": np.array([-0.2])})
-
-        def state():
-            arrays = [params, getattr(opt, "_m", {}), getattr(opt, "_v", {})]
-            return [(k, a.tobytes()) for d in arrays for k, a in d.items()], getattr(opt, "_t", None)
-
-        before = state()
+        before = _optimizer_state(opt, params)
         with pytest.raises(NumericError, match="'b'"):
             opt.step(params, {"a": np.array([0.3, 0.1]), "b": np.array([np.nan])})
-        assert state() == before
+        assert _optimizer_state(opt, params) == before
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     def test_adam_five_steps_are_pinned(self, dtype):
@@ -347,7 +350,7 @@ class TestLossesAndOptimizers:
     def test_adam_chunks_keep_every_bit(self, monkeypatch, dtype):
         """Chunks of 5 split the 12-element W across three passes and the
         5-element b into one, and the pinned bits still hold."""
-        monkeypatch.setattr(models, "_ADAM_CHUNK", 5)
+        monkeypatch.setattr(models, "_STEP_CHUNK", 5)
         assert _five_adam_steps(dtype) == ADAM_DIGESTS[dtype]
 
     def test_adam_updates_a_non_contiguous_parameter_in_place(self):
@@ -357,6 +360,57 @@ class TestLossesAndOptimizers:
         Adam(lr=0.01).step({"w": flat}, {"w": grad})
         Adam(lr=0.01).step({"w": strided}, {"w": grad})
         assert strided.tobytes() == flat.tobytes()
+
+    def test_sgd_updates_a_non_contiguous_parameter_in_place(self):
+        base = Rng(32).uniform(12, -1, 1).reshape(3, 4)
+        grad = Rng(33).uniform(12, -1, 1).reshape(4, 3)
+        want = base.T - 0.01 * grad
+        strided = base.T
+        SGD(lr=0.01).step({"w": strided}, {"w": grad})
+        assert strided.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sgd_chunks_keep_every_bit(self, monkeypatch, dtype):
+        """Chunks of 5 split the 12-element W across three passes, and each
+        element still gets w - lr * g, with g cast to w's dtype first."""
+        monkeypatch.setattr(models, "_STEP_CHUNK", 5)
+        rng = Rng(34)
+        params = {"W": rng.split(0).uniform(12, -1, 1).reshape(3, 4).astype(dtype),
+                  "b": rng.split(1).uniform(5, -0.5, 0.5).astype(dtype)}
+        grads = {k: rng.split(2 + j).uniform(w.size, -1, 1).reshape(w.shape)
+                 for j, (k, w) in enumerate(params.items())}
+        want = {k: w - dtype(0.03) * grads[k].astype(dtype) for k, w in params.items()}
+        SGD(lr=0.03).step(params, grads)
+        assert {k: w.tobytes() for k, w in params.items()} == {k: w.tobytes() for k, w in want.items()}
+
+    @pytest.mark.parametrize("opt", [SGD(lr=0.1), Adam(lr=0.1)], ids=["sgd", "adam"])
+    def test_gradient_that_overflows_its_cast_is_named_first(self, opt):
+        """An f64 gradient of 1e39 becomes inf in an f32 parameter's dtype; the
+        step casts before it checks, so it names the parameter, with no numpy
+        warning, and changes no weight, moment or step count."""
+        params = {"a": np.array([1.0, -2.0], np.float32), "b": np.array([0.5], np.float32)}
+        opt.step(params, {"a": np.array([0.3, 0.1]), "b": np.array([-0.2])})
+        before = _optimizer_state(opt, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="'b'"):
+                opt.step(params, {"a": np.array([0.3, 0.1]), "b": np.array([1e39])})
+        assert _optimizer_state(opt, params) == before
+
+    def test_sgd_step_holds_less_than_half_a_parameter(self):
+        """SGD's lr * g goes through a chunk-sized scratch row, so a step on a
+        1 MiB f32 parameter peaks well under its size."""
+        w = np.ones((1024, 256), np.float32)
+        g = np.full(w.shape, 0.5, np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            SGD(lr=0.1).step({"w": w}, {"w": g})
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < w.nbytes / 2, f"peak {peak} bytes"
+        assert np.all(w == np.float32(1) - np.float32(0.1) * np.float32(0.5))
 
     def test_adam_hyperparameter_validation(self):
         with pytest.raises(ConfigError):
