@@ -21,7 +21,7 @@ import numpy as np
 from . import autograd as ag
 from . import tensor as T
 from .config import FAMILIES, GradcheckConfig, OracleEquivConfig
-from .enhancer import (BandLambda, QELayer, apply_lambda, dense_lambda_oracle,
+from .enhancer import (QELayer, apply_lambda, dense_lambda_oracle,
                        layer_v_stack, qe_forward, quadratic_reference,
                        rank1_reference, rank1_v_stack)
 from .models import MLP, MLPConfig, QuadraNetLayer, SwiGLULayer
@@ -59,7 +59,7 @@ def _sweep_block(seeds: list[int], max_dim: int, dtype):
     for seed, (d, n, shifts) in zip(seeds, shapes):
         w = (next(wide) / np.sqrt(n)).reshape(d, n).astype(dtype)
         y = next(wide).astype(dtype)
-        lam = BandLambda(d=d, shifts=shifts, values={r: next(wide).astype(dtype) for r in shifts})
+        lam = {r: next(wide).astype(dtype) for r in shifts}
         b, x = next(narrow).astype(dtype), next(narrow).astype(dtype)
         yield QELayer(W=w, b=b, lam=lam, name=f"sweep-{seed}"), x, y
 
@@ -102,7 +102,7 @@ def oracle_chain_sweep(cfg: OracleEquivConfig) -> SweepResult:
         seeds = [int(base.split(i).seed) for i in range(start, min(start + _BLOCK, cfg.instances))]
         for inst_seed, (layer, x, y) in zip(seeds, _sweep_block(seeds, cfg.max_dim, dtype)):
             z_fast = qe_forward(layer, x)
-            m = dense_lambda_oracle(layer.lam)
+            m = dense_lambda_oracle(layer.lam, layer.d)
             p, q = layer_v_stack(layer, m)
             z_rank1 = rank1_reference(x, p, q, layer.W, layer.b)
             z_full = quadratic_reference(x, layer.W, layer.b, rank1_v_stack(p, q))
@@ -164,9 +164,7 @@ def _gc_layer_instance(rng: Rng, dtype) -> tuple[QELayer, np.ndarray]:
     shifts = tuple(r for r, u in zip(candidates, draws) if u % 2 == 0) or (1,)
     w = (_signed_uniform(rng.split(2), d * n) / np.sqrt(n)).reshape(d, n).astype(dtype)
     b = _signed_uniform(rng.split(3), d, 0.1, 0.5).astype(dtype)
-    lam = BandLambda(d=d, shifts=shifts,
-                     values={r: _signed_uniform(rng.split(10 + i), d).astype(dtype)
-                             for i, r in enumerate(shifts)})
+    lam = {r: _signed_uniform(rng.split(10 + i), d).astype(dtype) for i, r in enumerate(shifts)}
     x = _signed_uniform(rng.split(4), n).astype(dtype)
     return QELayer(W=w, b=b, lam=lam), x
 

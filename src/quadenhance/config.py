@@ -350,7 +350,7 @@ def load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:        # bad JSON, bad UTF-8, an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, huge integer, deep nesting
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .enhancer import BandLambda, QELayer, qe_forward
+from .enhancer import QELayer, check_shifts, qe_forward
 from .errors import ConfigError, DataError
 from .rng import Rng
 
@@ -91,11 +91,10 @@ def gen_quadratic_target(n: int, d: int, shifts: tuple[int, ...] = (1,), seed: i
         raise ConfigError(f"need n, d >= 2, got n={n}, d={d}")
     if size < 1:
         raise ConfigError("size must be >= 1")
+    check_shifts(shifts, d, "shifts", "drop it or change d")
     rng = Rng(seed)
     w = (rng.split(0).normal(d * n) / np.sqrt(n)).reshape(d, n)
-    lam = BandLambda(d=d, shifts=tuple(shifts),
-                     values={r: rng.split(10 + i).uniform(d, -0.5, 0.5)
-                             for i, r in enumerate(shifts)})
+    lam = {r: rng.split(10 + i).uniform(d, -0.5, 0.5) for i, r in enumerate(shifts)}
     hidden = QELayer(W=w, b=np.zeros(d), lam=lam, name="hidden-target")
     x = rng.split(1).normal(size * n).reshape(size, n)
     y = qe_forward(hidden, x)
@@ -192,10 +191,11 @@ def load_csv(path: str, label_column: int | str, has_header: bool = True,
     feats = np.array(rows, dtype=np.float64)
     if classification:
         lab = np.array(labels)
-        lab_int = lab.astype(np.int64)
-        if not np.all(lab == lab_int):
+        if not np.all((-2.0**63 <= lab) & (lab < 2.0**63)):
+            raise DataError(f"{path}: class labels outside the int64 range")
+        labels_arr = lab.astype(np.int64)
+        if not np.all(lab == labels_arr):
             raise DataError(f"{path}: non-integer class labels")
-        labels_arr = lab_int
         n_classes = int(labels_arr.max()) + 1 if labels_arr.size else 0
     else:
         labels_arr = np.array(labels, dtype=np.float64).reshape(-1, 1)
@@ -205,16 +205,18 @@ def load_csv(path: str, label_column: int | str, has_header: bool = True,
                    valid_idx=valid_idx, n_classes=n_classes)
 
 
-def _read_exact(fh, count: int, path, what: str) -> bytes:
+def _read_exact(fh, count: int, path, what: str) -> bytearray:
     # a regular file is checked against its size first, so that a header
-    # extent it cannot hold never reaches read() as a byte count; a pipe has
-    # no size and is only checked after the read
+    # extent it cannot hold is never read; a pipe has no size, so it is read
+    # a MiB at a time and holds no more than what arrived plus one piece
     st = os.fstat(fh.fileno())
     if stat.S_ISREG(st.st_mode):
         have = max(st.st_size - fh.tell(), 0)
         if count > have:
             raise DataError(f"{path}: truncated {what}: expected {count} bytes, got {have}")
-    data = fh.read(count)
+    data = bytearray()
+    while len(data) < count and (piece := fh.read(min(count - len(data), 1 << 20))):
+        data += piece
     if len(data) != count:
         raise DataError(f"{path}: truncated {what}: expected {count} bytes, got {len(data)}")
     return data
@@ -228,6 +230,8 @@ def load_idx(images: str, labels: str, valid_fraction: float = 0.0) -> Dataset:
             raise DataError(f"{images}: bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}")
         if min(count, rows, cols) < 0:
             raise DataError(f"{images}: negative extents {count} x {rows} x {cols} in header")
+        if count == 0:
+            raise DataError(f"{images}: no images")
         raw = _read_exact(fh, count * rows * cols, images, "pixel data")
         feats = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols) / 255.0
     with open(labels, "rb") as fh:

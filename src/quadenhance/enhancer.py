@@ -11,10 +11,11 @@ trainable d-vector, so
 
     L y = sum_r  lambda_r * roll(y, r)
 
-costs k*d parameters and O(k*d) work instead of d*d.  Shift 0 would
-couple each coordinate to itself (square terms, which blow up far more
-easily than cross terms), so shifts that reduce to 0 mod d are rejected
-unless explicitly overridden.
+costs k*d parameters and O(k*d) work instead of d*d.  A layer keeps the
+coupling as the dict ``lam`` {r: lambda_r}, applied in its order.  A shift
+that reduces to 0 mod d would couple each coordinate to itself (square
+terms, which blow up far more easily than cross terms), so ``check_shifts``
+rejects it unless explicitly overridden.
 
 On a tape an enhanced layer is three nodes, ``linear`` (y = x W^T),
 ``band_quadratic`` ((L y) * y + y) and ``add_row`` (+ b); a plain layer,
@@ -28,7 +29,7 @@ matrix directly through numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,54 +50,6 @@ def check_shifts(shifts, d: int, where: str, remedy: str) -> None:
                               f"square terms; {remedy}")
 
 
-def _canonical_shifts(shifts) -> tuple[int, ...]:
-    out = tuple(int(r) for r in shifts)
-    if len(set(out)) != len(out):
-        raise ConfigError(f"duplicate shifts in {out}")
-    return out
-
-
-@dataclass
-class BandLambda:
-    """Trainable coupling restricted to circular diagonals of a d x d matrix.
-
-    ``values[r]`` is the d-vector multiplying roll(y, r).  Literal shift 0
-    (self-coupling / square terms) is rejected unless
-    ``allow_square_terms`` is set.
-    """
-
-    d: int
-    shifts: tuple[int, ...]
-    values: dict[int, np.ndarray] = field(default_factory=dict)
-    allow_square_terms: bool = False
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.d}")
-        self.shifts = _canonical_shifts(self.shifts)
-        if 0 in self.shifts and not self.allow_square_terms:
-            raise ConfigError("shift 0 produces square terms; pass allow_square_terms=True to permit it")
-        for r in self.shifts:
-            vec = self.values.get(r)
-            if vec is None:
-                raise ConfigError(f"missing coefficient vector for shift {r}")
-            if vec.shape != (self.d,):
-                raise DimensionError(f"shift {r}: vector shape {vec.shape} != ({self.d},)")
-        extra = set(self.values) - set(self.shifts)
-        if extra:
-            raise ConfigError(f"coefficient vectors for shifts {sorted(extra)} not in {self.shifts}")
-
-    @classmethod
-    def zeros(cls, d: int, shifts, dtype=np.float64, allow_square_terms: bool = False) -> "BandLambda":
-        shifts = _canonical_shifts(shifts)
-        vals = {r: np.zeros(d, dtype=dtype) for r in shifts}
-        return cls(d=d, shifts=shifts, values=vals, allow_square_terms=allow_square_terms)
-
-    @property
-    def k(self) -> int:
-        return len(self.shifts)
-
-
 def _band_sum(y: np.ndarray, shifts, vectors) -> np.ndarray | None:
     """sum_i vectors[i] * roll(y, shifts[i]), accumulated in shift order."""
     out = None
@@ -106,15 +59,13 @@ def _band_sum(y: np.ndarray, shifts, vectors) -> np.ndarray | None:
     return out
 
 
-def apply_lambda(lam: BandLambda, y: np.ndarray) -> np.ndarray:
-    """Band coupling applied to y [..., d]: sum_r lambda_r * roll(y, r).
+def apply_lambda(lam: dict[int, np.ndarray], y: np.ndarray) -> np.ndarray:
+    """Band coupling {shift: d-vector} applied to y [..., d]: sum_r lambda_r * roll(y, r).
 
     Same kernel loop as ``band_quadratic``, so the two agree bitwise.  An
-    empty shift set returns zeros.
+    empty coupling returns zeros.
     """
-    if y.shape[-1] != lam.d:
-        raise DimensionError(f"last axis {y.shape[-1]} != coupling dimension {lam.d}")
-    out = _band_sum(y, lam.shifts, [lam.values[r].astype(y.dtype, copy=False) for r in lam.shifts])
+    out = _band_sum(y, lam, [v.astype(y.dtype, copy=False) for v in lam.values()])
     return out if out is not None else np.zeros(y.shape, dtype=y.dtype)
 
 
@@ -145,17 +96,16 @@ def band_quadratic(y: ag.Variable, shifts, lams) -> ag.Variable:
     return y.tape.record("band_quadratic", (y, *lams), out, bwd)
 
 
-def dense_lambda_oracle(lam: BandLambda) -> np.ndarray:
+def dense_lambda_oracle(lam: dict[int, np.ndarray], d: int) -> np.ndarray:
     """Materialize the coupling as a dense d x d matrix.
 
     M[i, (i + r) mod d] accumulates lambda_r[i]; shifts that collide
     modulo d add up, preserving apply_lambda(lam, y) == M @ y.
     """
-    d = lam.d
-    m = np.zeros((d, d), dtype=next(iter(lam.values.values())).dtype if lam.values else np.float64)
+    m = np.zeros((d, d), dtype=next(iter(lam.values())).dtype if lam else np.float64)
     rows = np.arange(d)
-    for r in lam.shifts:
-        np.add.at(m, (rows, (rows + r) % d), lam.values[r])
+    for r, v in lam.items():
+        np.add.at(m, (rows, (rows + r) % d), v)
     return m
 
 
@@ -163,25 +113,31 @@ def dense_lambda_oracle(lam: BandLambda) -> np.ndarray:
 class QELayer(ag.Layer):
     """Linear layer with a quadratic enhancer stage on the shifts of ``lam``.
 
-    A layer whose ``lam`` has no shifts (or whose coefficients are all
-    zero) is exactly z = W x + b.
+    ``lam`` maps each shift r to its d-vector lambda_r, in the order the
+    shifts are applied.  A layer with an empty ``lam`` (or whose
+    coefficients are all zero) is exactly z = W x + b.  A shift that is
+    0 mod d is rejected unless ``allow_square_terms`` is set.
     """
 
-    W: np.ndarray            # [d, n]
-    b: np.ndarray            # [d]
-    lam: BandLambda
+    W: np.ndarray                # [d, n]
+    b: np.ndarray                # [d]
+    lam: dict[int, np.ndarray]   # shift -> [d]
     name: str = "qe"
+    allow_square_terms: bool = False
 
     def __post_init__(self):
         if self.W.ndim != 2:
             raise DimensionError(f"W must be a matrix, got shape {self.W.shape}")
         d = self.W.shape[0]
+        if d < 1:
+            raise ConfigError(f"dimension must be >= 1, got {d}")
         if self.b.shape != (d,):
             raise DimensionError(f"b shape {self.b.shape} != ({d},)")
-        if self.lam.d != d:
-            raise DimensionError(f"coupling dimension {self.lam.d} != output dimension {d}")
-        if not self.lam.allow_square_terms:
-            check_shifts(self.lam.shifts, d, self.name, "use allow_square_terms to override")
+        for r, v in self.lam.items():
+            if v.shape != (d,):
+                raise DimensionError(f"shift {r}: vector shape {v.shape} != ({d},)")
+        if not self.allow_square_terms:
+            check_shifts(tuple(self.lam), d, self.name, "use allow_square_terms to override")
 
     @property
     def n(self) -> int:
@@ -193,19 +149,16 @@ class QELayer(ag.Layer):
 
     @property
     def k(self) -> int:
-        return self.lam.k
+        return len(self.lam)
 
     def parameters(self) -> dict[str, np.ndarray]:
-        out = {"W": self.W, "b": self.b}
-        for r in self.lam.shifts:
-            out[f"lam[{r}]"] = self.lam.values[r]
-        return out
+        return {"W": self.W, "b": self.b, **{f"lam[{r}]": v for r, v in self.lam.items()}}
 
     def load_parameters(self, params: dict[str, np.ndarray]) -> None:
         self.W = params["W"]
         self.b = params["b"]
-        for r in self.lam.shifts:
-            self.lam.values[r] = params[f"lam[{r}]"]
+        for r in self.lam:
+            self.lam[r] = params[f"lam[{r}]"]
 
     def apply(self, tape: ag.Tape, bound: dict[str, ag.Variable], x: ag.Variable) -> ag.Variable:
         """Differentiable forward pass for x of shape [n] or [batch, n].
@@ -215,9 +168,9 @@ class QELayer(ag.Layer):
         """
         if x.value.shape[-1:] != (self.n,):
             raise DimensionError(f"input shape {x.value.shape} does not end in {self.n}")
-        shifts = self.lam.shifts
         y = ag.linear(x, bound["W"])
-        if shifts:
+        if self.lam:
+            shifts = tuple(self.lam)
             y = band_quadratic(y, shifts, [bound[f"lam[{r}]"] for r in shifts])
         out = ag.add_row(y, bound["b"])
         if not np.all(np.isfinite(out.value)):
@@ -244,8 +197,9 @@ def init_qelayer(n: int, d: int, shifts, seed: int, dtype=np.float64, name: str 
     """
     if n < 1 or d < 1:
         raise ConfigError(f"layer dims must be >= 1, got n={n}, d={d}")
+    check_shifts(shifts, d, name, "use allow_square_terms to override")
     return QELayer(W=glorot(Rng(seed), d, n, dtype), b=np.zeros(d, dtype=dtype),
-                   lam=BandLambda.zeros(d, shifts, dtype=dtype), name=name)
+                   lam={r: np.zeros(d, dtype=dtype) for r in shifts}, name=name)
 
 
 # ---------------------------------------------------------------------------

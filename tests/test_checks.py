@@ -25,12 +25,12 @@ def test_sweep_instances_replayable():
 
 def test_sweep_covers_widest_shift_set():
     layer, _ = make_sweep_instance(0)    # seed 0 is forced onto the widest set
-    assert layer.lam.shifts == (-2, -1, 1, 2)
+    assert tuple(layer.lam) == (-2, -1, 1, 2)
 
 
 def _layer_bytes(layer, x):
-    return (layer.W.tobytes(), layer.b.tobytes(), layer.lam.shifts,
-            [layer.lam.values[r].tobytes() for r in layer.lam.shifts], x.tobytes(), x.dtype)
+    return (layer.W.tobytes(), layer.b.tobytes(), tuple(layer.lam),
+            [v.tobytes() for v in layer.lam.values()], x.tobytes(), x.dtype)
 
 
 @pytest.mark.parametrize("precision,max_dim", [("f64", 32), ("f32", 8)])

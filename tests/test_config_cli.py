@@ -79,6 +79,13 @@ class TestExitCodes:
         p.write_text("{nope")
         assert main(["montecarlo", "--config", str(p)]) == 2
 
+    def test_too_deeply_nested_json_is_config_error(self, tmp_path, capsys):
+        # json.load raises RecursionError here, which is not a ValueError
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100000 + "]" * 100000)
+        assert main(["montecarlo", "--config", str(p)]) == 2
+        assert f"{p}: invalid JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize("content", [b'{"samples": ' + b"1" * 5000 + b"}",
                                          b'{"seed": 1, "note": "\xe9"}'])
     def test_unreadable_json_is_config_error(self, tmp_path, content):

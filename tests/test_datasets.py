@@ -1,19 +1,21 @@
 """Generators, file loaders, and batching."""
 
 import json
+import math
 import os
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quadenhance import datasets as data
 from quadenhance.cli import main
 from quadenhance.config import DatasetSpec
 from quadenhance.enhancer import qe_forward
-from quadenhance.errors import ConfigError, DataError
+from quadenhance.errors import ConfigError, DataError, QuadEnhanceError
 from quadenhance.training import build_dataset
 
 from oracles import linear_floor_mse
@@ -70,6 +72,11 @@ class TestQuadraticTarget:
     def test_validates_dims(self):
         with pytest.raises(ConfigError):
             data.gen_quadratic_target(1, 4, (1,), seed=0, size=8)
+
+    def test_rejects_repeated_shift(self):
+        # the hidden layer's {shift: vector} dict would keep one of the two
+        with pytest.raises(ConfigError, match="duplicate shifts"):
+            data.gen_quadratic_target(3, 4, (1, 1), seed=0, size=8)
 
 
 class TestBlobsAndCircles:
@@ -139,6 +146,15 @@ class TestCsv:
         p.write_text("1,2,0\n1,0\n", )
         with pytest.raises(DataError):
             data.load_csv(p, label_column=0, has_header=False)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("label", ["1e300", "-1e300", "1e19"])
+    def test_class_label_outside_int64(self, tmp_path, label):
+        # the int64 cast would warn "invalid value encountered in cast"
+        p = tmp_path / "d.csv"
+        p.write_text(f"x,y\n1,0\n2,{label}\n")
+        with pytest.raises(DataError, match="d.csv: class labels outside the int64 range"):
+            data.load_csv(p, label_column="y")
 
     @pytest.mark.parametrize("text, message", [
         ("x1,x2,y\n", "d.csv: no data rows"),
@@ -276,6 +292,25 @@ class TestIdx:
         assert got.features.tobytes() == want.features.tobytes()
         np.testing.assert_array_equal(got.labels, want.labels)
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_oversized_header_on_a_pipe_exits_3(self, tmp_path, capsys):
+        # a pipe has no size to check the 2^93 claimed pixel bytes against
+        _, lab = _write_idx_pair(tmp_path)
+        fifo = tmp_path / "img.fifo"
+        os.mkfifo(fifo)
+        header = struct.pack(">iiii", data.IDX_IMAGE_MAGIC, *[0x7FFFFFFF] * 3)
+        threading.Thread(target=fifo.write_bytes, args=(header,), daemon=True).start()
+        assert self._train_exit_code(tmp_path, fifo, lab) == 3
+        assert ("truncated pixel data: expected 9903520300447984150353281023 bytes, got 0"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("extent", [28, 0x7FFFFFFF])
+    def test_no_images_exit_3(self, tmp_path, capsys, extent):
+        img, lab = _write_idx_pair(tmp_path, count=0)
+        img.write_bytes(struct.pack(">iiii", data.IDX_IMAGE_MAGIC, 0, extent, extent))
+        assert self._train_exit_code(tmp_path, img, lab) == 3
+        assert "img.idx: no images" in capsys.readouterr().err
+
     def test_count_mismatch(self, tmp_path):
         img, _ = _write_idx_pair(tmp_path, count=3)
         _, lab = _write_idx_pair(tmp_path / "..", count=3)
@@ -315,3 +350,73 @@ def test_dataset_invariant_validation():
     with pytest.raises(DataError):
         data.Dataset(features=np.zeros((2, 1)), labels=np.zeros(2, dtype=np.int64),
                      train_idx=np.array([0, 1]), valid_idx=np.array([1]), n_classes=1)
+
+
+def _loads_or_raises_package_error(load, *args, **kwargs) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ds = load(*args, **kwargs)
+        except QuadEnhanceError:
+            return
+    assert isinstance(ds, data.Dataset)
+
+
+_CSV_CELL = st.one_of(st.integers(-2, 9).map(str), st.floats().map(repr),
+                      st.sampled_from(["", "x", "y", " 1 ", "1e19", "-1e300", "0x1", "1_0"]))
+_CSV_TEXT = st.lists(st.lists(_CSV_CELL, min_size=1, max_size=4).map(",".join),
+                     max_size=5).map(lambda rows: "\n".join(rows).encode())
+
+
+@given(raw=st.one_of(_CSV_TEXT, st.binary(max_size=40)),
+       label_column=st.sampled_from([0, -1, 2, "y"]), has_header=st.booleans(),
+       classification=st.booleans(), valid_fraction=st.sampled_from([0.0, 0.5]))
+@example(raw=b"x,y\n1,1e300\n", label_column="y", has_header=True, classification=True,
+         valid_fraction=0.0)
+@example(raw=b"x,y\n1,-1e300\n", label_column="y", has_header=True, classification=True,
+         valid_fraction=0.0)
+@example(raw=b"x,y\n1,1e19\n", label_column="y", has_header=True, classification=True,
+         valid_fraction=0.0)
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_csv_loads_or_raises_a_package_error(tmp_path_factory, raw, label_column,
+                                                    has_header, classification, valid_fraction):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(raw)
+    _loads_or_raises_package_error(data.load_csv, path, label_column, has_header=has_header,
+                                   classification=classification, valid_fraction=valid_fraction)
+
+
+# small extents, -1 and 0x7FFFFFFF; the files never hold more than ~70 bytes,
+# so an extent that passes the size checks allocates no real memory
+_EXTENT = st.one_of(st.integers(-1, 4), st.just(0x7FFFFFFF))
+_MAGIC = st.sampled_from([data.IDX_IMAGE_MAGIC, data.IDX_LABEL_MAGIC])
+
+
+def _idx_header(*fields) -> bytes:
+    return struct.pack(f">{len(fields)}i", *fields)
+
+
+@st.composite
+def _idx_pair(draw):
+    """Image and label file bytes: the payload near the size the header
+    claims (capped at 64), and at times cut short anywhere."""
+    files = []
+    for extents in ((draw(_EXTENT), draw(_EXTENT), draw(_EXTENT)), (draw(_EXTENT),)):
+        n = max(0, min(math.prod(extents), 64) + draw(st.integers(-1, 1)))
+        body = _idx_header(draw(_MAGIC), *extents) + draw(st.binary(min_size=n, max_size=n))
+        files.append(body[:draw(st.integers(0, len(body)))] if draw(st.booleans()) else body)
+    return tuple(files)
+
+
+@given(pair=_idx_pair(), valid_fraction=st.sampled_from([0.0, 0.5]))
+@example(pair=(_idx_header(data.IDX_IMAGE_MAGIC, 0, 0x7FFFFFFF, 0x7FFFFFFF),
+               _idx_header(data.IDX_LABEL_MAGIC, 0)), valid_fraction=0.0)
+@example(pair=(_idx_header(data.IDX_IMAGE_MAGIC, 0, 28, 28),
+               _idx_header(data.IDX_LABEL_MAGIC, 0)), valid_fraction=0.0)
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_idx_loads_or_raises_a_package_error(tmp_path_factory, pair, valid_fraction):
+    base = tmp_path_factory.getbasetemp()
+    paths = base / "fuzz-img.idx", base / "fuzz-lab.idx"
+    for path, raw in zip(paths, pair):
+        path.write_bytes(raw)
+    _loads_or_raises_package_error(data.load_idx, *paths, valid_fraction=valid_fraction)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from quadenhance import autograd as ag
 from quadenhance import checks
 from quadenhance import tensor as T
-from quadenhance.enhancer import (BandLambda, QELayer, apply_lambda, band_quadratic,
+from quadenhance.enhancer import (QELayer, apply_lambda, band_quadratic,
                                   dense_lambda_oracle, init_qelayer,
                                   layer_v_stack, qe_forward,
                                   quadratic_reference, rank1_reference,
@@ -20,49 +20,57 @@ from quadenhance.rng import Rng
 from oracles import fused_qe_input_grad, quadratic_reference_loop
 
 
-def _random_lambda(rng: Rng, d: int, shifts, dtype=np.float64) -> BandLambda:
-    return BandLambda(d=d, shifts=tuple(shifts),
-                      values={r: rng.split(100 + i).uniform(d, -1, 1).astype(dtype)
-                              for i, r in enumerate(shifts)})
+def _random_lambda(rng: Rng, d: int, shifts, dtype=np.float64) -> dict:
+    return {r: rng.split(100 + i).uniform(d, -1, 1).astype(dtype) for i, r in enumerate(shifts)}
+
+
+def _zeros(d: int, shifts) -> dict:
+    return {r: np.zeros(d) for r in shifts}
 
 
 class TestBandLambda:
+    """The band coupling {shift: lambda_r}, as QELayer and init_qelayer check it."""
+
     def test_rejects_zero_shift(self):
         with pytest.raises(ConfigError):
-            BandLambda.zeros(4, (0, 1))
+            QELayer(W=np.ones((4, 2)), b=np.zeros(4), lam=_zeros(4, (0, 1)))
 
     def test_zero_shift_override(self):
-        lam = BandLambda.zeros(4, (0, 1), allow_square_terms=True)
-        assert lam.k == 2
+        layer = QELayer(W=np.ones((4, 2)), b=np.zeros(4), lam=_zeros(4, (0, 1)),
+                        allow_square_terms=True)
+        assert layer.k == 2
 
     def test_rejects_duplicate_shifts(self):
         with pytest.raises(ConfigError):
-            BandLambda.zeros(4, (1, 1))
+            init_qelayer(2, 4, (1, 1), seed=0)
 
     def test_rejects_wrong_vector_length(self):
         with pytest.raises(DimensionError):
-            BandLambda(d=3, shifts=(1,), values={1: np.zeros(4)})
+            QELayer(W=np.ones((3, 2)), b=np.zeros(3), lam={1: np.zeros(4)})
 
-    def test_rejects_vector_for_absent_shift(self):
-        # apply_lambda and parameters() read only the listed shifts, so a
-        # vector for shift 2 would be dropped without a word
-        with pytest.raises(ConfigError, match=r"shifts \[2\]"):
-            BandLambda(d=4, shifts=(1,), values={1: np.ones(4), 2: np.ones(4)})
+    def test_shift_that_is_zero_mod_d_is_rejected_as_zero_is(self):
+        # one shift rule: 3 at d = 3 is the square term that 0 is
+        errors = []
+        for r in (0, 3):
+            with pytest.raises(ConfigError) as err:
+                QELayer(W=np.ones((3, 2)), b=np.zeros(3), lam=_zeros(3, (r,)))
+            errors.append(str(err.value).replace(f"shift {r} ", "shift r "))
+        assert errors[0] == errors[1]
+        with pytest.raises(ConfigError, match="shift 3 reduces to 0 mod 3"):
+            init_qelayer(2, 3, (3,), seed=0)
 
 
 class TestApplyLambda:
     def test_empty_shift_set_is_zero(self):
-        lam = BandLambda.zeros(3, ())
-        np.testing.assert_array_equal(apply_lambda(lam, np.array([1.0, 2.0, 3.0])), np.zeros(3))
+        np.testing.assert_array_equal(apply_lambda({}, np.array([1.0, 2.0, 3.0])), np.zeros(3))
 
     def test_hand_example(self):
-        lam = BandLambda(d=2, shifts=(1,), values={1: np.array([1.0, 1.0])})
+        lam = {1: np.array([1.0, 1.0])}
         np.testing.assert_array_equal(apply_lambda(lam, np.array([1.0, 2.0])), [2.0, 1.0])
 
     def test_dimension_mismatch(self):
-        lam = BandLambda.zeros(3, (1,))
         with pytest.raises(DimensionError):
-            apply_lambda(lam, np.zeros(4))
+            apply_lambda(_zeros(3, (1,)), np.zeros(4))
 
     @given(st.integers(1, 64), st.data())
     @settings(max_examples=60, deadline=None)
@@ -72,7 +80,7 @@ class TestApplyLambda:
         rng = Rng(d * 131 + len(shifts))
         lam = _random_lambda(rng, d, shifts)
         y = rng.split(7).uniform(d, -1, 1)
-        dense = dense_lambda_oracle(lam) @ y
+        dense = dense_lambda_oracle(lam, d) @ y
         np.testing.assert_allclose(apply_lambda(lam, y), dense, atol=1e-12)
 
     def test_matches_dense_oracle_f32(self):
@@ -83,15 +91,15 @@ class TestApplyLambda:
                            if int(rng.next_u64(1)[0]) % 2 == 0) or (1,)
             lam = _random_lambda(rng, d, shifts, dtype=np.float32)
             y = rng.split(7).uniform(d, -1, 1).astype(np.float32)
-            dense = (dense_lambda_oracle(lam) @ y).astype(np.float32)
+            dense = (dense_lambda_oracle(lam, d) @ y).astype(np.float32)
             assert np.abs(apply_lambda(lam, y) - dense).max() <= 1e-6
 
     def test_degenerate_d1(self):
         # a single coordinate: every shift reduces to 0, and the identity
         # apply_lambda == dense matmul still holds
-        lam = BandLambda(d=1, shifts=(1,), values={1: np.array([2.5])})
+        lam = {1: np.array([2.5])}
         y = np.array([3.0])
-        np.testing.assert_array_equal(apply_lambda(lam, y), dense_lambda_oracle(lam) @ y)
+        np.testing.assert_array_equal(apply_lambda(lam, y), dense_lambda_oracle(lam, 1) @ y)
 
     def test_batched_rows_independent(self):
         lam = _random_lambda(Rng(5), 6, (-1, 2))
@@ -104,29 +112,28 @@ class TestApplyLambda:
 class TestDenseLambdaOracle:
     def test_three_by_three_structure(self):
         a, b, c = 2.0, 3.0, 5.0
-        lam = BandLambda(d=3, shifts=(1,), values={1: np.array([a, b, c])})
+        lam = {1: np.array([a, b, c])}
         np.testing.assert_array_equal(
-            dense_lambda_oracle(lam),
+            dense_lambda_oracle(lam, 3),
             [[0, a, 0], [0, 0, b], [c, 0, 0]])
 
     def test_empty_is_zero_matrix(self):
-        np.testing.assert_array_equal(dense_lambda_oracle(BandLambda.zeros(4, ())), np.zeros((4, 4)))
+        np.testing.assert_array_equal(dense_lambda_oracle({}, 4), np.zeros((4, 4)))
 
     def test_two_band_nonzero_count(self):
         lam = _random_lambda(Rng(8), 4, (-1, 1))
-        m = dense_lambda_oracle(lam)
+        m = dense_lambda_oracle(lam, 4)
         assert np.count_nonzero(m) == 8
         # one wrapped super- and one wrapped sub-diagonal
         rows = np.arange(4)
-        assert np.all(m[rows, (rows + 1) % 4] == lam.values[1])
-        assert np.all(m[rows, (rows - 1) % 4] == lam.values[-1])
+        assert np.all(m[rows, (rows + 1) % 4] == lam[1])
+        assert np.all(m[rows, (rows - 1) % 4] == lam[-1])
 
     def test_colliding_effective_shifts_accumulate(self):
         # d=2: shifts -1 and +1 address the same entries; the matrix must
         # keep apply_lambda == M @ y, hence accumulate
-        lam = BandLambda(d=2, shifts=(-1, 1),
-                         values={-1: np.array([1.0, 2.0]), 1: np.array([10.0, 20.0])})
-        m = dense_lambda_oracle(lam)
+        lam = {-1: np.array([1.0, 2.0]), 1: np.array([10.0, 20.0])}
+        m = dense_lambda_oracle(lam, 2)
         np.testing.assert_array_equal(m, [[0.0, 11.0], [22.0, 0.0]])
         y = np.array([0.5, -0.25])
         np.testing.assert_allclose(apply_lambda(lam, y), m @ y, atol=1e-15)
@@ -142,8 +149,7 @@ class TestQEForward:
                                    atol=1e-14)
 
     def test_hand_example(self):
-        lam = BandLambda(d=2, shifts=(1,), values={1: np.array([1.0, 1.0])})
-        layer = QELayer(W=np.eye(2), b=np.zeros(2), lam=lam)
+        layer = QELayer(W=np.eye(2), b=np.zeros(2), lam={1: np.array([1.0, 1.0])})
         np.testing.assert_array_equal(qe_forward(layer, np.array([1.0, 2.0])), [3.0, 4.0])
 
     def test_batch_matches_per_row(self):
@@ -180,8 +186,8 @@ class TestQEForward:
         y = rng.split(3).uniform(12, -1, 1).reshape(3, 4)
         pure = T.add(T.hadamard(apply_lambda(layer.lam, y), y), y)
         tape = ag.Tape()
-        taped = band_quadratic(tape.const(y), layer.lam.shifts,
-                               [tape.const(layer.lam.values[r]) for r in layer.lam.shifts])
+        taped = band_quadratic(tape.const(y), tuple(layer.lam),
+                               [tape.const(v) for v in layer.lam.values()])
         assert taped.value.tobytes() == pure.tobytes()
 
     def test_layer_records_one_node_per_stage(self):
@@ -219,37 +225,32 @@ class TestQEForward:
         x = rng.split(2).uniform(batch * n, -1, 1).reshape(batch, n).astype(dtype)
         pi = a * np.arange(d) % d
         inv = np.argsort(pi)
-        layer = QELayer(W=w, b=b, lam=BandLambda(d=d, shifts=shifts, values=lam))
-        conj = QELayer(W=w[inv], b=b[inv],
-                       lam=BandLambda(d=d, shifts=tuple(a * r for r in shifts),
-                                      values={a * r: lam[r][inv] for r in shifts}))
+        layer = QELayer(W=w, b=b, lam=lam)
+        conj = QELayer(W=w[inv], b=b[inv], lam={a * r: lam[r][inv] for r in shifts})
         assert conj.forward(x)[:, pi].tobytes() == layer.forward(x).tobytes()
 
 
 class TestQELayerValidation:
     def test_d1_with_shifts_rejected(self):
-        lam = BandLambda(d=1, shifts=(1,), values={1: np.zeros(1)})
         with pytest.raises(ConfigError):
-            QELayer(W=np.ones((1, 3)), b=np.zeros(1), lam=lam)
+            QELayer(W=np.ones((1, 3)), b=np.zeros(1), lam={1: np.zeros(1)})
 
     def test_shift_multiple_of_d_rejected(self):
-        lam = BandLambda.zeros(3, (3,))
         with pytest.raises(ConfigError):
-            QELayer(W=np.ones((3, 2)), b=np.zeros(3), lam=lam)
+            QELayer(W=np.ones((3, 2)), b=np.zeros(3), lam=_zeros(3, (3,)))
 
     def test_square_override_allows(self):
-        lam = BandLambda.zeros(3, (3,), allow_square_terms=True)
-        QELayer(W=np.ones((3, 2)), b=np.zeros(3), lam=lam)
+        QELayer(W=np.ones((3, 2)), b=np.zeros(3), lam=_zeros(3, (3,)), allow_square_terms=True)
 
     def test_disabled_enhancer_skips_shift_check(self):
         # a plain layer has no shifts, so d=1 is fine where shift 1 is not
-        layer = QELayer(W=np.ones((1, 3)), b=np.zeros(1), lam=BandLambda.zeros(1, ()))
+        layer = QELayer(W=np.ones((1, 3)), b=np.zeros(1), lam={})
         x = np.array([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(qe_forward(layer, x), layer.W @ x + layer.b)
 
     def test_shape_consistency(self):
         with pytest.raises(DimensionError):
-            QELayer(W=np.ones((3, 2)), b=np.zeros(2), lam=BandLambda.zeros(3, (1,)))
+            QELayer(W=np.ones((3, 2)), b=np.zeros(2), lam=_zeros(3, (1,)))
 
 
 class TestInitQELayer:
@@ -276,7 +277,7 @@ class TestInitQELayer:
         s = np.sqrt(6.0 / (n + d))
         assert np.abs(layer.W).max() <= s
         assert np.all(layer.b == 0)
-        assert np.all(layer.lam.values[1] == 0)
+        assert np.all(layer.lam[1] == 0)
 
     def test_invalid_zero_shift(self):
         with pytest.raises(ConfigError):
@@ -303,7 +304,7 @@ class TestOracleChain:
         for seed in range(60):
             layer, x = self._instance(seed)
             z_fast = qe_forward(layer, x)
-            p, q = layer_v_stack(layer, dense_lambda_oracle(layer.lam))
+            p, q = layer_v_stack(layer, dense_lambda_oracle(layer.lam, layer.d))
             z_rank1 = rank1_reference(x, p, q, layer.W, layer.b)
             z_full = quadratic_reference(x, layer.W, layer.b, rank1_v_stack(p, q))
             assert np.abs(z_fast - z_rank1).max() <= 1e-12
@@ -319,7 +320,7 @@ class TestOracleChain:
         seeds = range(1000)
         shapes = set()
         for seed, (layer, x, _y) in zip(seeds, checks._sweep_block(list(seeds), max_dim, dtype)):
-            vs = rank1_v_stack(*layer_v_stack(layer, dense_lambda_oracle(layer.lam)))
+            vs = rank1_v_stack(*layer_v_stack(layer, dense_lambda_oracle(layer.lam, layer.d)))
             got = quadratic_reference(x, layer.W, layer.b, vs)
             want = quadratic_reference_loop(x, layer.W, layer.b, vs)
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), seed
@@ -352,7 +353,7 @@ class TestOracleChain:
         """rank(L @ W) never exceeds min(rank L, rank W)."""
         for seed in range(20):
             layer, _x = self._instance(seed)
-            m = dense_lambda_oracle(layer.lam)
+            m = dense_lambda_oracle(layer.lam, layer.d)
             def rank(a):
                 s = np.linalg.svd(a, compute_uv=False)
                 return int(np.sum(s > 1e-8))
@@ -386,11 +387,11 @@ class TestGradients:
 
         tape = ag.Tape()
         y = tape.param(y0)
-        z = band_quadratic(y, lam.shifts, [tape.const(lam.values[r]) for r in lam.shifts])
+        z = band_quadratic(y, tuple(lam), [tape.const(v) for v in lam.values()])
         loss = ag.reduce_sum(ag.hadamard(z, tape.const(g)))
         got = tape.backward(loss)[y.node_id]
 
-        expected = fused_qe_input_grad(lam.shifts, lam.values, y0, g)
+        expected = fused_qe_input_grad(tuple(lam), lam, y0, g)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_zero_lambda_w_gradients_match_plain_bitwise(self):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from quadenhance import autograd as ag
-from quadenhance.enhancer import BandLambda, QELayer
+from quadenhance.enhancer import QELayer
 from quadenhance.models import MLP, Adam, MLPConfig, QuadraNetLayer, mse
 from quadenhance.rng import Rng
 
@@ -23,9 +23,9 @@ def _qe_layer(n, d, shifts, dtype, seed, square=False):
     rng = Rng(seed)
     values = {r: rng.split(10 + i).uniform(d, -0.8, 0.8).astype(dtype)
               for i, r in enumerate(shifts)}
-    lam = BandLambda(d=d, shifts=shifts, values=values, allow_square_terms=square)
     return QELayer(W=rng.split(1).uniform(d * n, -1, 1).reshape(d, n).astype(dtype),
-                   b=rng.split(2).uniform(d, -0.5, 0.5).astype(dtype), lam=lam)
+                   b=rng.split(2).uniform(d, -0.5, 0.5).astype(dtype), lam=values,
+                   allow_square_terms=square)
 
 
 def _mlp(dims, activation, dtype, seed):

@@ -10,7 +10,7 @@ import pytest
 
 from quadenhance import autograd as ag
 from quadenhance import datasets, enhancer, models, training
-from quadenhance.enhancer import BandLambda, QELayer, qe_forward
+from quadenhance.enhancer import QELayer, qe_forward
 from quadenhance.errors import ConfigError, DimensionError, NumericError
 from quadenhance.models import (MLP, MLPConfig, Adam, QuadraNetLayer, SGD,
                                 SwiGLULayer, mse)
@@ -261,8 +261,8 @@ class TestSingleVectorInputs:
                  "swiglu": lambda: SwiGLULayer(4, 6, seed=3),
                  "mlp": lambda: _relu_mlp_with_couplings(3)}[kind]()
         if kind == "qe_layer":
-            for r in model.lam.shifts:
-                model.lam.values[r][:] = Rng(4 + r).uniform(6, -0.5, 0.5)
+            for r, v in model.lam.items():
+                v[:] = Rng(4 + r).uniform(6, -0.5, 0.5)
         rng = Rng(5)
         x = rng.uniform(4, -1, 1)
         u = rng.split(1).uniform(model.d, -1, 1)
@@ -435,8 +435,7 @@ class TestExpressiveness:
     def test_explicit_cross_term_solves_xor_signs(self):
         """A hand-built enhanced layer separates the XOR corners, which no
         affine map can do (checked exhaustively elsewhere)."""
-        lam = BandLambda(d=2, shifts=(1,), values={1: np.array([0.0, 4.0])})
-        layer = QELayer(W=np.eye(2), b=np.zeros(2), lam=lam)
+        layer = QELayer(W=np.eye(2), b=np.zeros(2), lam={1: np.array([0.0, 4.0])})
         pts = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         want = (pts[:, 0] * pts[:, 1] > 0).astype(int)
         z = np.array([qe_forward(layer, p) for p in pts])
