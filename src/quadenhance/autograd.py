@@ -293,10 +293,15 @@ def cross_entropy(logits: Variable, labels: np.ndarray) -> Variable:
 class Layer:
     """The protocol every model follows.
 
-    A subclass provides ``parameters()`` (name -> array),
-    ``load_parameters(params)`` and ``apply(tape, bound, x)``; binding the
-    parameters to a tape and array-in/array-out evaluation live here.
+    A subclass provides ``parameters()`` (name -> array) and
+    ``apply(tape, bound, x)``.  ``load_parameters(params)`` sets the
+    attribute each parameter name names (a subclass whose names are not
+    attributes overrides it); binding and array-in/array-out evaluation live here.
     """
+
+    def load_parameters(self, params: dict[str, np.ndarray]) -> None:
+        for name in self.parameters():
+            setattr(self, name, params[name])
 
     def bind(self, tape: Tape) -> dict[str, Variable]:
         return {k: tape.param(v, name=k) for k, v in self.parameters().items()}
@@ -401,10 +406,7 @@ def gradcheck(f, params: dict[str, np.ndarray], step: float = 1e-6,
     """
     analytic_tape = Tape()
     bound = {k: analytic_tape.param(v, name=k) for k, v in params.items()}
-    loss = f(analytic_tape, bound)
-    if loss.value.shape != ():
-        raise UsageError("gradcheck target must be scalar-valued")
-    grads = analytic_tape.backward(loss)
+    grads = analytic_tape.backward(f(analytic_tape, bound))
     quotients, finite = central_differences(f, params, step)
 
     entries = []

@@ -30,8 +30,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 from .datasets import BUILDERS
 from .enhancer import check_shifts
 from .errors import ConfigError
-from .models import MODELS
-from .tensor import PRECISIONS
+from .models import MODELS, check_optimizer, check_precision
 
 FAMILIES = ("qe_layer", "qe_mlp", "quadranet", "swiglu")
 
@@ -120,11 +119,6 @@ def _check_at_least(where: str, cfg, low: int, *keys: str) -> None:
             raise ConfigError(f"{where}.{key}: must be >= {low}, got {getattr(cfg, key)}")
 
 
-def _check_precision(where: str, key: str, value: str) -> None:
-    if value not in PRECISIONS:
-        raise ConfigError(f"{where}.{key}: must be one of {sorted(PRECISIONS)}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class DatasetSpec:
     """A builder of ``datasets.BUILDERS`` and the keyword arguments given for it."""
@@ -166,13 +160,7 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.algo not in ("sgd", "adam"):
             raise ConfigError(f"optimizer.algo: unknown optimizer {self.algo!r}")
-        if self.lr <= 0:
-            raise ConfigError(f"optimizer.lr: must be positive, got {self.lr!r}")
-        for key, value in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0 < value < 1:
-                raise ConfigError(f"optimizer.{key}: must lie in (0, 1), got {value!r}")
-        if self.eps <= 0:
-            raise ConfigError(f"optimizer.eps: must be positive, got {self.eps!r}")
+        check_optimizer(self.lr, self.beta1, self.beta2, self.eps)
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "optimizer") -> "OptimizerSpec":
@@ -199,7 +187,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_at_least("train", self, 1, "epochs", "batch_size")
-        _check_precision("train", "dtype", self.dtype)
+        check_precision("train.dtype", self.dtype)
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "train") -> "TrainConfig":
@@ -241,7 +229,7 @@ class AblateConfig:
         if self.input_dim is not None:
             _check_at_least("ablate", self, 2, "input_dim")
         _check_at_least("ablate", self, 1, "dataset_size", "epochs", "batch_size")
-        _check_precision("ablate", "dtype", self.dtype)
+        check_precision("ablate.dtype", self.dtype)
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "ablate") -> "AblateConfig":
@@ -263,7 +251,7 @@ class GradcheckConfig:
         bad = set(self.families) - set(FAMILIES)
         if bad:
             raise ConfigError(f"gradcheck.families: unknown families {sorted(bad)}")
-        _check_precision("gradcheck", "precision", self.precision)
+        check_precision("gradcheck.precision", self.precision)
         _check_at_least("gradcheck", self, 1, "instances")
         for key in ("step", "tol"):
             if getattr(self, key) <= 0:
@@ -285,7 +273,7 @@ class OracleEquivConfig:
     max_dim: int = 32
 
     def __post_init__(self):
-        _check_precision("oracle_equiv", "precision", self.precision)
+        check_precision("oracle_equiv.precision", self.precision)
         _check_at_least("oracle_equiv", self, 1, "instances")
         _check_at_least("oracle_equiv", self, 2, "max_dim")
 

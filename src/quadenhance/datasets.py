@@ -103,13 +103,17 @@ def gen_quadratic_target(n: int, d: int, shifts: tuple[int, ...] = (1,), seed: i
                    generator=hidden)
 
 
-def gen_blobs(classes: int = 3, size: int = 300, noise: float = 0.5, seed: int = 0,
-              valid_fraction: float = 0.2) -> Dataset:
-    """Gaussian blobs on a circle of radius 5, one center per class."""
+def _check_cloud(classes: int, size: int, noise: float) -> None:
     if noise < 0:
         raise ConfigError("noise must be >= 0")
     if not 1 <= classes <= size:
         raise ConfigError(f"need 1 <= classes <= size, got classes={classes}, size={size}")
+
+
+def gen_blobs(classes: int = 3, size: int = 300, noise: float = 0.5, seed: int = 0,
+              valid_fraction: float = 0.2) -> Dataset:
+    """Gaussian blobs on a circle of radius 5, one center per class."""
+    _check_cloud(classes, size, noise)
     rng = Rng(seed)
     angles = 2.0 * np.pi * np.arange(classes) / classes
     centers = 5.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -125,10 +129,7 @@ def gen_blobs(classes: int = 3, size: int = 300, noise: float = 0.5, seed: int =
 def gen_circles(classes: int = 2, size: int = 200, noise: float = 0.1, seed: int = 0,
                 valid_fraction: float = 0.2) -> Dataset:
     """Concentric rings, radius c+1 for class c; not linearly separable."""
-    if noise < 0:
-        raise ConfigError("noise must be >= 0")
-    if not 1 <= classes <= size:
-        raise ConfigError(f"need 1 <= classes <= size, got classes={classes}, size={size}")
+    _check_cloud(classes, size, noise)
     rng = Rng(seed)
     labels = (np.arange(size) % classes).astype(np.int64)
     theta = rng.uniform(size, 0.0, 2.0 * np.pi)
@@ -241,6 +242,8 @@ def load_idx(images: str, labels: str, valid_fraction: float = 0.0) -> Dataset:
         if lcount != count:
             raise DataError(f"label count {lcount} != image count {count}")
         label_arr = np.frombuffer(_read_exact(fh, lcount, labels, "label data"), dtype=np.uint8).astype(np.int64)
+    if rows * cols == 0:      # checked after the labels, so an oversized label count is named first
+        raise DataError(f"{images}: images of {rows} x {cols} pixels have no features")
     train_idx, valid_idx = _split(count, valid_fraction)
     n_classes = int(label_arr.max()) + 1 if label_arr.size else 0
     return Dataset(features=feats, labels=label_arr, train_idx=train_idx, valid_idx=valid_idx,

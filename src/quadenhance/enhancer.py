@@ -197,7 +197,7 @@ def init_qelayer(n: int, d: int, shifts, seed: int, dtype=np.float64, name: str 
     """
     if n < 1 or d < 1:
         raise ConfigError(f"layer dims must be >= 1, got n={n}, d={d}")
-    check_shifts(shifts, d, name, "use allow_square_terms to override")
+    check_shifts(shifts, d, name, "drop it or change d")
     return QELayer(W=glorot(Rng(seed), d, n, dtype), b=np.zeros(d, dtype=dtype),
                    lam={r: np.zeros(d, dtype=dtype) for r in shifts}, name=name)
 

@@ -2,11 +2,11 @@
 
 Everything here is built from the differentiable primitives, so one
 gradient checker covers the whole zoo.  Every model is an
-``autograd.Layer``: it defines ``parameters()`` / ``load_parameters()``
-for the raw arrays and ``apply(tape, bound, x)`` for a differentiable
-pass, and inherits ``bind(tape)`` and ``forward(x)``.  ``SGD`` and ``Adam``
-update the parameter arrays in place through one checked walk over chunks
-of their flat views, so neither step makes a parameter-sized temporary.
+``autograd.Layer``: it defines ``parameters()`` and ``apply``, and
+inherits ``bind``, ``forward`` and, where each parameter's name is its
+attribute, ``load_parameters``.  ``SGD`` and ``Adam`` update the
+parameter arrays in place through one checked walk over chunks of their
+flat views, so neither step makes a parameter-sized temporary.
 """
 
 from __future__ import annotations
@@ -26,6 +26,23 @@ ACTIVATIONS = {
     "gelu": ag.gelu,
     "identity": lambda v: v,
 }
+
+
+def check_precision(where: str, name: str) -> None:
+    """ConfigError naming ``where`` for a precision name outside ``tensor.PRECISIONS``."""
+    if name not in PRECISIONS:
+        raise ConfigError(f"{where}: must be one of {sorted(PRECISIONS)}, got {name!r}")
+
+
+def check_optimizer(lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """ConfigError naming ``optimizer.<key>`` for a hyperparameter out of range."""
+    if lr <= 0:
+        raise ConfigError(f"optimizer.lr: must be positive, got {lr!r}")
+    for key, value in (("beta1", beta1), ("beta2", beta2)):
+        if not 0 < value < 1:
+            raise ConfigError(f"optimizer.{key}: must lie in (0, 1), got {value!r}")
+    if eps <= 0:
+        raise ConfigError(f"optimizer.eps: must be positive, got {eps!r}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +69,7 @@ class MLPConfig:
             raise ConfigError(f"all dims must be >= 1, got {self.layer_dims}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.dtype not in PRECISIONS:
-            raise ConfigError(f"dtype must be one of {sorted(PRECISIONS)}, got {self.dtype!r}")
+        check_precision("dtype", self.dtype)
         if self.enhancer is not None and len(self.enhancer) != self.n_layers:
             raise ConfigError(
                 f"enhancer mask length {len(self.enhancer)} != layer count {self.n_layers}")
@@ -133,11 +149,6 @@ class QuadraNetLayer(ag.Layer):
             out["b"] = self.b
         return out
 
-    def load_parameters(self, params) -> None:
-        self.Wa, self.Wb, self.Wc = params["Wa"], params["Wb"], params["Wc"]
-        if self.b is not None:
-            self.b = params["b"]
-
     def apply(self, tape, bound, x: ag.Variable) -> ag.Variable:
         ha = ag.linear(x, bound["Wa"])
         hb = ag.linear(x, bound["Wb"])
@@ -157,9 +168,6 @@ class SwiGLULayer(ag.Layer):
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"W1": self.W1, "W2": self.W2}
-
-    def load_parameters(self, params) -> None:
-        self.W1, self.W2 = params["W1"], params["W2"]
 
     def apply(self, tape, bound, x: ag.Variable) -> ag.Variable:
         h1 = ag.linear(x, bound["W1"])
@@ -222,8 +230,7 @@ class SGD:
     lr: float
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        check_optimizer(self.lr)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """w - lr * g, written into the arrays of ``params``; returns ``params``."""
@@ -243,12 +250,7 @@ class Adam:
     _t: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ConfigError("betas must lie in (0, 1)")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
+        check_optimizer(self.lr, self.beta1, self.beta2, self.eps)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """One update, written into the arrays of ``params``; returns ``params``."""

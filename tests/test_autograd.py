@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from quadenhance import autograd as ag
 from quadenhance import tensor as T
 from quadenhance.enhancer import band_quadratic
-from quadenhance.errors import DataError, NumericError, UsageError
+from quadenhance.errors import DataError, DimensionError, NumericError, UsageError
 from quadenhance.models import MLP, MLPConfig, QuadraNetLayer, mse
 from quadenhance.rng import Rng
 
@@ -110,6 +110,32 @@ class TestTapeContracts:
         b = t2.param(np.ones(2))
         with pytest.raises(UsageError):
             ag.add(a, b)
+
+    def test_loss_from_another_tape_rejected(self):
+        t1, t2 = ag.Tape(), ag.Tape()
+        loss = ag.reduce_sum(t2.param(np.ones(2)))
+        with pytest.raises(UsageError, match="loss lives on a different tape"):
+            t1.backward(loss)
+
+    def test_backward_passes_nodes_without_a_gradient_by(self):
+        """An op on constants alone that feeds the loss has no backward, and an
+        op on a parameter that does not feed the loss gets no gradient;
+        the gradients equal those of the tape without either node, and the
+        parameter behind the dead op gets no entry."""
+        x = np.array([1.5, -2.0, 0.25])
+
+        def grads(extra: bool) -> dict:
+            tape = ag.Tape()
+            w, dead = tape.param(np.array([0.5, 3.0, -1.0])), tape.param(np.array([2.0]))
+            c = tape.const(x)
+            if extra:
+                ag.hadamard(dead, dead)
+                c = ag.add(c, tape.const(np.zeros(3)))
+            g = tape.backward(ag.reduce_sum(ag.hadamard(w, c)))
+            named = (("w", w), ("dead", dead))
+            return {k: g[v.node_id].tobytes() for k, v in named if v.node_id in g}
+
+        assert grads(True) == grads(False) == {"w": x.tobytes()}
 
     def test_backward_skips_const_gradients(self):
         tape = ag.Tape()
@@ -462,6 +488,15 @@ def test_gradcheck_nonfinite_loss_reported():
     assert str(err.value) == f"non-finite loss while perturbing x at {np.unravel_index(2, (2, 2))}"
 
 
+def test_gradcheck_target_must_be_scalar():
+    def f(tape, bound):
+        return ag.hadamard(bound["x"], bound["x"])
+
+    with pytest.raises(UsageError) as err:
+        ag.gradcheck(f, {"x": np.ones(3)})
+    assert str(err.value) == "backward needs a scalar loss, got shape (3,)"
+
+
 def test_gradcheck_checks_parameters_in_order():
     """x's analytic gradient is inf and y + h meets a pole.  One shared pass
     evaluates both parameters' points, yet the error still names x, as when
@@ -496,6 +531,16 @@ class TestCrossEntropy:
         logits = tape.const(np.array([[1000.0, 0.0]]))
         loss = ag.cross_entropy(logits, np.array([0]))
         assert 0.0 <= float(loss.value) < 1e-10
+
+    def test_logits_must_be_a_batch(self):
+        tape = ag.Tape()
+        with pytest.raises(DimensionError, match=r"\[batch, classes\] logits, got \(3,\)"):
+            ag.cross_entropy(tape.const(np.zeros(3)), np.array([0]))
+
+    def test_labels_must_match_the_batch(self):
+        tape = ag.Tape()
+        with pytest.raises(DimensionError, match=r"labels shape \(3,\) does not match batch 2"):
+            ag.cross_entropy(tape.const(np.zeros((2, 3))), np.array([0, 1, 2]))
 
     def test_label_out_of_range(self):
         tape = ag.Tape()

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quadenhance import cli
+from quadenhance.checks import SweepResult
 from quadenhance.cli import main
 from quadenhance.config import (AblateConfig, CostConfig, DatasetSpec, GradcheckConfig,
                                 ModelSpec, MonteCarloConfig, OptimizerSpec,
                                 OracleEquivConfig, TrainConfig)
 from quadenhance.datasets import BUILDERS
-from quadenhance.errors import ConfigError
+from quadenhance.errors import ConfigError, UsageError
 from quadenhance.models import MODELS
 
 
@@ -244,6 +245,24 @@ def test_oracle_equiv_cli_without_config_runs_the_defaults(tmp_path):
     assert row.startswith("1000,0,f64,1.0e-12,") and row.endswith(",1")
 
 
+def test_oracle_equiv_cli_failing_sweep_exits_1_naming_the_seed(tmp_path, monkeypatch, capsys):
+    failing = SweepResult(instances=3, seed=0, precision="f64", tol=1e-12,
+                          max_dev_chain=1e-3, max_dev_lambda=0.0, worst_seed=77)
+    monkeypatch.setattr(cli, "oracle_chain_sweep", lambda cfg: failing)
+    assert main(["oracle-equiv", "--out", str(tmp_path / "o")]) == 1
+    assert "replay the worst instance with seed 77" in capsys.readouterr().out
+    assert (tmp_path / "o" / "oracle_equiv.csv").read_text().endswith(",77,0\n")
+
+
+def test_other_package_error_exits_1(tmp_path, monkeypatch, capsys):
+    def broken(*args):
+        raise UsageError("nothing to replay")
+
+    monkeypatch.setattr(cli, "run_montecarlo", broken)
+    assert main(["montecarlo", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: nothing to replay\n"
+
+
 def test_ablate_cli_seed_override_shifts_every_seed(tmp_path):
     cfg = tmp_path / "ab.json"
     cfg.write_text(json.dumps({**VALID["ablate-k"], "k_sets": [[1]]}))
@@ -469,6 +488,15 @@ PROBES = {
                          "train.model: all dims must be >= 1, got (2, 0)"),
     "cost-zero-width-layer": ("cost", {"model": {"type": "qe_mlp", "layer_dims": [2, 0]}},
                               "cost.model: all dims must be >= 1, got (2, 0)"),
+    "dataset-no-name": ("train", _train(dataset={}), "train.dataset: missing required key 'name'"),
+    "ablate-no-k-sets": ("ablate-k", {**VALID["ablate-k"], "k_sets": []},
+                         "ablate.k_sets: must be a non-empty list of shift lists"),
+    "target-size-zero": ("train", _train(dataset__size=0), "train.dataset: size must be >= 1"),
+    "circles-negative-noise": ("train", {**_TRAIN, "dataset": {"name": "circles", "noise": -1}},
+                               "train.dataset: noise must be >= 0"),
+    "circles-too-many-classes": ("train", {**_TRAIN, "dataset": {"name": "circles", "size": 2,
+                                                                 "classes": 3}},
+                                 "train.dataset: need 1 <= classes <= size, got classes=3, size=2"),
     "gradcheck-no-families": ("gradcheck", {"families": []}, "gradcheck.families: must name"),
     "montecarlo-samples-zero": ("montecarlo", {"samples": 0},
                                 "montecarlo.samples: must be >= 1, got 0"),

@@ -9,6 +9,7 @@ import pytest
 
 from quadenhance.cost import AccountingError, CostReport, count_layer, count_model
 from quadenhance.enhancer import init_qelayer
+from quadenhance.errors import DimensionError
 from quadenhance.models import MLP, MLPConfig, QuadraNetLayer, SwiGLULayer
 
 
@@ -107,6 +108,11 @@ def test_wrong_split_with_right_total_is_caught():
     layer.load_parameters({"W": layer.W, "b": np.zeros(5), "lam[1]": np.zeros(3)})
     with pytest.raises(AccountingError, match="split"):
         count_layer(layer)
+
+
+def test_unknown_layer_type_is_refused():
+    with pytest.raises(DimensionError, match="cannot account for layer of type object"):
+        count_layer(object())
 
 
 def test_csv_and_table_render():

@@ -89,6 +89,17 @@ class TestBlobsAndCircles:
         with pytest.raises(ConfigError):
             data.gen_blobs(noise=-0.1)
 
+    @pytest.mark.parametrize("build", [data.gen_blobs, data.gen_circles])
+    @pytest.mark.parametrize("args, message", [
+        ({"noise": -0.1}, "noise must be >= 0"),
+        ({"classes": 0}, "need 1 <= classes <= size, got classes=0, size=10"),
+        ({"classes": 11}, "need 1 <= classes <= size, got classes=11, size=10"),
+    ], ids=["noise", "no-classes", "too-many-classes"])
+    def test_point_cloud_ranges(self, build, args, message):
+        with pytest.raises(ConfigError) as err:
+            build(size=10, **args)
+        assert str(err.value) == message
+
     def test_circles_exact_radii_at_zero_noise(self):
         ds = data.gen_circles(classes=2, size=80, noise=0.0, seed=2)
         radii = np.sqrt((ds.features ** 2).sum(axis=1))
@@ -311,6 +322,11 @@ class TestIdx:
         assert self._train_exit_code(tmp_path, img, lab) == 3
         assert "img.idx: no images" in capsys.readouterr().err
 
+    def test_zero_pixel_images_exit_3(self, tmp_path, capsys):
+        img, lab = _write_idx_pair(tmp_path, count=3, rows=0, cols=5)
+        assert self._train_exit_code(tmp_path, img, lab) == 3
+        assert f"{img}: images of 0 x 5 pixels have no features" in capsys.readouterr().err
+
     def test_count_mismatch(self, tmp_path):
         img, _ = _write_idx_pair(tmp_path, count=3)
         _, lab = _write_idx_pair(tmp_path / "..", count=3)
@@ -350,6 +366,17 @@ def test_dataset_invariant_validation():
     with pytest.raises(DataError):
         data.Dataset(features=np.zeros((2, 1)), labels=np.zeros(2, dtype=np.int64),
                      train_idx=np.array([0, 1]), valid_idx=np.array([1]), n_classes=1)
+
+
+@pytest.mark.parametrize("rows, labels, message", [
+    (0, np.zeros(0, dtype=np.int64), "dataset must contain at least one row"),
+    (2, np.array([0, 2]), r"class index outside \[0, 2\)"),
+    (2, np.array([-1, 0]), r"class index outside \[0, 2\)"),
+])
+def test_dataset_rejects_no_rows_and_unknown_classes(rows, labels, message):
+    with pytest.raises(DataError, match=message):
+        data.Dataset(features=np.zeros((rows, 1)), labels=labels, train_idx=np.arange(rows),
+                     valid_idx=np.arange(rows, rows), n_classes=2)
 
 
 def _loads_or_raises_package_error(load, *args, **kwargs) -> None:

@@ -15,6 +15,7 @@ from quadenhance.enhancer import (QELayer, apply_lambda, band_quadratic,
                                   quadratic_reference, rank1_reference,
                                   rank1_v_stack)
 from quadenhance.errors import ConfigError, DimensionError, NumericError
+from quadenhance.models import ACTIVATIONS, MLP, MLPConfig
 from quadenhance.rng import Rng
 
 from oracles import fused_qe_input_grad, quadratic_reference_loop
@@ -229,8 +230,80 @@ class TestQEForward:
         conj = QELayer(W=w[inv], b=b[inv], lam={a * r: lam[r][inv] for r in shifts})
         assert conj.forward(x)[:, pi].tobytes() == layer.forward(x).tobytes()
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_hidden_layer_symmetries_keep_the_network(self, data):
+        """Two layers: an enhanced hidden layer of width d and a plain output.
+
+        Relabelling: conjugate the hidden layer by a unit a, as above, and
+        take the next layer's columns in the same order, W2' = W2[:, pi^-1].
+        The activations are then h[:, pi^-1] bit for bit, so only the next
+        layer's d-term sums change order, and with its bias added the outputs
+        differ by at most 2 d eps (|h| @ |W2|^T + |b2|).
+
+        Rescaling, with identity activation: for c in (R \\ 0)^d, W1' = c W1,
+        b1' = c b1, lambda'_r = lambda_r / roll(c, -r) and W2' = W2 / c give
+        z1' = c z1, which W2' undoes.  Every monomial of the output keeps its
+        value up to at most s = 2n + k + d + 8 rounding factors (1 + delta) in
+        either network, so the outputs differ by at most 2 gamma_s times the
+        network evaluated on absolute values (Higham, ch. 3).
+        """
+        d = data.draw(st.integers(2, 10), label="d")
+        a = data.draw(st.sampled_from([u for u in range(1, d) if math.gcd(u, d) == 1]), label="a")
+        residues = data.draw(st.lists(st.integers(1, d - 1), min_size=1, max_size=min(4, d - 1),
+                                      unique=True), label="residues")
+        shifts = tuple(data.draw(st.sampled_from([r, r - d])) for r in residues)
+        precision = data.draw(st.sampled_from(["f32", "f64"]), label="precision")
+        dtype = T.PRECISIONS[precision]
+        n, m = data.draw(st.integers(1, 6), label="n"), data.draw(st.integers(1, 5), label="m")
+        batch = data.draw(st.integers(1, 4), label="batch")
+        activation = data.draw(st.sampled_from(["identity", "gelu"]), label="activation")
+        rng = Rng(data.draw(st.integers(0, 2**64 - 1), label="seed"))
+
+        def draw(i, *shape):
+            return rng.split(i).uniform(math.prod(shape), -1, 1).reshape(shape).astype(dtype)
+
+        w1, b1, w2, b2, x = draw(0, d, n), draw(1, d), draw(2, m, d), draw(3, m), draw(4, batch, n)
+        lam = {r: draw(10 + i, d) for i, r in enumerate(shifts)}
+        eps = np.finfo(dtype).eps
+
+        def network(shifts, w1, b1, lam, w2, activation):
+            model = MLP(MLPConfig(layer_dims=(n, d, m), activation=activation, shifts=shifts,
+                                  enhancer=(True, False), dtype=precision))
+            model.load_parameters({"layers.0.W": w1, "layers.0.b": b1, "layers.1.W": w2,
+                                   "layers.1.b": b2,
+                                   **{f"layers.0.lam[{r}]": v for r, v in lam.items()}})
+            return model.forward(x).astype(np.float64)
+
+        inv = np.argsort(a * np.arange(d) % d)
+        out = network(shifts, w1, b1, lam, w2, activation)
+        conj = network(tuple(a * r for r in shifts), w1[inv], b1[inv],
+                       {a * r: lam[r][inv] for r in shifts}, w2[:, inv], activation)
+        h = ACTIVATIONS[activation](ag.Tape().const(QELayer(W=w1, b=b1, lam=lam).forward(x))).value
+        bound = 2 * d * eps * (np.abs(h).astype(np.float64) @ np.abs(w2.T) + np.abs(b2))
+        assert np.all(np.abs(conj - out) <= bound)
+
+        sign = np.where(rng.split(6).uniform(d, -1, 1) < 0, -1.0, 1.0)
+        c = (rng.split(5).uniform(d, 0.5, 2.0) * sign).astype(dtype)
+        out = network(shifts, w1, b1, lam, w2, "identity")
+        scaled = network(shifts, c[:, None] * w1, c * b1,
+                         {r: v / np.roll(c, -r) for r, v in lam.items()}, w2 / c, "identity")
+        y = np.abs(x).astype(np.float64) @ np.abs(w1.T)
+        z = sum(np.abs(v) * np.roll(y, -r, axis=-1) for r, v in lam.items()) * y + y + np.abs(b1)
+        steps = 2 * n + len(shifts) + d + 8
+        gamma = steps * eps / 2 / (1 - steps * eps / 2)
+        assert np.all(np.abs(scaled - out) <= 2 * gamma * (z @ np.abs(w2.T) + np.abs(b2)))
+
 
 class TestQELayerValidation:
+    def test_w_must_be_a_matrix(self):
+        with pytest.raises(DimensionError, match=r"W must be a matrix, got shape \(3,\)"):
+            QELayer(W=np.ones(3), b=np.zeros(3), lam={})
+
+    def test_zero_width_rejected(self):
+        with pytest.raises(ConfigError, match="dimension must be >= 1, got 0"):
+            QELayer(W=np.ones((0, 3)), b=np.zeros(0), lam={})
+
     def test_d1_with_shifts_rejected(self):
         with pytest.raises(ConfigError):
             QELayer(W=np.ones((1, 3)), b=np.zeros(1), lam={1: np.zeros(1)})
@@ -283,6 +356,16 @@ class TestInitQELayer:
         with pytest.raises(ConfigError):
             init_qelayer(3, 3, (0,), seed=0)
 
+    def test_square_shift_message_names_a_remedy_it_takes(self):
+        with pytest.raises(ConfigError) as err:
+            init_qelayer(2, 3, (3,), seed=0)
+        assert str(err.value) == ("qe: shift 3 reduces to 0 mod 3 and would produce square terms; "
+                                  "drop it or change d")
+
+    def test_zero_dims_rejected(self):
+        with pytest.raises(ConfigError, match="layer dims must be >= 1, got n=0, d=3"):
+            init_qelayer(0, 3, (1,), seed=0)
+
 
 class TestOracleChain:
     """The three formulations agree on random instances."""
@@ -327,6 +410,13 @@ class TestOracleChain:
             shapes.add(layer.W.shape)
         # the edge shapes n = 1 and d = 2 are among them
         assert any(n == 1 for _, n in shapes) and any(d == 2 for d, _ in shapes)
+
+    def test_reference_checks_its_shapes(self):
+        w, b = np.ones((2, 3)), np.zeros(2)
+        with pytest.raises(DimensionError, match=r"V stack of shape \(2, 3, 3\), got \(2, 3, 2\)"):
+            quadratic_reference(np.ones(3), w, b, np.zeros((2, 3, 2)))
+        with pytest.raises(DimensionError, match=r"input of shape \(3,\), got \(1, 3\)"):
+            quadratic_reference(np.ones((1, 3)), w, b, np.zeros((2, 3, 3)))
 
     def test_all_zero_v_reduces_to_linear(self):
         rng = Rng(3)

@@ -10,6 +10,7 @@ import pytest
 
 from quadenhance import autograd as ag
 from quadenhance import datasets, enhancer, models, training
+from quadenhance.config import OptimizerSpec
 from quadenhance.enhancer import QELayer, qe_forward
 from quadenhance.errors import ConfigError, DimensionError, NumericError
 from quadenhance.models import (MLP, MLPConfig, Adam, QuadraNetLayer, SGD,
@@ -64,6 +65,11 @@ class TestMLPConfig:
     def test_unknown_activation(self):
         with pytest.raises(ConfigError):
             MLPConfig(layer_dims=(4, 2), activation="tanh")
+
+    def test_unknown_precision_names_the_field(self):
+        with pytest.raises(ConfigError) as err:
+            MLPConfig(layer_dims=(4, 2), dtype="f16")
+        assert str(err.value) == "dtype: must be one of ['f32', 'f64'], got 'f16'"
 
     def test_exempt_final(self):
         cfg = MLPConfig(layer_dims=(4, 3, 2), exempt_final=True)
@@ -216,6 +222,23 @@ class TestBaselines:
 
         report = ag.gradcheck(f, layer.parameters(), step=1e-6, tol=1e-4)
         assert report.passed, report.entries
+
+    @pytest.mark.parametrize("make", [lambda: QuadraNetLayer(3, 2, seed=4, bias=True),
+                                      lambda: QuadraNetLayer(3, 2, seed=4),
+                                      lambda: SwiGLULayer(3, 2, seed=4)],
+                             ids=["quadranet-bias", "quadranet", "swiglu"])
+    def test_load_parameters_round_trip(self, make):
+        """The inherited load binds each array under its parameter's name,
+        and a QuadraNet without a bias stays without one."""
+        layer = make()
+        x = Rng(5).uniform(6, -1, 1).reshape(2, 3)
+        params = {k: v * 2.0 for k, v in layer.parameters().items()}
+        twin = make()
+        twin.load_parameters(params)
+        assert all(twin.parameters()[k] is v for k, v in params.items())
+        assert set(twin.parameters()) == set(layer.parameters())
+        layer.load_parameters({k: v.copy() for k, v in params.items()})
+        assert twin.forward(x).tobytes() == layer.forward(x).tobytes()
 
     def test_quadranet_param_count(self):
         layer = QuadraNetLayer(5, 3, seed=0, bias=True)
@@ -411,6 +434,29 @@ class TestLossesAndOptimizers:
             tracemalloc.stop()
         assert peak < w.nbytes / 2, f"peak {peak} bytes"
         assert np.all(w == np.float32(1) - np.float32(0.1) * np.float32(0.5))
+
+    @pytest.mark.parametrize("opt", [SGD(lr=0.1), Adam(lr=0.1)], ids=["sgd", "adam"])
+    def test_misshapen_gradient_is_named_and_changes_nothing(self, opt):
+        params = {"a": np.array([1.0, -2.0]), "b": np.array([0.5])}
+        opt.step(params, {"a": np.array([0.3, 0.1]), "b": np.array([-0.2])})
+        before = _optimizer_state(opt, params)
+        with pytest.raises(DimensionError) as err:
+            opt.step(params, {"a": np.array([0.3, 0.1]), "b": np.array([0.1, 0.2])})
+        assert str(err.value) == "gradient shape (2,) != param shape (1,) for 'b'"
+        assert _optimizer_state(opt, params) == before
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SGD(lr=0.0), "optimizer.lr: must be positive, got 0.0"),
+        (lambda: Adam(lr=0), "optimizer.lr: must be positive, got 0"),
+        (lambda: Adam(lr=0.1, beta1=1.0), "optimizer.beta1: must lie in (0, 1), got 1.0"),
+        (lambda: Adam(lr=0.1, beta2=0.0), "optimizer.beta2: must lie in (0, 1), got 0.0"),
+        (lambda: Adam(lr=0.1, eps=-1e-8), "optimizer.eps: must be positive, got -1e-08"),
+        (lambda: OptimizerSpec("adam", lr=-0.5), "optimizer.lr: must be positive, got -0.5"),
+    ], ids=["sgd-lr", "adam-lr", "adam-beta1", "adam-beta2", "adam-eps", "spec-lr"])
+    def test_optimizer_range_errors_share_one_format(self, make, message):
+        with pytest.raises(ConfigError) as err:
+            make()
+        assert str(err.value) == message
 
     def test_adam_hyperparameter_validation(self):
         with pytest.raises(ConfigError):

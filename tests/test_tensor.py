@@ -1,5 +1,6 @@
 """Kernel contracts: exactness, determinism, and shape validation."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -332,6 +333,14 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             T.hadamard(np.zeros((2, 2)), np.zeros(4))
 
+    @pytest.mark.parametrize("a, v", [(np.zeros((2, 3)), np.zeros(2)),
+                                      (np.zeros((2, 3)), np.zeros((1, 3))),
+                                      (np.zeros(()), np.zeros(1))])
+    def test_add_row_needs_a_vector_of_the_last_axis_width(self, a, v):
+        message = f"add_row: {a.shape} incompatible with {v.shape}"
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            T.add_row(a, v)
+
     @given(st.integers(1, 16), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_commutativity(self, n, seed):
@@ -359,6 +368,11 @@ class TestRoll:
         y = rng.normal(size=d)
         np.testing.assert_array_equal(T.roll(T.roll(y, r), -r), y)
         np.testing.assert_array_equal(T.roll(y, r), T.roll(y, r % d))
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0)])
+    def test_empty_last_axis_rejected(self, shape):
+        with pytest.raises(DimensionError, match="roll needs a non-empty last axis"):
+            T.roll(np.zeros(shape), 1)
 
     def test_leading_axes_untouched(self):
         y = np.arange(12.0).reshape(3, 4)
