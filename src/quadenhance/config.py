@@ -254,7 +254,7 @@ class GradcheckConfig:
         check_precision("gradcheck.precision", self.precision)
         _check_at_least("gradcheck", self, 1, "instances")
         for key in ("step", "tol"):
-            if getattr(self, key) <= 0:
+            if not getattr(self, key) > 0:
                 raise ConfigError(f"gradcheck.{key}: must be > 0, got {getattr(self, key)}")
 
     @classmethod
@@ -297,7 +297,7 @@ class MonteCarloConfig:
         if not self.v_list:
             raise ConfigError("montecarlo.v_list: must name at least one threshold")
         for i, v in enumerate(self.v_list):
-            if v <= 0:
+            if not v > 0:
                 raise ConfigError(f"montecarlo.v_list[{i}]: must be > 0, got {v}")
 
     @classmethod

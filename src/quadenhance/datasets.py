@@ -104,7 +104,7 @@ def gen_quadratic_target(n: int, d: int, shifts: tuple[int, ...] = (1,), seed: i
 
 
 def _check_cloud(classes: int, size: int, noise: float) -> None:
-    if noise < 0:
+    if not noise >= 0:
         raise ConfigError("noise must be >= 0")
     if not 1 <= classes <= size:
         raise ConfigError(f"need 1 <= classes <= size, got classes={classes}, size={size}")

@@ -36,12 +36,12 @@ def check_precision(where: str, name: str) -> None:
 
 def check_optimizer(lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
     """ConfigError naming ``optimizer.<key>`` for a hyperparameter out of range."""
-    if lr <= 0:
+    if not lr > 0:
         raise ConfigError(f"optimizer.lr: must be positive, got {lr!r}")
     for key, value in (("beta1", beta1), ("beta2", beta2)):
         if not 0 < value < 1:
             raise ConfigError(f"optimizer.{key}: must lie in (0, 1), got {value!r}")
-    if eps <= 0:
+    if not eps > 0:
         raise ConfigError(f"optimizer.eps: must be positive, got {eps!r}")
 
 
@@ -257,7 +257,8 @@ class Adam:
         t = self._t + 1
         for name, span, w, g, s, step in _checked_chunks(params, grads, 2):
             if name not in self._m:         # after the walk's checks, so a failed step adds none
-                self._m[name], self._v[name] = np.zeros((2, params[name].size), w.dtype)
+                # written before the chain reads them: calloc'd zeros fault twice per page
+                self._m[name], self._v[name] = np.full((2, params[name].size), 0, w.dtype)
             dt, m, v = w.dtype.type, self._m[name][span], self._v[name][span]
             b1, b1c, b2, b2c = dt(self.beta1), dt(1 - self.beta1), dt(self.beta2), dt(1 - self.beta2)
             c1, c2, lr, eps = dt(1 - self.beta1 ** t), dt(1 - self.beta2 ** t), dt(self.lr), dt(self.eps)

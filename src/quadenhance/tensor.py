@@ -2,7 +2,8 @@
 
 Values are plain numpy arrays in float32 or float64, in any memory
 layout: the kernels take transposed views and slices as they are, and
-only the products copy an operand, the right one, into C order.
+only the products copy an operand, the right one, into C order, in
+tiles of columns (see ``matmul``).
 ``matmul`` and ``reduce_sum`` fix their accumulation order: each adds in
 index order along the summed axis, so repeated runs and independently
 coded references agree bit for bit, not just within rounding noise (a
@@ -29,6 +30,8 @@ PRECISIONS = {"f32": np.float32, "f64": np.float64}
 
 # products per row block of the fallback kernel's scratch buffer
 _BLOCK_PRODUCTS = 1 << 17
+# columns per tile when a strided right operand is copied into C order
+_TILE = 48
 
 
 def _require_same_dtype(a: np.ndarray, b: np.ndarray, op: str) -> None:
@@ -94,11 +97,16 @@ _kernel = _einsum if _sums_in_order(_einsum) else _rowblock
 
 
 def _product(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
-    # b in C order, a one-column b doubled (see matmul)
+    # b in C order, a strided one wider than a tile copied tile by tile, a one-column b doubled (see matmul)
     _require_same_dtype(a, b, op)
     if b.shape[2] == 1:
         return _kernel(a, np.repeat(b, 2, axis=2))[:, :, :1].copy()
-    return _kernel(a, np.ascontiguousarray(b))
+    if b.flags.c_contiguous or b.shape[2] <= _TILE:
+        return _kernel(a, np.ascontiguousarray(b))
+    c = np.empty(b.shape, b.dtype)
+    for k in range(0, b.shape[2], _TILE):
+        c[:, :, k : k + _TILE] = b[:, :, k : k + _TILE]
+    return _kernel(a, c)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,7 +119,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for j = 0, 1, ..., reading ``b`` once per row of ``a`` and buffering
     no products.  That holds only while k is the inner loop, so ``b`` is
     copied into C order (a ``W^T`` view would make j the unit-stride,
-    inner axis), and a one-column ``b`` runs with its column doubled and
+    inner axis) ``_TILE`` columns at a time, so that a tile's few rows of
+    W stay in cache; a one-column ``b`` runs with its column doubled and
     the copy dropped afterwards (with k = 1 einsum switches to its
     unrolled dot kernel, which regroups the sum).  A strided ``a`` costs
     nothing.  The product runs as the one-slice case of ``batched_matmul``.

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from quadenhance import autograd as ag
-from quadenhance.rng import Rng
+from quadenhance.rng import _GOLDEN, _MASK, Rng, _finalize_int
 
 
 def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -136,6 +136,13 @@ def fnv1a64_bytewise(data: bytes) -> int:
     for byte in data:
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def splitmix_draws(seed: int, counter: int, n: int) -> np.ndarray:
+    """Draws counter, ..., counter + n - 1 of stream ``seed``, each made on its
+    own as a Python int: finalize((seed + (i + 1) * GOLDEN) mod 2**64)."""
+    return np.array([_finalize_int((seed + (i + 1) * _GOLDEN) & _MASK)
+                     for i in range(counter, counter + n)], dtype=np.uint64)
 
 
 def normal_pairs(seed: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:

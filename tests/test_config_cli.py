@@ -541,3 +541,15 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, probe):
     (tmp_path / "c.json").write_text(json.dumps(raw))
     assert main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: GradcheckConfig(step=float("nan")), "gradcheck.step: must be > 0, got nan"),
+    (lambda: GradcheckConfig(tol=float("nan")), "gradcheck.tol: must be > 0, got nan"),
+    (lambda: MonteCarloConfig(v_list=(4.0, float("nan"))), "montecarlo.v_list[1]: must be > 0, got nan"),
+], ids=["gradcheck-step", "gradcheck-tol", "montecarlo-v"])
+def test_nan_fails_the_range_checks(make, message):
+    # JSON gives a config no NaN, so only the direct API can pass one
+    with pytest.raises(ConfigError) as err:
+        make()
+    assert str(err.value) == message

@@ -92,9 +92,10 @@ class TestBlobsAndCircles:
     @pytest.mark.parametrize("build", [data.gen_blobs, data.gen_circles])
     @pytest.mark.parametrize("args, message", [
         ({"noise": -0.1}, "noise must be >= 0"),
+        ({"noise": float("nan")}, "noise must be >= 0"),
         ({"classes": 0}, "need 1 <= classes <= size, got classes=0, size=10"),
         ({"classes": 11}, "need 1 <= classes <= size, got classes=11, size=10"),
-    ], ids=["noise", "no-classes", "too-many-classes"])
+    ], ids=["noise", "noise-nan", "no-classes", "too-many-classes"])
     def test_point_cloud_ranges(self, build, args, message):
         with pytest.raises(ConfigError) as err:
             build(size=10, **args)

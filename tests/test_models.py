@@ -452,11 +452,22 @@ class TestLossesAndOptimizers:
         (lambda: Adam(lr=0.1, beta2=0.0), "optimizer.beta2: must lie in (0, 1), got 0.0"),
         (lambda: Adam(lr=0.1, eps=-1e-8), "optimizer.eps: must be positive, got -1e-08"),
         (lambda: OptimizerSpec("adam", lr=-0.5), "optimizer.lr: must be positive, got -0.5"),
-    ], ids=["sgd-lr", "adam-lr", "adam-beta1", "adam-beta2", "adam-eps", "spec-lr"])
+        (lambda: SGD(lr=float("nan")), "optimizer.lr: must be positive, got nan"),
+        (lambda: Adam(lr=float("nan")), "optimizer.lr: must be positive, got nan"),
+        (lambda: Adam(lr=0.1, beta1=float("nan")), "optimizer.beta1: must lie in (0, 1), got nan"),
+        (lambda: Adam(lr=0.1, eps=float("nan")), "optimizer.eps: must be positive, got nan"),
+    ], ids=["sgd-lr", "adam-lr", "adam-beta1", "adam-beta2", "adam-eps", "spec-lr",
+            "sgd-lr-nan", "adam-lr-nan", "adam-beta1-nan", "adam-eps-nan"])
     def test_optimizer_range_errors_share_one_format(self, make, message):
         with pytest.raises(ConfigError) as err:
             make()
         assert str(err.value) == message
+
+    def test_nan_learning_rate_raises_before_any_step(self):
+        params = {"w": np.array([1.0, 1.0])}
+        with pytest.raises(ConfigError):
+            SGD(lr=float("nan")).step(params, {"w": np.array([0.5, -0.5])})
+        assert params["w"].tolist() == [1.0, 1.0]
 
     def test_adam_hyperparameter_validation(self):
         with pytest.raises(ConfigError):

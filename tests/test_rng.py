@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import fisher_yates_loop
-from quadenhance.rng import Rng
+from oracles import fisher_yates_loop, splitmix_draws
+from quadenhance.rng import _BLOCK, Rng
 
 
 def test_same_seed_same_stream():
@@ -23,6 +23,31 @@ def test_counter_is_stateless_index():
     r = Rng(7)
     chunks = np.concatenate([r.next_u64(3), r.next_u64(2)])
     np.testing.assert_array_equal(chunks, Rng(7).next_u64(5))
+
+
+@pytest.mark.parametrize("counter", [0, 7])
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_bulk_draws_match_the_per_draw_reference_across_blocks(n, counter):
+    """next_u64, uniform and normal give the bits and counter of draws made
+    one at a time, whether n ends inside a block, on its edge or past it."""
+    seed = 0xC0FFEE0123456789
+    raw = splitmix_draws(seed, counter, n + 1)
+    r = Rng(seed, counter)
+    assert r.next_u64(n).tobytes() == raw[:n].tobytes()
+    assert r.counter == counter + n
+    r = Rng(seed, counter)
+    want = [-2.0 + 5.0 * (float(int(v) >> 11) * 2.0 ** -53) for v in raw[:n]]
+    assert r.uniform(n, -2.0, 3.0).tobytes() == np.array(want).tobytes()
+    assert r.counter == counter + n
+    # Box-Muller on the reference draws: u1 from the first m, u2 from the next m
+    m = (n + 1) // 2
+    u1 = ((raw[:m] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (raw[m : 2 * m] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    radius, angle = np.sqrt(-2.0 * np.log(u1)), 2.0 * np.pi * u2
+    want = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+    r = Rng(seed, counter)
+    assert r.normal(n).tobytes() == want.tobytes()
+    assert r.counter == counter + 2 * m
 
 
 def test_split_decorrelates():

@@ -297,6 +297,27 @@ class TestBatchedMatmul:
                 ag.linear(x, w)
 
 
+class TestTiledCopy:
+    """W^T views wider than a tile are copied into C order tile by tile."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 7, 192])
+    @pytest.mark.parametrize("k", [T._TILE - 1, T._TILE, T._TILE + 1, 2 * T._TILE + 3, 768])
+    def test_w_transpose_views_across_tile_edges(self, dtype, c, k):
+        rng = np.random.default_rng(c * 1000 + k)
+        a = (rng.normal(size=(2, 2, c)) * 10.0 ** rng.integers(-4, 5, size=c)).astype(dtype)
+        b = rng.normal(size=(2, k, c)).astype(dtype).transpose(0, 2, 1)
+        _assert_same_bits(T.batched_matmul(a, b), _slices_by_matmul(a, b))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negative_stride_view(self, dtype):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(2, 3, 9)).astype(dtype)
+        b = rng.normal(size=(2, 2 * T._TILE + 3, 9)).astype(dtype)[:, ::-1, ::-1].transpose(0, 2, 1)
+        assert b.strides[1] < 0 and b.strides[2] < 0
+        _assert_same_bits(T.batched_matmul(a, b), _slices_by_matmul(a, b))
+
+
 def test_kernels_independent_of_cpu_dispatch():
     assert_passes_without_cpu_dispatch(__file__)
 
