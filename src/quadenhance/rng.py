@@ -13,8 +13,6 @@ which is stateless in the counter and therefore trivially vectorizable.
 ``split`` derives a decorrelated child stream from a parent seed and an
 integer tag, so nested components (per-layer init, per-epoch shuffles)
 get independent streams without coordinating counters.
-``next_u64`` and ``uniform`` make more than ``_BLOCK`` draws block by
-block, with cache-sized temporaries and the bits of one call.
 """
 
 from __future__ import annotations
@@ -32,8 +30,6 @@ _S11, _S27, _S30, _S31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(
 _ONE_U64 = np.uint64(1)
 
 _TWO_NEG_53 = 2.0 ** -53
-# draws per pass of a bulk draw: 64 KiB of uint64, cache-sized temporaries
-_BLOCK = 1 << 13
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
@@ -70,14 +66,6 @@ def _draws(seed, z: np.ndarray) -> np.ndarray:
 def _unit(raw: np.ndarray, low: float, high: float) -> np.ndarray:
     """Raw draws as doubles uniform in [low, high), 53-bit resolution."""
     return low + (high - low) * ((raw >> _S11).astype(np.float64) * _TWO_NEG_53)
-
-
-def _blockwise(n: int, dtype, draw) -> np.ndarray:
-    """``draw(m)`` for consecutive blocks of at most ``_BLOCK`` of n, in one array."""
-    out = np.empty(n, dtype)
-    for lo in range(0, n, _BLOCK):
-        out[lo : lo + _BLOCK] = draw(min(_BLOCK, n - lo))
-    return out
 
 
 def split_seeds(seeds: np.ndarray, tag: int) -> np.ndarray:
@@ -118,8 +106,6 @@ class Rng:
 
     def next_u64(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit draws, advancing the counter."""
-        if n > _BLOCK:
-            return _blockwise(n, np.uint64, self.next_u64)
         c = self.counter
         self.counter += n
         # an index array for ``at`` would cost a 147k-draw init ~0.4 ms more
@@ -127,8 +113,6 @@ class Rng:
 
     def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """``n`` doubles uniform in [low, high), 53-bit resolution."""
-        if n > _BLOCK:
-            return _blockwise(n, np.float64, lambda m: self.uniform(m, low, high))
         return _unit(self.next_u64(n), low, high)
 
     def normal(self, n: int) -> np.ndarray:

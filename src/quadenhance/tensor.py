@@ -97,12 +97,12 @@ _kernel = _einsum if _sums_in_order(_einsum) else _rowblock
 
 
 def _product(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
-    # b in C order, a strided one wider than a tile copied tile by tile, a one-column b doubled (see matmul)
+    # b in C order, a strided b copied tile by tile, a one-column b doubled (see matmul)
     _require_same_dtype(a, b, op)
     if b.shape[2] == 1:
         return _kernel(a, np.repeat(b, 2, axis=2))[:, :, :1].copy()
-    if b.flags.c_contiguous or b.shape[2] <= _TILE:
-        return _kernel(a, np.ascontiguousarray(b))
+    if b.flags.c_contiguous:
+        return _kernel(a, b)
     c = np.empty(b.shape, b.dtype)
     for k in range(0, b.shape[2], _TILE):
         c[:, :, k : k + _TILE] = b[:, :, k : k + _TILE]
