@@ -3,7 +3,7 @@
 Layout (all integers little-endian):
 
     magic     4 bytes  b"QEN1"
-    version   u32      3 (``save_checkpoint`` writes only this one)
+    version   u32      3, the only version written or read
     count     u32      number of parameter records
     records   count x { name_len u16, name utf-8,
                         dtype u8 (0 = float32, 1 = float64),
@@ -12,19 +12,16 @@ Layout (all integers little-endian):
     checksum  8 bytes  the first 8 bytes of SHA-256 (FIPS 180-4) of every
                        preceding byte
 
-Versions 1 and 2, read but no longer written, differ only in their
-checksum.  Version 2's is BLAKE2b with an 8-byte digest (RFC 7693).
-OpenSSL's SHA-256 runs on the CPU's SHA extensions where they exist: a
-7.1 MB body hashes in ~6 ms against BLAKE2b's ~15 ms on a 2-vCPU Xeon,
-but in ~25 ms with them masked off (``OPENSSL_ia32cap=":~0x20000000"``).
-Version 1's is the FNV-1a 64 of the same bytes, as a u64, hashed a byte
-at a time (~1 s for a 7.1 MB body; no command loads version 1).  A load
-checks the magic and the version, then hashes the body in
-``_BLOCK``-byte reads before it parses any record, so truncation or
-corruption past the 8-byte header is a checksum error rather than a
-confusing parse failure.  The parse reads
-the file again and each payload straight into its own array, allocated
-once it fits in the bytes left: a load holds one copy of the payload.
+Versions 1 and 2, which differed only in their checksum, are rejected
+as unknown.  OpenSSL's SHA-256 runs on the CPU's SHA extensions where
+they exist: a 7.1 MB body hashes in ~6 ms on a 2-vCPU Xeon, but in ~25 ms
+with them masked off (``OPENSSL_ia32cap=":~0x20000000"``).  A load checks
+the magic and the version, then hashes the body in ``_BLOCK``-byte reads
+before it parses any record, so truncation or corruption past the 8-byte
+header is a checksum error rather than a confusing parse failure.  The
+parse reads the file again and each payload straight into its own array,
+allocated once it fits in the bytes left: a load holds one copy of the
+payload.
 Saving goes through ``write_atomic``, so an interrupted save leaves any
 earlier checkpoint at that path untouched; the checksum reads the chunks
 handed to it, never a joined copy of the payload.
@@ -49,34 +46,9 @@ VERSION = 3
 
 _DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _TAG_FOR_KIND = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK = 0xFFFFFFFFFFFFFFFF
 
 # bytes read per step of a load's hash pass
 _BLOCK = 1 << 16
-
-
-class _Fnv1a64:
-    """FNV-1a 64, ``h <- (h ^ b) * P mod 2**64`` for each byte ``b``, with
-    hashlib's ``update`` and ``digest``: a piece may end anywhere."""
-
-    def __init__(self):
-        self.h = _FNV_OFFSET
-
-    def update(self, data) -> None:
-        h = self.h
-        for byte in bytes(data):
-            h = ((h ^ byte) * _FNV_PRIME) & _MASK
-        self.h = h
-
-    def digest(self) -> bytes:
-        return struct.pack("<Q", self.h)
-
-
-# a new hasher for each readable version; the checksum is the first 8 bytes
-# of its digest of every preceding byte
-_CHECKSUMS = {1: _Fnv1a64, 2: lambda: hashlib.blake2b(digest_size=8), 3: hashlib.sha256}
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray], sync: bool = True) -> None:
@@ -97,7 +69,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray], sync: bool = True) -> N
         raw = memoryview(np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]))
         chunks += [struct.pack("<H", len(name_b)), name_b, struct.pack("<BB", tag, arr.ndim),
                    struct.pack(f"<{arr.ndim}I", *arr.shape), raw]
-    digest = _CHECKSUMS[VERSION]()
+    digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
     write_atomic(path, *chunks, digest.digest()[:8], sync=sync)
@@ -167,10 +139,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if head[:4] != MAGIC:
             raise CheckpointError(f"{path}: bad magic, not a QEN1 checkpoint")
         (version,) = struct.unpack("<I", head[4:])
-        if version not in _CHECKSUMS:
+        if version != VERSION:
             raise CheckpointError(f"{path}: unknown format version {version} "
-                                  f"(supported: {', '.join(map(str, _CHECKSUMS))})")
-        digest = _CHECKSUMS[version]()
+                                  f"(supported: {VERSION})")
+        digest = hashlib.sha256()
         fh.seek(0)
         for start in range(0, body, _BLOCK):
             digest.update(fh.read(min(_BLOCK, body - start)))

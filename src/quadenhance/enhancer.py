@@ -75,17 +75,18 @@ def band_quadratic(y: ag.Variable, shifts, lams) -> ag.Variable:
 
     The backward pass adds its terms in the order the unfused
     roll/row-product/sum tape did, so every bit matches it (per slice if stacked).
+    It recomputes the band sum L y rather than holding it from the forward
+    pass, so the node holds one activation, ``y``, not two.
     """
     yv, *vecs = ag.lift(y, *lams)
     if any(v.stacked for v in (y, *lams)):
         vecs = [ag.slice_rows(v, yv.shape) for v in vecs]
-    acc = _band_sum(yv, shifts, vecs)
-    out = T.add(T.hadamard(acc, yv), yv)
+    out = T.add(T.hadamard(_band_sum(yv, shifts, vecs), yv), yv)
     d = yv.shape[-1]
 
     def bwd(g):
         gacc = g * yv
-        gy = g + g * acc
+        gy = g + g * _band_sum(yv, shifts, vecs)
         glams = [None] * len(vecs)
         for i in reversed(range(len(vecs))):
             gv = gacc * T.roll(yv, shifts[i])

@@ -64,8 +64,13 @@ def _draws(seed, z: np.ndarray) -> np.ndarray:
 
 
 def _unit(raw: np.ndarray, low: float, high: float) -> np.ndarray:
-    """Raw draws as doubles uniform in [low, high), 53-bit resolution."""
-    return low + (high - low) * ((raw >> _S11).astype(np.float64) * _TWO_NEG_53)
+    """Raw draws as doubles uniform in [low, high), 53-bit resolution; ``raw``
+    is consumed.  The bits are those of ``low + (high - low) * (u * 2**-53)``."""
+    u = np.right_shift(raw, _S11, out=raw).astype(np.float64)
+    u *= _TWO_NEG_53
+    u *= high - low
+    u += low
+    return u
 
 
 def split_seeds(seeds: np.ndarray, tag: int) -> np.ndarray:

@@ -130,14 +130,6 @@ def quadratic_reference_loop(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return quad + w @ x + b
 
 
-def fnv1a64_bytewise(data: bytes) -> int:
-    """FNV-1a 64, one byte at a time in Python integers (the definition)."""
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
 def splitmix_draws(seed: int, counter: int, n: int) -> np.ndarray:
     """Draws counter, ..., counter + n - 1 of stream ``seed``, each made on its
     own as a Python int: finalize((seed + (i + 1) * GOLDEN) mod 2**64)."""

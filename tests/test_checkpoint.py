@@ -12,16 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import fnv1a64_bytewise
-from quadenhance import checkpoint
-from quadenhance.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from quadenhance.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from quadenhance.config import COST_PRESETS
 from quadenhance.errors import CheckpointError, ChecksumError
 from quadenhance.models import MLP, MLPConfig
 from quadenhance.rng import Rng
-
-# a load hashes its file in reads of this many bytes
-BLOCK = checkpoint._BLOCK
 
 
 def _params(seed=0, dtype=np.float64):
@@ -33,33 +28,14 @@ def _params(seed=0, dtype=np.float64):
     }
 
 
-# every readable version and its trailer over the preceding bytes, built
-# here from hashlib and the bytewise oracle rather than taken from the loader
-VERSIONS = (1, 2, 3)
-_TRAILERS = {1: lambda body: struct.pack("<Q", fnv1a64_bytewise(body)),
-             2: lambda body: hashlib.blake2b(body, digest_size=8).digest(),
-             3: lambda body: hashlib.sha256(body).digest()[:8]}
-# the one version save_checkpoint writes
-WRITER = 3
+def _sealed(body: bytes) -> bytes:
+    """``body`` and its trailer, built here from hashlib rather than taken
+    from the loader: the first 8 bytes of its SHA-256."""
+    return body + hashlib.sha256(body).digest()[:8]
 
 
-def _as_version(body: bytes, version: int) -> bytes:
-    return body[:4] + struct.pack("<I", version) + body[8:]
-
-
-def _sealed(body: bytes, trailer: int | None = None) -> bytes:
-    """``body`` and the trailer of ``trailer``, by default the version its header names."""
-    if trailer is None:
-        (trailer,) = struct.unpack("<I", body[4:8])
-    return body + _TRAILERS[trailer](body)
-
-
-def _save(path, params, version: int) -> bytes:
-    """Save ``params`` as ``version``: only ``WRITER`` has a writer, so any
-    other version is the writer's records re-sealed under that version."""
+def _save(path, params) -> bytes:
     save_checkpoint(path, params)
-    if version != WRITER:
-        path.write_bytes(_sealed(_as_version(path.read_bytes()[:-8], version)))
     return path.read_bytes()
 
 
@@ -89,58 +65,34 @@ def test_roundtrip_random_values(tmp_path_factory, seed):
 
 def test_truncated_file_is_checksum_error(tmp_path):
     path = tmp_path / "m.qen1"
-    for version in VERSIONS:
-        blob = _save(path, _params(), version)
-        path.write_bytes(blob[:-5])
-        with pytest.raises(ChecksumError):
-            load_checkpoint(path)
+    blob = _save(path, _params())
+    path.write_bytes(blob[:-5])
+    with pytest.raises(ChecksumError):
+        load_checkpoint(path)
 
 
 def test_flipped_byte_is_checksum_error(tmp_path):
     path = tmp_path / "m.qen1"
-    for version in VERSIONS:
-        blob = bytearray(_save(path, _params(), version))
-        blob[20] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ChecksumError):
-            load_checkpoint(path)
+    blob = bytearray(_save(path, _params()))
+    blob[20] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ChecksumError):
+        load_checkpoint(path)
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "m.qen1"
-    for version in VERSIONS:
-        path.write_bytes(_sealed(b"NOPE" + struct.pack("<II", version, 0)))
-        with pytest.raises(CheckpointError, match="magic"):
-            load_checkpoint(path)
+    path.write_bytes(_sealed(b"NOPE" + struct.pack("<II", VERSION, 0)))
+    with pytest.raises(CheckpointError, match="magic"):
+        load_checkpoint(path)
 
 
 def test_unknown_version_rejected(tmp_path):
     path = tmp_path / "m.qen1"
-    for trailer in VERSIONS:
-        path.write_bytes(_sealed(MAGIC + struct.pack("<II", 99, 0), trailer))
-        with pytest.raises(CheckpointError, match=re.escape(
-                "unknown format version 99 (supported: 1, 2, 3)")):
-            load_checkpoint(path)
-
-
-def test_fnv1a64_known_vectors():
-    # standard FNV-1a test values
-    for data, value in ((b"", 0xCBF29CE484222325), (b"a", 0xAF63DC4C8601EC8C)):
-        fnv = checkpoint._Fnv1a64()
-        fnv.update(data)
-        assert fnv.digest() == struct.pack("<Q", value)
-
-
-@given(st.binary(max_size=3 * BLOCK // 2),
-       st.lists(st.integers(0, 3 * BLOCK // 2), max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_fnv1a64_fed_in_pieces_matches_bytewise_oracle(data, cuts):
-    # as with hashlib, any split of the input gives the byte-at-a-time value
-    fnv = checkpoint._Fnv1a64()
-    bounds = sorted({0, len(data), *(c for c in cuts if c <= len(data))})
-    for start, stop in zip(bounds, bounds[1:]):
-        fnv.update(memoryview(data)[start:stop])
-    assert fnv.digest() == struct.pack("<Q", fnv1a64_bytewise(data))
+    path.write_bytes(_sealed(MAGIC + struct.pack("<II", 99, 0)))
+    with pytest.raises(CheckpointError, match=re.escape(
+            "unknown format version 99 (supported: 3)")):
+        load_checkpoint(path)
 
 
 # one of each record kind: f32 and f64, a 0-d and an empty array, a
@@ -177,36 +129,21 @@ def test_file_bytes_are_pinned(tmp_path):
     _assert_loads_pinned(path)
 
 
-def test_version_1_file_still_loads(tmp_path):
-    # the bytes version 1 always wrote for this parameter set, as produced
-    # by the byte-at-a-time checksum; they must load bit for bit
-    path = tmp_path / "golden-v1.qen1"
-    blob = _save(path, _PINNED, 1)
-    assert len(blob) == 214
-    assert blob[-8:] == struct.pack("<Q", 0x5C59936F5AE44C9C)
-    assert struct.unpack("<Q", blob[-8:])[0] == fnv1a64_bytewise(blob[:-8])
-    assert hashlib.sha256(blob).hexdigest() == \
-        "831763493336d28b2e31cf38cb58cd0201ca76feec878c6edd8cb2f4a92bd881"
-    _assert_loads_pinned(path)
-
-
-def test_version_2_file_still_loads(tmp_path):
-    # the bytes version 2 always wrote for this parameter set, under its
-    # BLAKE2b-64 trailer; they must load bit for bit
-    path = tmp_path / "golden-v2.qen1"
-    blob = _save(path, _PINNED, 2)
-    assert len(blob) == 214
-    assert blob[4:8] == struct.pack("<I", 2)
-    assert blob[-8:] == bytes.fromhex("dd62414b0bb118db")
-    assert hashlib.sha256(blob).hexdigest() == \
-        "fbb104b4fde6d9d2197ab293736e4e65e65cc2f52ff86bb0cc0c26f466103794"
-    _assert_loads_pinned(path)
-
-
-@pytest.mark.parametrize("version", VERSIONS)
-def test_every_flipped_byte_past_the_header_is_checksum_error(tmp_path, version):
+@pytest.mark.parametrize("old", [1, 2])
+def test_version_1_and_2_files_rejected(tmp_path, old):
+    # a saved file relabelled as an earlier version: the version is checked
+    # before anything is hashed, so the trailer plays no part
     path = tmp_path / "m.qen1"
-    blob = _save(path, _PINNED, version)
+    blob = _save(path, _PINNED)
+    path.write_bytes(blob[:4] + struct.pack("<I", old) + blob[8:])
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: unknown format version {old} (supported: 3)")):
+        load_checkpoint(path)
+
+
+def test_every_flipped_byte_past_the_header_is_checksum_error(tmp_path):
+    path = tmp_path / "m.qen1"
+    blob = _save(path, _PINNED)
     for pos in range(8, len(blob)):
         flipped = bytearray(blob)
         flipped[pos] ^= 0xFF
@@ -263,12 +200,11 @@ def test_loads_from_a_pipe(tmp_path):
         [(k, v.tobytes()) for k, v in load_checkpoint(path).items()]
 
 
-@pytest.mark.parametrize("version", VERSIONS)
-def test_corrupt_extent_is_checksum_error_unless_resealed(tmp_path, version):
+def test_corrupt_extent_is_checksum_error_unless_resealed(tmp_path):
     # W's first extent 3 -> 1000: under the saved trailer the checksum fails
     # first, and only under a recomputed trailer does the record parser speak
     path = tmp_path / "m.qen1"
-    blob = bytearray(_save(path, _PINNED, version))
+    blob = bytearray(_save(path, _PINNED))
     at = 12 + 2 + len("W") + 2             # header, name length, name, tag and ndim
     assert struct.unpack_from("<2I", blob, at) == (3, 4)
     struct.pack_into("<I", blob, at, 1000)
@@ -292,7 +228,7 @@ def test_unrepresentable_parameter_rejected_on_save(tmp_path, params, match):
 
 
 def _one_record(name: bytes, extents, payload: bytes, tag: int = 0) -> bytes:
-    return (MAGIC + struct.pack("<II", 2, 1) + struct.pack("<H", len(name)) + name
+    return (MAGIC + struct.pack("<II", VERSION, 1) + struct.pack("<H", len(name)) + name
             + struct.pack("<BB", tag, len(extents)) + struct.pack(f"<{len(extents)}I", *extents)
             + payload)
 
@@ -306,10 +242,9 @@ def test_unsupported_dtype_rejected_on_save(tmp_path):
 
 def test_file_shorter_than_header_and_checksum_rejected(tmp_path):
     path = tmp_path / "m.qen1"
-    for version in VERSIONS:
-        path.write_bytes(MAGIC + struct.pack("<I", version) + bytes(11))
-        with pytest.raises(ChecksumError, match=re.escape(f"{path}: file too short (19 bytes)")):
-            load_checkpoint(path)
+    path.write_bytes(MAGIC + struct.pack("<I", VERSION) + bytes(11))
+    with pytest.raises(ChecksumError, match=re.escape(f"{path}: file too short (19 bytes)")):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("body, match", [
@@ -319,19 +254,17 @@ def test_file_shorter_than_header_and_checksum_rejected(tmp_path):
 def test_checksummed_malformed_record_rejected(tmp_path, body, match):
     # a valid checksum, so the parser rejects the record, not the checksum
     path = tmp_path / "m.qen1"
-    for version in VERSIONS:
-        path.write_bytes(_sealed(_as_version(body, version)))
-        with pytest.raises(CheckpointError, match=re.escape(f"{path}: {match}")):
-            load_checkpoint(path)
+    path.write_bytes(_sealed(body))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: {match}")):
+        load_checkpoint(path)
 
 
 def test_non_utf8_name_rejected(tmp_path):
     path = tmp_path / "m.qen1"
     body = _one_record(b"\xff\xfe", (1,), struct.pack("<f", 1.0))
-    for version in VERSIONS:
-        path.write_bytes(_sealed(_as_version(body, version)))
-        with pytest.raises(CheckpointError, match="UTF-8"):
-            load_checkpoint(path)
+    path.write_bytes(_sealed(body))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path)
 
 
 def test_duplicate_name_rejected(tmp_path):
@@ -339,10 +272,9 @@ def test_duplicate_name_rejected(tmp_path):
     path = tmp_path / "m.qen1"
     record = _one_record(b"w", (1,), struct.pack("<f", 1.0))[12:]
     second = _one_record(b"w", (1,), struct.pack("<f", 2.0))[12:]
-    for version in VERSIONS:
-        path.write_bytes(_sealed(MAGIC + struct.pack("<II", version, 2) + record + second))
-        with pytest.raises(CheckpointError, match=re.escape(f"{path}: parameter 'w' appears twice")):
-            load_checkpoint(path)
+    path.write_bytes(_sealed(MAGIC + struct.pack("<II", VERSION, 2) + record + second))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: parameter 'w' appears twice")):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("extents, match", [
@@ -353,10 +285,9 @@ def test_duplicate_name_rejected(tmp_path):
 def test_impossible_extents_rejected(tmp_path, extents, match):
     path = tmp_path / "m.qen1"
     body = _one_record(b"w", extents, struct.pack("<f", 1.0))
-    for version in VERSIONS:
-        path.write_bytes(_sealed(_as_version(body, version)))
-        with pytest.raises(CheckpointError, match=match):
-            load_checkpoint(path)
+    path.write_bytes(_sealed(body))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
 
 
 def _load_or_package_error(path):
@@ -369,29 +300,26 @@ def _load_or_package_error(path):
     return out
 
 
-@given(st.sampled_from(VERSIONS),
-       st.one_of(st.binary(max_size=96),
+@given(st.one_of(st.binary(max_size=96),
                  st.builds(lambda count, rest: struct.pack("<I", count) + rest,
                            st.integers(0, 3), st.binary(max_size=96))))
 @settings(max_examples=300, deadline=None)
-def test_fuzzed_records_under_a_valid_trailer(tmp_path_factory, version, rest):
+def test_fuzzed_records_under_a_valid_trailer(tmp_path_factory, rest):
     # a valid header and any bytes after it, sealed with a correct trailer,
     # so the record parser itself meets the arbitrary bytes
     path = tmp_path_factory.mktemp("fuzz") / "m.qen1"
-    path.write_bytes(_sealed(MAGIC + struct.pack("<I", version) + rest))
+    path.write_bytes(_sealed(MAGIC + struct.pack("<I", VERSION) + rest))
     _load_or_package_error(path)
 
 
-@given(st.sampled_from(VERSIONS), st.integers(0, 205), st.integers(1, 255))
+@given(st.integers(0, 205), st.integers(1, 255))
 @settings(max_examples=300, deadline=None)
-def test_fuzzed_byte_of_a_saved_file_under_a_valid_trailer(tmp_path_factory, version, pos, xor):
-    # one byte of a saved file changed and the trailer recomputed for the
-    # version the header then names (either version's for an unknown one)
+def test_fuzzed_byte_of_a_saved_file_under_a_valid_trailer(tmp_path_factory, pos, xor):
+    # one byte of a saved file changed and the trailer recomputed
     path = tmp_path_factory.mktemp("fuzz") / "m.qen1"
-    body = bytearray(_save(path, _PINNED, version)[:-8])
+    body = bytearray(_save(path, _PINNED)[:-8])
     body[pos] ^= xor
-    (named,) = struct.unpack("<I", body[4:8])
-    path.write_bytes(_sealed(bytes(body), named if named in VERSIONS else version))
+    path.write_bytes(_sealed(bytes(body)))
     _load_or_package_error(path)
 
 

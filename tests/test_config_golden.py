@@ -12,9 +12,9 @@ Oracle-equiv and gradcheck runs through ``cli.main`` pin
 integer the check instance builders draw; they were recorded while the
 builders still drew one integer per call.  The config digests were
 recorded with the hand-written parsers that the schema-driven one
-replaced; the ``final.qen1`` ones were re-recorded for
-QEN1 versions 2 and 3, whose records are the bytes version 1 wrote under
-a new version number and checksum.
+replaced; the ``final.qen1`` ones were re-recorded for each new QEN1
+checksum, last for version 3, the only one written or read, over records
+whose bytes have not changed since version 1.
 """
 
 import hashlib

@@ -1,6 +1,7 @@
 """Band coupling, the enhanced layer, and the independent oracle chain."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -483,6 +484,26 @@ class TestGradients:
 
         expected = fused_qe_input_grad(tuple(lam), lam, y0, g)
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    def test_enhanced_tape_holds_one_activation_more_than_plain(self):
+        # band_quadratic keeps y for its backward and recomputes its band sum
+        # there, so after the forward pass an enhanced layer's tape holds one
+        # B x d array more than a plain layer's (both hold their output)
+        batch, d = 64, 128
+        x = Rng(40).uniform(batch * d, -1, 1).reshape(batch, d)
+
+        def held(shifts):
+            layer = init_qelayer(d, d, shifts, seed=41)
+            tracemalloc.start()
+            try:
+                tape = ag.Tape()
+                out = layer.apply(tape, layer.bind(tape), tape.const(x))
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        extra = (held((1, -1)) - held(())) / x.nbytes
+        assert 0.9 < extra < 1.1, f"enhanced tape holds {extra:.3f} B x d arrays more"
 
     def test_zero_lambda_w_gradients_match_plain_bitwise(self):
         enhanced = init_qelayer(4, 3, (1,), seed=17)
