@@ -231,12 +231,10 @@ def relu(a: Variable) -> Variable:
 
 
 def gelu(a: Variable) -> Variable:
-    """Exact (erf-based) gaussian-weighted linear unit."""
-    from scipy import special
-
+    """Exact gaussian-weighted linear unit x * Phi(x), Phi from ``tensor.ndtr`` in f64."""
     x = a.value
     x64 = x.astype(np.float64)
-    cdf = special.ndtr(x64).astype(x.dtype)
+    cdf = T.ndtr(x64).astype(x.dtype)
     out = x * cdf
     if not a.requires_grad:
         return a.tape.record("gelu", (a,), out, None)

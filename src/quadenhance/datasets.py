@@ -48,7 +48,7 @@ class Dataset:
             if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
                 raise DataError(f"class index outside [0, {self.n_classes})")
         combined = np.concatenate([self.train_idx, self.valid_idx])
-        if len(np.unique(combined)) != len(combined) or sorted(combined) != list(range(n)):
+        if not np.array_equal(np.sort(combined), np.arange(n)):
             raise DataError("train/valid indices must be disjoint and cover the dataset")
 
     @property

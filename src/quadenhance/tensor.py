@@ -13,13 +13,17 @@ which runs numpy's einsum where an import-time probe finds that it sums
 in that order, else ordered ``np.add.reduce`` sums over row blocks.
 ``reduce_sum``, a full reduction, sums leading axes with
 ``np.add.accumulate``, which is sequential.  The other kernels are
-single elementwise ufunc calls or slice copies; there is no argmax
-kernel.  The differentiable layers also call numpy directly:
+single elementwise ufunc calls or slice copies, but for ``ndtr``, the
+normal cdf, which rebuilds SciPy's bits from ufuncs and libm's exp in
+cache-sized blocks; there is no argmax kernel.  The differentiable layers
+also call numpy directly:
 activations, losses, and ``np.add.reduce`` in the bias and coupling
 gradients, which sums in numpy's own order.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,6 +36,27 @@ PRECISIONS = {"f32": np.float32, "f64": np.float64}
 _BLOCK_PRODUCTS = 1 << 17
 # columns per tile when a strided right operand is copied into C order
 _TILE = 48
+
+# Cephes ndtr's polynomials, highest degree first; U, Q and S lead with an
+# implicit 1.  T is halved (see ndtr).  P/Q (t < 8) and R/S, R padded in front,
+# are [m, 2, 1] tables whose rows ndtr runs as one stacked Horner pass
+_SQRT1_2, _MAXLOG, _NDTR_BLOCK = 0.70710678118654752440, 7.09782712893383996843e2, 1 << 15
+_T = tuple(0.5 * c for c in (9.60497373987051638749e0, 9.00260197203842689217e1,
+                             2.23200534594684319226e3, 7.00332514112805075473e3, 5.55923013010394962768e4))
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_PQ = np.array([
+    [2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+     4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+     9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2],
+    [1, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+     1.65666309194161350182e3, 5.57535340817727675546e2]]).T[:, :, None]
+_RS = np.array([
+    [0, 5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+     6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0],
+    [1, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+     1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0]]).T[:, :, None]
 
 
 def _require_same_dtype(a: np.ndarray, b: np.ndarray, op: str) -> None:
@@ -221,3 +246,48 @@ def reduce_sum(a: np.ndarray, keep: int = 0) -> np.ndarray:
     while out.ndim > keep:
         out = _sum_axis0(out)
     return out
+
+
+def _horner(x: np.ndarray, acc: np.ndarray, coefs) -> np.ndarray:
+    # acc*x + c for each c in turn, in place: from Cephes polevl's first step
+    # (c0*x + c1) or p1evl's (x + c0), the rest of their own steps
+    for c in coefs:
+        acc *= x
+        acc += c
+    return acc
+
+
+def ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal cdf in float64, bit for bit SciPy's Cephes ``ndtr``.
+
+    Cephes (Moshier, 1989, on Cody's forms, 1969) takes s = x/sqrt(2).  Below
+    |s| = 1 it returns 0.5 + 0.5*s*T(s^2)/U(s^2), run here on every element
+    with T halved, which halves each step and s*T/U exactly: only a subnormal
+    would round otherwise, and 0.5 plus it is 0.5 either way.  From |s| = 1 it
+    returns y = exp(-s^2)*P(|s|)/Q(|s|)/2 (R/S from |s| = 8, 0 past s^2 =
+    MAXLOG), or 1 - y for s > 0, run here on the gathered tail only, with
+    libm's exp as Cephes has it (numpy's SIMD exp rounds some arguments
+    differently).  Cephes takes that branch from 1/sqrt(2), as 0.5*(1 - erf),
+    which rounds as the erf form does by Sterbenz's lemma.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    flat, out = a.reshape(-1), np.empty(a.size)
+    for i in range(0, a.size, _NDTR_BLOCK):
+        s = flat[i : i + _NDTR_BLOCK] * _SQRT1_2
+        o = out[i : i + _NDTR_BLOCK]
+        with np.errstate(over="ignore", invalid="ignore"):  # the erf form past |s| = 1 is discarded
+            ss = s * s
+            np.multiply(s, _horner(ss, _T[0] * ss + _T[1], _T[2:]), out=o)
+            o /= _horner(ss, ss + _U[0], _U[1:])
+            o += 0.5
+        tail = np.flatnonzero(ss >= 1.0)
+        if tail.size:
+            t, v = np.minimum(np.abs(s[tail]), 27.0), ss[tail]  # y is 0 past t = 26.6: R/S stay finite
+            pq = _horner(t, _PQ[0] * t + _PQ[1], _PQ[2:])
+            hi = np.flatnonzero(t >= 8.0)
+            if hi.size:
+                pq[:, hi] = _horner(t[hi], _RS[0] * t[hi] + _RS[1], _RS[2:])
+            y = np.fromiter(map(math.exp, (-v).tolist()), np.float64, v.size) * pq[0] / pq[1] * 0.5
+            y[v > _MAXLOG] = 0.0
+            o[tail] = np.where(s[tail] > 0, 1.0 - y, y)
+    return out.reshape(a.shape)

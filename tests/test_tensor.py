@@ -1,12 +1,14 @@
 """Kernel contracts: exactness, determinism, and shape validation."""
 
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import special
 
 from quadenhance import autograd as ag
 from quadenhance import tensor as T
@@ -319,6 +321,39 @@ class TestTiledCopy:
         b = rng.normal(size=(2, 2 * T._TILE + 3, 9)).astype(dtype)[:, ::-1, ::-1].transpose(0, 2, 1)
         assert b.strides[1] < 0 and b.strides[2] < 0 and not b.flags.c_contiguous
         _assert_same_bits(T.batched_matmul(a, b), _slices_by_matmul(a, b))
+
+
+def _neighbours(v: float, steps: int = 64) -> list[float]:
+    """v and its 2 * steps nearest doubles, with the negations of all of them."""
+    out, up, down = [v], v, v
+    for _ in range(steps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return out + [-u for u in out]
+
+
+class TestNdtr:
+    """``tensor.ndtr`` is SciPy's Cephes ``ndtr`` bit for bit, and warns of nothing."""
+
+    def test_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(2033)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        f32 = rng.integers(0, 2**32, 20_000, dtype=np.uint64).astype(np.uint32).view(np.float32)
+        edges = [np.sqrt(2.0), 8 * np.sqrt(2.0), np.sqrt(2 * T._MAXLOG), 0.0, tiny, 1e-310, 1e300]
+        x = np.concatenate([
+            np.array([v for e in edges for v in _neighbours(e)] + [np.inf, -np.inf, np.nan]),
+            rng.normal(0.0, 0.5, 20_000), rng.normal(0.0, 3.0, 20_000),
+            rng.normal(0.0, 10.0, 2_000).astype(np.float32).astype(np.float64),
+            f32[~np.isnan(f32)].astype(np.float64)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = T.ndtr(x)
+        _assert_same_bits(got, special.ndtr(x))
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 1, 2), (2, 40_000)])
+    def test_keeps_shape(self, shape):
+        x = np.random.default_rng(5).normal(0.0, 2.0, shape)
+        _assert_same_bits(T.ndtr(x), special.ndtr(x))
 
 
 def test_kernels_independent_of_cpu_dispatch():

@@ -235,8 +235,6 @@ def test_training_peak_in_parameter_sets(tmp_path, algo, bound, to_disk):
         "dataset": {"name": "quadratic_target", "n": 192, "d": 192, "size": 80, "seed": 1},
         "optimizer": {"algo": algo, "lr": 1e-3},
         "epochs": 2, "batch_size": 32, "seed": 0, "dtype": "f32"})
-    # gelu's first call imports scipy.special, whose allocations are not the run's
-    import scipy.special  # noqa: F401
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
